@@ -1,0 +1,16 @@
+"""Make the program under test and the benchmark package importable.
+
+Run from the root of a checkout with ``python3 -m pytest perfbench/tests``.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1]
+ROOT = PERFBENCH.parent
+
+for path in (PERFBENCH, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
