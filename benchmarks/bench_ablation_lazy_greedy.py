@@ -1,85 +1,42 @@
-"""Ablation — lazy-heap greedy vs the paper's naive O(N²) loop, and the
-vectorized scheduling backend vs the scalar reference.
+"""Ablation — the vectorized scheduling backend vs the scalar reference.
 
-Every variant produces byte-identical schedules; these benches show the
-runtime gaps. The lazy ablation runs on the scalar reference backend
-(where the lazy heap is the accelerated path); the backend ablation pins
-the headline speedup of the numpy core on a 1000-instant horizon — the
-paper-literal O(N²) loop is where the vectorization pays off hardest,
-the lazy-vs-lazy race is tighter (heap vs maintained dense argmax).
+Both backends run the same exact greedy and produce byte-identical
+schedules; this bench pins the headline speedup of the numpy core on a
+1000-instant horizon, where the reference re-walks every instant's
+kernel window per pick (the paper-literal O(N²) loop) and the numpy
+objective answers each pick from its maintained gains array.
 """
 
-from benchmarks._ablation_common import (
-    print_table,
-    record,
-    record_points,
-    run_once,
-)
-from repro.experiments.ablations import run_backend_ablation, run_lazy_ablation
-
-
-def test_ablation_lazy_vs_naive(benchmark):
-    points = run_once(benchmark, lambda: run_lazy_ablation())
-    print_table(
-        [
-            ("N instants", ">10"),
-            ("lazy (s)", ">10.4f"),
-            ("naive (s)", ">10.4f"),
-            ("speedup", ">8.1f"),
-        ],
-        [
-            (p.num_instants, p.lazy_seconds, p.naive_seconds, p.speedup)
-            for p in points
-        ],
-    )
-    assert all(point.identical_schedules for point in points)
-    assert points[-1].speedup > 2.0
-    record_points(
-        benchmark, points, "num_instants", "lazy_seconds", "naive_seconds"
-    )
+from benchmarks._ablation_common import print_table, record, run_once
+from repro.experiments.ablations import run_backend_ablation
 
 
 def test_ablation_backend_1000_instants(benchmark):
-    """Numpy vs reference on a 1000-instant horizon, both strategies.
+    """Numpy vs reference on a 1000-instant horizon.
 
     The acceptance bar: the vectorized backend beats the scalar
-    reference by ≥10× on the paper-literal greedy at 1000 instants (it
-    lands nearer 50–100×), produces the identical schedule in every
-    cell, and is never slower than the reference on the accelerated
-    (lazy) strategy either.
+    reference by ≥10× at 1000 instants (it lands nearer 50–100×) and
+    produces the identical schedule.
     """
-
-    def matrix():
-        naive = run_backend_ablation(
-            instant_counts=(1000,), users=50, budget=20, sigma=100.0, lazy=False
-        )
-        lazy = run_backend_ablation(
-            instant_counts=(1000,), users=50, budget=20, sigma=100.0, lazy=True
-        )
-        return naive[0], lazy[0]
-
-    naive, lazy = run_once(benchmark, matrix)
+    point = run_once(
+        benchmark,
+        lambda: run_backend_ablation(
+            instant_counts=(1000,), users=50, budget=20, sigma=100.0
+        )[0],
+    )
     print_table(
         [
-            ("strategy", ">10"),
             ("reference (s)", ">14.4f"),
             ("numpy (s)", ">10.4f"),
             ("speedup", ">8.1f"),
         ],
-        [
-            ("naive", naive.reference_seconds, naive.numpy_seconds, naive.speedup),
-            ("lazy", lazy.reference_seconds, lazy.numpy_seconds, lazy.speedup),
-        ],
+        [(point.reference_seconds, point.numpy_seconds, point.speedup)],
     )
-    assert naive.identical_schedules and lazy.identical_schedules
-    assert naive.speedup >= 10.0
-    assert lazy.speedup >= 1.0
+    assert point.identical_schedules
+    assert point.speedup >= 10.0
     record(
         benchmark,
-        naive_reference_seconds=naive.reference_seconds,
-        naive_numpy_seconds=naive.numpy_seconds,
-        naive_speedup=naive.speedup,
-        lazy_reference_seconds=lazy.reference_seconds,
-        lazy_numpy_seconds=lazy.numpy_seconds,
-        lazy_speedup=lazy.speedup,
+        reference_seconds=point.reference_seconds,
+        numpy_seconds=point.numpy_seconds,
+        speedup=point.speedup,
     )

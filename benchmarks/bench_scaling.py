@@ -1,24 +1,20 @@
 """The CI scaling gate: city-scale horizons stay fast and linear.
 
-Runs the lazy-vs-stochastic scaling curve
+Runs the exact-vs-stochastic scaling curve
 (:func:`repro.experiments.ablations.run_scaling_ablation`) up to 10⁵
-instants with a 10³-pick budget and gates four properties:
+instants with a 10³-pick budget and gates three properties:
 
 1. **speed** — at the 10⁵-instant point the stochastic greedy must be
-   at least ``--min-speedup`` faster than the exact accelerated sweep
-   (the sampled pick is O((N/B)·log(1/ε)) per pick, horizon-free);
+   at least ``--min-speedup`` faster than the exact sweep (the sampled
+   pick is O((N/B)·log(1/ε)) per pick, horizon-free);
 2. **value** — every point's stochastic objective must stay within
    ``--min-value-ratio`` of the exact greedy value (the
    ``(1 − 1/e − ε)`` bound holds in expectation; in practice the ratio
    sits at ~0.99);
-3. **memory** — the tracemalloc peak of a banded stochastic solve must
-   stay under ``--max-bytes-per-instant`` × N at every point (the
-   banded representation is O(N·window); the dense |T|×|T| matrices
-   would need 80 GB at N = 10⁵) and under ``--max-peak-mb`` overall;
-4. **exactness** — at the smallest point the banded and dense
-   representations must produce bitwise-identical exact-greedy
-   schedules and objective values (the band is a different *layout* of
-   the same floats, not an approximation).
+3. **memory** — the tracemalloc peak of a stochastic solve must stay
+   under ``--max-bytes-per-instant`` × N at every point (the kernel
+   band is O(N·window); dense |T|×|T| matrices would need 80 GB at
+   N = 10⁵) and under ``--max-peak-mb`` overall.
 
 The whole curve must finish inside ``--max-seconds`` wall seconds.
 Writes ``BENCH_scaling.json`` in the canonical gate schema that
@@ -54,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         help="horizon lengths; the last one is the gated point",
     )
     # The measured speedup at 10^5 instants is ~5.3x; the hard floor
-    # sits below it so shared-runner jitter on the lazy baseline cannot
+    # sits below it so shared-runner jitter on the exact baseline cannot
     # flake the job, while the committed BENCH_scaling.json baseline
     # pins the 5x expectation with its own tolerance.
     parser.add_argument("--min-speedup", type=float, default=4.0)
@@ -65,16 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=Path("BENCH_scaling.json"))
     args = parser.parse_args(argv)
 
-    import numpy as np
-
-    from repro.core.scheduling import (
-        GaussianKernel,
-        GreedyScheduler,
-        SchedulingPeriod,
-        SchedulingProblem,
-    )
-    from repro.experiments.ablations import PERIOD_S, run_scaling_ablation
-    from repro.sim.arrivals import uniform_arrivals
+    from repro.experiments.ablations import run_scaling_ablation
 
     failures: list[str] = []
     started = time.perf_counter()
@@ -87,13 +74,13 @@ def main(argv: list[str] | None = None) -> int:
         rounds=args.rounds,
     )
     print(
-        f"{'N':>8} {'sigma_s':>8} {'lazy':>9} {'stochastic':>11} "
+        f"{'N':>8} {'sigma_s':>8} {'exact':>9} {'stochastic':>11} "
         f"{'speedup':>8} {'value':>7} {'peak':>9}"
     )
     for point in points:
         print(
             f"{point.num_instants:>8} {point.sigma_s:>8.2f} "
-            f"{point.lazy_seconds * 1000:>7.1f}ms "
+            f"{point.exact_seconds * 1000:>7.1f}ms "
             f"{point.stochastic_seconds * 1000:>9.1f}ms "
             f"{point.speedup:>7.2f}x {point.value_ratio:>7.4f} "
             f"{point.peak_bytes / 1e6:>7.1f}MB"
@@ -107,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"N={point.num_instants}: tracemalloc peak "
                 f"{point.peak_bytes_per_instant:.0f} B/instant exceeds "
-                f"{args.max_bytes_per_instant:.0f} (banded memory must "
+                f"{args.max_bytes_per_instant:.0f} (kernel-band memory must "
                 "stay O(N*window))"
             )
         if point.peak_bytes > args.max_peak_mb * 1e6:
@@ -121,33 +108,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"N={gated.num_instants}: stochastic speedup {gated.speedup:.2f}x "
             f"below required {args.min_speedup:.1f}x"
-        )
-
-    # Bitwise banded-vs-dense replay at the smallest (dense-feasible)
-    # horizon: same assignments, exactly equal objective value.
-    replay_instants = min(args.instants)
-    rng = np.random.default_rng(args.seed)
-    period = SchedulingPeriod(0.0, PERIOD_S, replay_instants)
-    problem = SchedulingProblem(
-        period,
-        uniform_arrivals(args.users, PERIOD_S, args.budget, rng),
-        GaussianKernel(sigma=100_000.0 / replay_instants),
-    )
-    banded = GreedyScheduler(mode="lazy", representation="banded").solve(problem)
-    dense = GreedyScheduler(mode="lazy", representation="dense").solve(problem)
-    bitwise = (
-        banded.assignments == dense.assignments
-        and banded.objective_value == dense.objective_value
-    )
-    print(
-        f"banded-vs-dense bitwise replay at N={replay_instants}: "
-        f"{'identical' if bitwise else 'DIVERGED'}"
-    )
-    if not bitwise:
-        failures.append(
-            f"banded and dense representations diverged at "
-            f"N={replay_instants}: value {banded.objective_value!r} vs "
-            f"{dense.objective_value!r}"
         )
 
     elapsed = time.perf_counter() - started
@@ -192,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
                 {
                     "num_instants": p.num_instants,
                     "sigma_s": p.sigma_s,
-                    "lazy_seconds": p.lazy_seconds,
+                    "exact_seconds": p.exact_seconds,
                     "stochastic_seconds": p.stochastic_seconds,
                     "speedup": p.speedup,
                     "value_ratio": p.value_ratio,
@@ -200,7 +160,6 @@ def main(argv: list[str] | None = None) -> int:
                 }
                 for p in points
             ],
-            "banded_dense_bitwise": bitwise,
             "wall_seconds": elapsed,
         },
     }

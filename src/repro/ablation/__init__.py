@@ -1,16 +1,14 @@
 """Automated ablation harness: leave-one-out matrix over the injectable
-components (scheduling backend, lazy greedy, stochastic sampling,
-ranking cache, concurrency, resilience, durability), a pinned-seed
+components (stochastic sampling, ranking cache, concurrency,
+resilience, durability), a pinned-seed
 benchmark slate, and a ranked component-importance report with CI
 gates. See docs/ABLATION.md.
 """
 
 from repro.ablation.apply import (
-    effective_greedy_values,
     effective_server_values,
     effective_stochastic_values,
     effective_system_values,
-    greedy_kwargs,
     server_kwargs,
     stochastic_greedy_kwargs,
     system_kwargs,
@@ -61,12 +59,10 @@ __all__ = [
     "baseline_bench_json",
     "default_registry",
     "effect_ratio",
-    "effective_greedy_values",
     "effective_server_values",
     "effective_stochastic_values",
     "effective_system_values",
     "format_report",
-    "greedy_kwargs",
     "render",
     "run_ablation",
     "server_kwargs",

@@ -29,39 +29,18 @@ def _value(values: Mapping[str, Any], name: str, default: Any) -> Any:
     return values.get(name, default)
 
 
-def greedy_kwargs(values: Mapping[str, Any]) -> dict[str, Any]:
-    """``GreedyScheduler(**greedy_kwargs(config.values))``."""
-    mode = _value(values, "lazy_greedy", "lazy")
-    if mode not in ("lazy", "argmax"):
-        raise AblationError(f"lazy_greedy must be 'lazy' or 'argmax', got {mode!r}")
-    return {
-        "backend": _value(values, "backend", "numpy"),
-        "lazy": mode == "lazy",
-    }
-
-
 def stochastic_greedy_kwargs(
     values: Mapping[str, Any], *, seed: int = 2014
 ) -> dict[str, Any]:
     """``GreedyScheduler`` keywords for the long-horizon stochastic cell.
 
-    Pinned to the numpy backend on purpose: the ``stochastic`` switch
-    measures sampled picks against the exact accelerated sweep, and
-    running its long-horizon cell on the scalar reference backend would
-    conflate that with the ``backend`` switch (and take minutes). The
-    ablated value falls back to the exact mode the ``lazy_greedy``
-    switch selects, so the twin is the system as it would actually run
-    without sampling.
+    The ablated value falls back to the exact mode, so the twin is the
+    system as it would actually run without sampling.
     """
     value = _value(values, "stochastic", ON)
     if value not in (ON, OFF):
         raise AblationError(f"stochastic must be 'on' or 'off', got {value!r}")
-    mode = (
-        "stochastic"
-        if value == ON
-        else _value(values, "lazy_greedy", "lazy")
-    )
-    return {"backend": "numpy", "mode": mode, "seed": seed}
+    return {"mode": "stochastic" if value == ON else "exact", "seed": seed}
 
 
 def server_kwargs(
@@ -73,7 +52,6 @@ def server_kwargs(
 ) -> dict[str, Any]:
     """The switch-controlled subset of ``SensingServer`` keywords."""
     kwargs: dict[str, Any] = {
-        "scheduler_backend": _value(values, "backend", "numpy"),
         "ranking_cache": _value(values, "ranking_cache", ON) == ON,
     }
     if _value(values, "durability", "off") == ON:
@@ -107,14 +85,6 @@ def system_kwargs(
     return kwargs
 
 
-def effective_greedy_values(scheduler: Any) -> dict[str, Any]:
-    """Probe a ``GreedyScheduler`` back into switch vocabulary."""
-    return {
-        "backend": scheduler.backend,
-        "lazy_greedy": "lazy" if scheduler.lazy else "argmax",
-    }
-
-
 def effective_stochastic_values(scheduler: Any) -> dict[str, Any]:
     """Probe the stochastic cell's ``GreedyScheduler`` back out."""
     return {"stochastic": ON if scheduler.mode == "stochastic" else OFF}
@@ -124,13 +94,11 @@ def effective_server_values(server: SensingServer) -> dict[str, Any]:
     """Probe a ``SensingServer`` back into switch vocabulary.
 
     Every entry reads an *observable effect* of the constructor keyword
-    (the scheduler service's backend, the ranker's attached cache, the
-    database's durability manager, the admission executor) rather than a
-    stored copy of the keyword — that is what makes the round-trip test
-    catch silently ignored knobs.
+    (the ranker's attached cache, the database's durability manager, the
+    admission executor) rather than a stored copy of the keyword — that
+    is what makes the round-trip test catch silently ignored knobs.
     """
     return {
-        "backend": server.scheduler.backend,
         "ranking_cache": ON if server.ranker.cache is not None else "off",
         "durability": ON if server.database.durability is not None else "off",
         "concurrency": "pool" if server._executor is not None else "sequential",

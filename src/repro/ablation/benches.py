@@ -2,16 +2,11 @@
 
 Four benches, one per subsystem the switch matrix touches:
 
-* ``scheduling`` — offline greedy on a seeded problem; times the
-  configured backend/strategy pair (the ``backend`` switch's primary
-  metric), the configured strategy on the scalar reference backend
-  (the ``lazy_greedy`` switch's primary — on the numpy backend the
-  maintained gains array makes both strategies equally cheap, so the
-  lazy heap's contribution is only measurable where it actually runs),
-  and a long-horizon cell pinned to the numpy backend where the
-  ``stochastic`` switch's sampled picks race the exact sweep (the cell
-  emits its objective value too, so a run can eyeball the value cost
-  of sampling — no digest: stochastic schedules legitimately differ);
+* ``scheduling`` — offline greedy on a seeded long-horizon problem,
+  where the ``stochastic`` switch's sampled picks race the exact sweep
+  (the cell emits its objective value too, so a run can eyeball the
+  value cost of sampling — no digest: stochastic schedules
+  legitimately differ);
 * ``ranking`` — repeated warm ``rank_many`` over unchanged data against
   a seeded feature table (the ``ranking_cache`` switch);
 * ``loadgen`` — a scaled-down :mod:`repro.sim.loadgen` run with
@@ -40,11 +35,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.ablation.apply import (
-    greedy_kwargs,
-    stochastic_greedy_kwargs,
-    system_kwargs,
-)
+from repro.ablation.apply import stochastic_greedy_kwargs, system_kwargs
 from repro.core.scheduling import (
     GaussianKernel,
     GreedyScheduler,
@@ -68,10 +59,6 @@ PERIOD_S = 10800.0  # the paper's three-hour sensing period
 class BenchScale:
     """Problem sizes for the slate — the smoke defaults fit a CI job."""
 
-    scheduling_instants: int = 500
-    scheduling_users: int = 40
-    scheduling_budget: int = 15
-    scheduling_sigma_s: float = 60.0
     # The stochastic cell needs a horizon long enough that a dense sweep
     # per pick actually hurts; sigma shrinks with the spacing so the
     # kernel band stays ~60 instants wide.
@@ -131,18 +118,6 @@ def _best_of(repeat: int, run: Callable[[], Any]) -> tuple[float, Any]:
 # ----------------------------------------------------------------------
 # scheduling
 # ----------------------------------------------------------------------
-def _scheduling_problem(seed: int, scale: BenchScale) -> SchedulingProblem:
-    rng = np.random.default_rng(seed)
-    period = SchedulingPeriod(0.0, PERIOD_S, scale.scheduling_instants)
-    return SchedulingProblem(
-        period,
-        uniform_arrivals(
-            scale.scheduling_users, PERIOD_S, scale.scheduling_budget, rng
-        ),
-        GaussianKernel(sigma=scale.scheduling_sigma_s),
-    )
-
-
 def _stochastic_problem(seed: int, scale: BenchScale) -> SchedulingProblem:
     rng = np.random.default_rng(seed)
     period = SchedulingPeriod(0.0, PERIOD_S, scale.stochastic_instants)
@@ -158,40 +133,23 @@ def _stochastic_problem(seed: int, scale: BenchScale) -> SchedulingProblem:
 def bench_scheduling(
     values: Mapping[str, Any], *, seed: int, repeat: int, scale: BenchScale
 ) -> BenchResult:
-    """Offline greedy on a seeded problem: configured pair + reference strategy."""
-    problem = _scheduling_problem(seed, scale)
-    kwargs = greedy_kwargs(values)
-    configured = GreedyScheduler(metrics=MetricsRegistry(), **kwargs)
-    seconds, schedule = _best_of(repeat, lambda: configured.solve(problem))
-    reference = GreedyScheduler(
-        metrics=MetricsRegistry(), backend="reference", lazy=kwargs["lazy"]
-    )
-    reference_seconds, reference_schedule = _best_of(
-        repeat, lambda: reference.solve(problem)
-    )
-    # Long-horizon cell: sampled picks (baseline) vs the exact sweep
-    # (ablated twin), numpy backend only — see stochastic_greedy_kwargs.
-    # The schedule is deterministic under the pinned seed but differs
-    # from exact greedy by design, so it contributes no digest.
-    long_problem = _stochastic_problem(seed, scale)
-    stochastic = GreedyScheduler(
+    """Long-horizon offline greedy: sampled picks vs the exact sweep.
+
+    The baseline samples, the ablated twin runs the exact mode — see
+    :func:`~repro.ablation.apply.stochastic_greedy_kwargs`. The schedule
+    is deterministic under the pinned seed but differs from exact greedy
+    by design, so it contributes no digest.
+    """
+    problem = _stochastic_problem(seed, scale)
+    scheduler = GreedyScheduler(
         metrics=MetricsRegistry(), **stochastic_greedy_kwargs(values, seed=seed)
     )
-    stochastic_seconds, stochastic_schedule = _best_of(
-        repeat, lambda: stochastic.solve(long_problem)
-    )
+    seconds, schedule = _best_of(repeat, lambda: scheduler.solve(problem))
     return BenchResult(
         metrics={
-            "scheduling_seconds": seconds,
-            "scheduling_reference_seconds": reference_seconds,
-            "scheduling_value": schedule.objective_value,
-            "scheduling_stochastic_seconds": stochastic_seconds,
-            "scheduling_stochastic_value": stochastic_schedule.objective_value,
-        },
-        digests={
-            "schedule": _digest(schedule.assignments),
-            "schedule_reference": _digest(reference_schedule.assignments),
-        },
+            "scheduling_stochastic_seconds": seconds,
+            "scheduling_stochastic_value": schedule.objective_value,
+        }
     )
 
 

@@ -16,9 +16,8 @@ better, so adding a component to the ablation matrix is one
 docs/ABLATION.md). ``behavior_preserving`` switches additionally promise
 that ablating them changes *only* performance — the runner cross-checks
 the result digests of the baseline and the ablated twin and fails loudly
-if they diverge. That digest slot is also where a future approximate
-component (e.g. stochastic-greedy sampling) would declare its weaker
-guarantee by *not* setting the flag.
+if they diverge. An approximate component (stochastic-greedy sampling)
+declares its weaker guarantee by *not* setting the flag.
 """
 
 from __future__ import annotations
@@ -190,37 +189,9 @@ def default_registry() -> SwitchRegistry:
     registry = SwitchRegistry()
     registry.register(
         Switch(
-            name="backend",
-            description="vectorized numpy coverage objective vs the "
-            "scalar reference specification",
-            baseline="numpy",
-            ablated="reference",
-            primary_metric="scheduling_seconds",
-            behavior_preserving=True,
-            gate=True,
-            gate_floor=1.6,
-            gate_tolerance_pct=35.0,
-        )
-    )
-    registry.register(
-        Switch(
-            name="lazy_greedy",
-            description="accelerated greedy evaluation (lazy heap / "
-            "maintained dense argmax) vs the paper-literal O(N^2) argmax",
-            baseline="lazy",
-            ablated="argmax",
-            primary_metric="scheduling_reference_seconds",
-            behavior_preserving=True,
-            gate=True,
-            gate_floor=3.0,
-            gate_tolerance_pct=60.0,
-        )
-    )
-    registry.register(
-        Switch(
             name="stochastic",
             description="stochastic-greedy sampled picks vs the exact "
-            "accelerated sweep on the long-horizon scheduling cell "
+            "sweep on the long-horizon scheduling cell "
             "(approximate by design: schedules differ from exact greedy, "
             "so no behavior digest is promised)",
             baseline=ON,

@@ -36,6 +36,7 @@ from repro.core.scheduling.greedy import (
     GreedyScheduler,
     argmax_tied_low,
     brute_force_optimal,
+    greedy_window,
     stochastic_sample_size,
 )
 from repro.core.scheduling.matroid import BudgetPartitionMatroid, Matroid
@@ -47,8 +48,6 @@ from repro.core.scheduling.multikernel import (
 from repro.core.scheduling.objective import (
     BACKENDS,
     DEFAULT_BACKEND,
-    DEFAULT_REPRESENTATION,
-    REPRESENTATIONS,
     CoverageObjective,
     KernelMatrices,
     clear_kernel_matrix_cache,
@@ -73,9 +72,7 @@ from repro.core.scheduling.problem import (
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "DEFAULT_REPRESENTATION",
     "GREEDY_MODES",
-    "REPRESENTATIONS",
     "BudgetPartitionMatroid",
     "CoverageKernel",
     "CoverageObjective",
@@ -101,6 +98,7 @@ __all__ = [
     "clear_kernel_matrix_cache",
     "coverage_of_instants",
     "evaluate_instants",
+    "greedy_window",
     "kernel_matrices",
     "kernel_matrix_cache_bytes",
     "make_objective",

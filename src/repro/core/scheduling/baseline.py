@@ -9,7 +9,7 @@ over the period — which is exactly why the greedy scheduler beats it.
 from __future__ import annotations
 
 from repro.common.validation import require_positive
-from repro.core.scheduling.objective import DEFAULT_BACKEND, coverage_of_instants
+from repro.core.scheduling.objective import coverage_of_instants
 from repro.core.scheduling.problem import Schedule, SchedulingProblem
 
 
@@ -21,11 +21,9 @@ class PeriodicBaselineScheduler:
         interval_s: float = 10.0,
         *,
         clip_to_departure: bool = True,
-        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.interval_s = require_positive(interval_s, "interval_s")
         self.clip_to_departure = clip_to_departure
-        self.backend = backend
 
     def solve(self, problem: SchedulingProblem) -> Schedule:
         """Build the periodic schedule and evaluate its pooled coverage."""
@@ -51,9 +49,7 @@ class PeriodicBaselineScheduler:
         schedule = Schedule(
             problem=problem,
             assignments=assignments,
-            objective_value=coverage_of_instants(
-                period, problem.kernel, pooled, self.backend
-            ),
+            objective_value=coverage_of_instants(period, problem.kernel, pooled),
         )
         schedule.validate()
         return schedule

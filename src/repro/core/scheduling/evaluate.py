@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.scheduling.coverage import CoverageKernel
-from repro.core.scheduling.objective import DEFAULT_BACKEND, coverage_of_instants
+from repro.core.scheduling.objective import coverage_of_instants
 from repro.core.scheduling.problem import Schedule, SchedulingPeriod, SchedulingProblem
 
 
@@ -11,22 +11,20 @@ def evaluate_instants(
     period: SchedulingPeriod,
     kernel: CoverageKernel,
     instants: set[int] | list[int],
-    *,
-    backend: str = DEFAULT_BACKEND,
 ) -> float:
     """Objective value of a pooled instant set (re-exported convenience)."""
-    return coverage_of_instants(period, kernel, instants, backend)
+    return coverage_of_instants(period, kernel, instants)
 
 
-def average_coverage(schedule: Schedule, *, backend: str = DEFAULT_BACKEND) -> float:
+def average_coverage(schedule: Schedule) -> float:
     """Recompute a schedule's average coverage from scratch.
 
     Unlike :attr:`Schedule.average_coverage` (which trusts the stored
     objective value), this recomputes from the assignments — used by
-    tests to cross-check scheduler bookkeeping, on either backend.
+    tests to cross-check scheduler bookkeeping.
     """
     problem: SchedulingProblem = schedule.problem
     value = coverage_of_instants(
-        problem.period, problem.kernel, set(schedule.pooled_instants), backend
+        problem.period, problem.kernel, set(schedule.pooled_instants)
     )
     return value / problem.period.num_instants

@@ -6,18 +6,13 @@ when no user can be scheduled further. Because the objective is monotone
 submodular and the constraint a (partition) matroid, greedy achieves at
 least half the optimum [paper ref 10].
 
-Three execution modes; the first two produce **identical** schedules:
+Two execution modes:
 
-* ``mode="argmax"`` (``lazy=False``) — the paper's O(N²) loop:
-  recompute every instant's gain each iteration and take the argmax,
-* ``mode="lazy"`` (``lazy=True``, default) — accelerated evaluation.
-  On the reference backend this is the classic lazy max-heap: keep
-  stale gains and only re-evaluate the top, valid because marginal
-  gains only decrease as the solution grows (submodularity). On the
-  numpy backend the objective *maintains* its gains array incrementally
-  (``maintains_gains``), so re-evaluation is free and the heap is pure
-  overhead — the accelerated path is a dense masked argmax per pick
-  over the maintained array.
+* ``mode="exact"`` (default) — one masked argmax per pick over
+  ``objective.current_gains``. On the numpy backend that is the
+  objective's *maintained* gains array, so nothing is re-evaluated; on
+  the scalar reference backend it is a fresh sweep of every instant —
+  the paper-literal Algorithm 1 on the specification.
 * ``mode="stochastic"`` — stochastic greedy (Mirzasoleiman et al.'s
   "lazier than lazy greedy", applied to sensor scheduling by Hashemi
   et al., arXiv:1709.08823): each pick draws
@@ -27,15 +22,15 @@ Three execution modes; the first two produce **identical** schedules:
   ``(1 − 1/e − ε)``-of-optimal guarantee *in expectation*. Exact under
   a fixed seed (the scaling bench and the hypothesis suite pin both
   determinism and value-within-ε), but NOT schedule-identical to the
-  exact modes — use it when the horizon is too long for a dense sweep
+  exact mode — use it when the horizon is too long for a dense sweep
   per pick (≳10⁴ instants; see docs/SCHEDULING.md). A dry sample
   (every sampled gain below ``min_gain``) falls back to one exact
   masked sweep, so the loop terminates exactly when exact greedy
   would and never stops early on an unlucky draw.
 
-The exact variants read the same maintained/recomputed gain values and
-break exact ties toward the lower instant index, so their outputs match
-bitwise within and across backends. The stochastic mode is exactly
+The exact mode reads bitwise-identical gain values on both backends
+and breaks exact ties toward the lower instant index, so its schedules
+match bitwise across backends. The stochastic mode is exactly
 deterministic under a fixed seed *within* a backend, but its schedules
 are not guaranteed identical across backends: the numpy backend scores
 sampled candidates with one BLAS dot per window (accumulation order
@@ -44,10 +39,14 @@ gains_at``) and breaks exact ties toward the first-drawn candidate,
 while the reference backend walks a sorted, deduplicated sample with
 fold-order gains.
 
-Both strategies run on either coverage backend (``backend="numpy"`` —
-the vectorized default — or ``"reference"``, the scalar specification;
-see docs/SCHEDULING.md). The differential tests pin the two backends to
-identical schedules.
+Both modes run on either coverage backend (``backend="numpy"`` — the
+vectorized default — or ``"reference"``, the scalar specification; see
+docs/SCHEDULING.md). The differential tests pin the two backends to
+identical exact schedules.
+
+:func:`greedy_window` is the same exact pick restricted to one
+presence window and one budget — the loop the online scheduler service
+and the per-user scheduler run.
 
 User assignment: when an instant is selected, it is given to the
 feasible user (window contains the instant, budget remaining, instant
@@ -59,7 +58,6 @@ being abused").
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,7 +79,7 @@ from repro.obs import MetricsRegistry, get_metrics
 AnyCoverageObjective = CoverageObjective | ReferenceCoverageObjective
 
 #: The selectable greedy execution modes.
-GREEDY_MODES = ("lazy", "argmax", "stochastic")
+GREEDY_MODES = ("exact", "stochastic")
 
 #: Sentinel key for infeasible users in the `_pick_user` argmin.
 _INFEASIBLE_KEY = np.iinfo(np.int64).max
@@ -127,13 +125,47 @@ def argmax_tied_low(values: np.ndarray) -> int:
     """Index of the maximum, breaking exact ties toward the lowest index.
 
     The explicit tie-break contract every scheduling loop uses: it makes
-    re-runs, the lazy/naive variants and the numpy/reference backends
-    agree on which of several equally good instants is picked. (This is
-    what ``np.argmax`` does — first occurrence — but the contract is
-    load-bearing for the differential tests, so it lives behind a name
-    with a regression test rather than an implementation detail.)
+    re-runs and the numpy/reference backends agree on which of several
+    equally good instants is picked. (This is what ``np.argmax`` does —
+    first occurrence — but the contract is load-bearing for the
+    differential tests, so it lives behind a name with a regression
+    test rather than an implementation detail.)
     """
     return int(np.asarray(values).argmax())
+
+
+def greedy_window(
+    objective: AnyCoverageObjective,
+    lo: int,
+    hi: int,
+    budget: int,
+    min_gain: float,
+) -> list[int]:
+    """Greedily add up to ``budget`` instants of ``[lo, hi)`` to ``objective``.
+
+    One window, one budget: each pick reads the window slice of
+    ``objective.current_gains``, takes its lowest-index argmax, and
+    stops once that gain falls below ``min_gain``. Instants this call
+    already picked are masked out, so it never returns a duplicate.
+    This is the loop behind the online scheduler service (one
+    participant's remaining window over the application's pooled
+    objective), the per-user equation-(2) scheduler and the online
+    ablation. Returns the picks in pick order.
+    """
+    picks: list[int] = []
+    if hi <= lo:
+        return picks
+    for _ in range(budget):
+        gains = objective.current_gains[lo:hi]
+        if picks:
+            gains = gains.copy()
+            gains[np.asarray(picks) - lo] = -np.inf
+        best = argmax_tied_low(gains)
+        if gains[best] < min_gain:
+            break
+        objective.add(lo + best)
+        picks.append(lo + best)
+    return picks
 
 
 class GreedyScheduler:
@@ -144,36 +176,27 @@ class GreedyScheduler:
     would only burn a phone's budget and battery. Set it to 0 to run the
     matroid to a basis like the paper's literal while-condition.
 
-    ``mode`` selects the execution strategy (``"lazy"``, ``"argmax"``
-    or ``"stochastic"``; see the module docstring) and wins over the
-    older ``lazy`` boolean when both are given. The stochastic mode
+    ``mode`` selects the execution strategy (``"exact"`` or
+    ``"stochastic"``; see the module docstring). The stochastic mode
     samples with ``rng`` if injected, else a fresh
     ``np.random.default_rng(seed)`` per solve — so a scheduler object
     re-solved with the same seed is exactly deterministic, while an
     injected generator advances across solves under the caller's
     control. ``sample_epsilon`` is the ε of the sample-size formula
     (smaller ε → larger samples → tighter guarantee).
-
-    ``representation`` threads through to the numpy objective's
-    kernel-matrix layout (banded by default; dense only for the
-    differential suite).
     """
 
     def __init__(
         self,
         *,
-        lazy: bool = True,
         min_gain: float = 1e-12,
         backend: str = DEFAULT_BACKEND,
         metrics: MetricsRegistry | None = None,
-        mode: str | None = None,
+        mode: str = "exact",
         sample_epsilon: float = 0.1,
         seed: int = 2014,
         rng: np.random.Generator | None = None,
-        representation: str | None = None,
     ) -> None:
-        if mode is None:
-            mode = "lazy" if lazy else "argmax"
         if mode not in GREEDY_MODES:
             raise SchedulingError(
                 f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}"
@@ -183,15 +206,11 @@ class GreedyScheduler:
                 f"sample_epsilon must be in (0, 1), got {sample_epsilon!r}"
             )
         self.mode = mode
-        #: Back-compat view of ``mode``: every non-argmax mode uses
-        #: accelerated evaluation.
-        self.lazy = mode != "argmax"
         self.min_gain = min_gain
         self.backend = backend
         self.sample_epsilon = sample_epsilon
         self.seed = seed
         self.rng = rng
-        self.representation = representation
         self.metrics = metrics if metrics is not None else get_metrics()
         # Evaluation counts are accumulated locally inside the loops and
         # reported once per solve, so instrumentation stays off the
@@ -223,20 +242,25 @@ class GreedyScheduler:
     # ------------------------------------------------------------------
     def solve(self, problem: SchedulingProblem) -> Schedule:
         """Compute a schedule for every user of ``problem``."""
-        objective_kwargs = (
-            {"representation": self.representation}
-            if self.representation is not None
-            else {}
-        )
-        if self.mode == "stochastic":
-            # The sampling loop only scores O((N/B)·log(1/ε)) candidates
-            # per pick via the batched ``gains_at``, so the numpy
-            # backend's per-add full-band gains maintenance would be
-            # pure overhead — turn it off.
-            objective_kwargs["maintain_gains"] = False
+        # The sampling loop only scores O((N/B)·log(1/ε)) candidates per
+        # pick via the batched ``gains_at``, so the numpy backend's
+        # per-add full-band gains maintenance would be pure overhead.
         objective = make_objective(
-            problem.period, problem.kernel, self.backend, **objective_kwargs
+            problem.period,
+            problem.kernel,
+            self.backend,
+            maintain_gains=self.mode != "stochastic",
         )
+        return self._solve(problem, objective)
+
+    def _solve(
+        self, problem: SchedulingProblem, objective: AnyCoverageObjective
+    ) -> Schedule:
+        """Run the configured loop over a caller-built ``objective``.
+
+        Any objective with the incremental interface works — the
+        multi-kernel scheduler passes its blended objective here.
+        """
         num_users = len(problem.users)
         remaining = np.array(
             [user.budget for user in problem.users], dtype=np.int64
@@ -289,19 +313,9 @@ class GreedyScheduler:
                 problem, objective, pick_state, remaining, available, assigned,
                 rng,
             )
-        elif self.lazy and not getattr(objective, "maintains_gains", False):
-            evaluations = self._run_lazy(
-                problem, objective, pick_state, remaining, available, assigned
-            )
         else:
-            evaluations = self._run_argmax(
-                problem,
-                objective,
-                pick_state,
-                remaining,
-                available,
-                assigned,
-                dense=self.lazy,
+            evaluations = self._run_exact(
+                problem, objective, pick_state, remaining, available, assigned
             )
         schedule = Schedule(
             problem=problem,
@@ -312,8 +326,7 @@ class GreedyScheduler:
             objective_value=objective.value(),
         )
         schedule.validate()
-        strategy = {"lazy": "lazy", "argmax": "naive"}.get(self.mode, self.mode)
-        self._m_evaluations.inc(evaluations, strategy=strategy)
+        self._m_evaluations.inc(evaluations, strategy=self.mode)
         self._m_selected.inc(sum(len(instants) for instants in assigned.values()))
         self._m_coverage.set(schedule.average_coverage)
         return schedule
@@ -387,9 +400,9 @@ class GreedyScheduler:
         return False
 
     # ------------------------------------------------------------------
-    # argmax loop (paper-literal, and the dense maintained-gains path)
+    # exact loop
     # ------------------------------------------------------------------
-    def _run_argmax(
+    def _run_exact(
         self,
         problem: SchedulingProblem,
         objective: AnyCoverageObjective,
@@ -397,17 +410,18 @@ class GreedyScheduler:
         remaining: np.ndarray,
         available: np.ndarray,
         assigned: dict[int, set[int]],
-        *,
-        dense: bool,
     ) -> int:
         """Masked argmax per pick; returns the number of gain evaluations.
 
-        ``dense=False`` is the paper-literal loop: every instant's gain
-        is (re)computed each iteration via ``gains_all`` and counted as
-        an evaluation. ``dense=True`` reads the objective's maintained
-        gains array in place — nothing is re-evaluated, so only the one
-        committed read per pick is counted.
+        A maintained gains array (numpy backend) is read in place and
+        counts one evaluation per pick; any other objective's
+        ``current_gains`` is a fresh sweep of every instant.
         """
+        sweep_evaluations = (
+            1
+            if getattr(objective, "maintains_gains", False)
+            else problem.period.num_instants
+        )
         evaluations = 0
         pooled: set[int] = set()
         # ``available`` only changes when a user's budget empties
@@ -415,12 +429,8 @@ class GreedyScheduler:
         # that signal instead of being recomputed every pick.
         feasible_mask = available > 0
         while True:
-            if dense:
-                gains = objective.current_gains
-                evaluations += 1
-            else:
-                gains = objective.gains_all()
-                evaluations += problem.period.num_instants
+            gains = objective.current_gains
+            evaluations += sweep_evaluations
             masked = np.where(feasible_mask, gains, -np.inf)
             best = argmax_tied_low(masked)
             if masked[best] < self.min_gain:
@@ -505,7 +515,6 @@ class GreedyScheduler:
         value, so the ``(1 − 1/e − ε)`` expectation bound is untouched.
         """
         num_instants = problem.period.num_instants
-        maintained = getattr(objective, "maintains_gains", False)
         # The numpy backend scores an arbitrary candidate set in one
         # banded matvec (duplicates from the with-replacement draw are
         # scored twice — cheaper than deduplicating); the reference
@@ -552,12 +561,7 @@ class GreedyScheduler:
                 # np.unique also sorts ascending, giving this path a
                 # lowest-index tie-break under argmax_tied_low.
                 candidates = np.unique(candidates)
-                if maintained:
-                    gains = objective.current_gains[candidates]
-                else:
-                    gains = np.array(
-                        [objective.gain(int(c)) for c in candidates]
-                    )
+                gains = np.array([objective.gain(int(c)) for c in candidates])
             samples_drawn += int(draws.size)
             evaluations += int(candidates.size)
             committed = False
@@ -610,15 +614,12 @@ class GreedyScheduler:
                         break
             if not committed:
                 fallbacks += 1
-                if maintained:
-                    gains_full = objective.current_gains
-                    evaluations += 1
-                else:
-                    # One exact sweep (the numpy backend recomputes the
-                    # whole band; the reference walks every instant).
-                    gains_full = objective.gains_all()
-                    evaluations += num_instants
-                masked = np.where(feasible_mask, gains_full, -np.inf)
+                # One exact sweep (the numpy backend recomputes the
+                # whole band; the reference walks every instant).
+                masked = np.where(
+                    feasible_mask, objective.current_gains, -np.inf
+                )
+                evaluations += num_instants
                 for candidate in np.argsort(-masked, kind="stable"):
                     if (
                         not feasible_mask[candidate]
@@ -653,77 +654,6 @@ class GreedyScheduler:
             self._m_samples.inc(samples_drawn)
         if fallbacks:
             self._m_fallbacks.inc(fallbacks)
-        return evaluations
-
-    # ------------------------------------------------------------------
-    # lazy-heap loop
-    # ------------------------------------------------------------------
-    def _run_lazy(
-        self,
-        problem: SchedulingProblem,
-        objective: AnyCoverageObjective,
-        pick_state: _PickState,
-        remaining: np.ndarray,
-        available: np.ndarray,
-        assigned: dict[int, set[int]],
-    ) -> int:
-        """Lazy-heap loop; returns the number of gain (re-)evaluations."""
-        num_instants = problem.period.num_instants
-        pooled: set[int] = set()
-        gains = objective.gains_all()
-        evaluations = num_instants  # the initial full sweep
-        # Heap entries: (-gain, instant). Stale entries are re-evaluated
-        # on pop; submodularity guarantees true gains never exceed stale
-        # ones, so the first up-to-date top is the argmax. Tie-break on
-        # instant index matches np.argmax in the naive loop.
-        heap: list[tuple[float, int]] = [
-            (-gains[instant], instant)
-            for instant in range(num_instants)
-            if available[instant] > 0
-        ]
-        heapq.heapify(heap)
-        budget_left = int(remaining.sum())
-        while budget_left > 0 and heap:
-            negative_gain, instant_index = heapq.heappop(heap)
-            if available[instant_index] <= 0:
-                continue
-            current_gain = objective.gain(instant_index)
-            evaluations += 1
-            if heap:
-                next_key, next_index = heap[0]
-                if -current_gain > next_key:
-                    # Stale and no longer the best — push back and retry.
-                    # Submodularity guarantees fresh gains never exceed
-                    # stale keys, so the first up-to-date top is the max.
-                    heapq.heappush(heap, (-current_gain, instant_index))
-                    continue
-                if -current_gain == next_key and next_index < instant_index:
-                    # Exact tie: defer to the lower index, matching the
-                    # naive variant's stable argsort tie-break.
-                    heapq.heappush(heap, (-current_gain, instant_index))
-                    continue
-            if current_gain < self.min_gain:
-                return evaluations
-            user_index = self._pick_user(
-                pick_state, instant_index, assigned, pooled
-            )
-            if user_index is None:
-                # Someone covers this instant but every holder already has
-                # it; it cannot be scheduled again, drop it permanently
-                # (pooled gain of a chosen instant is 0 anyway).
-                continue
-            self._commit(
-                problem,
-                objective,
-                pick_state,
-                instant_index,
-                user_index,
-                remaining,
-                available,
-                assigned,
-                pooled,
-            )
-            budget_left -= 1
         return evaluations
 
 

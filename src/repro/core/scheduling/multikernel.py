@@ -15,7 +15,7 @@ monotone submodular functions are monotone submodular, so the greedy
 1/2-approximation carries over unchanged. This module provides that
 objective with the same incremental interface as
 :class:`~repro.core.scheduling.objective.CoverageObjective`, plus a
-scheduler wrapper.
+scheduler wrapper that runs the pooled greedy's exact loop over it.
 """
 
 from __future__ import annotations
@@ -24,15 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import SchedulingError, ValidationError
+from repro.common.errors import ValidationError
 from repro.core.scheduling.coverage import CoverageKernel
-from repro.core.scheduling.greedy import (
-    GREEDY_MODES,
-    argmax_tied_low,
-    stochastic_sample_size,
-)
-from repro.core.scheduling.objective import DEFAULT_BACKEND, make_objective
+from repro.core.scheduling.greedy import GreedyScheduler
+from repro.core.scheduling.objective import make_objective
 from repro.core.scheduling.problem import Schedule, SchedulingPeriod, SchedulingProblem
+from repro.obs import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -54,12 +51,7 @@ class MultiKernelObjective:
     """Weighted sum of per-feature coverage objectives."""
 
     def __init__(
-        self,
-        period: SchedulingPeriod,
-        features: list[FeatureKernel],
-        *,
-        backend: str = DEFAULT_BACKEND,
-        representation: str | None = None,
+        self, period: SchedulingPeriod, features: list[FeatureKernel]
     ) -> None:
         if not features:
             raise ValidationError("need at least one feature kernel")
@@ -68,13 +60,8 @@ class MultiKernelObjective:
             raise ValidationError("duplicate feature names")
         self.period = period
         self.features = list(features)
-        self.backend = backend
-        objective_kwargs = (
-            {"representation": representation} if representation is not None else {}
-        )
         self._objectives = [
-            make_objective(period, feature.kernel, backend, **objective_kwargs)
-            for feature in features
+            make_objective(period, feature.kernel) for feature in features
         ]
 
     @property
@@ -102,12 +89,13 @@ class MultiKernelObjective:
             for feature, objective in zip(self.features, self._objectives)
         )
 
-    def gains_fast(self) -> np.ndarray:
-        """Vectorized weighted marginal gains for every instant."""
+    @property
+    def current_gains(self) -> np.ndarray:
+        """Weighted marginal gains of every instant (a fresh array)."""
         total = np.zeros(self.period.num_instants)
         for feature, objective in zip(self.features, self._objectives):
             if feature.weight > 0:
-                total += feature.weight * objective.gains_fast()
+                total += feature.weight * objective.current_gains
         return total
 
     def add(self, instant_index: int) -> float:
@@ -122,124 +110,24 @@ class MultiKernelGreedyScheduler:
     """Greedy over the blended objective (same matroid constraint)."""
 
     def __init__(
-        self,
-        features: list[FeatureKernel],
-        *,
-        min_gain: float = 1e-12,
-        backend: str = DEFAULT_BACKEND,
-        mode: str = "argmax",
-        sample_epsilon: float = 0.1,
-        seed: int = 2014,
-        representation: str | None = None,
+        self, features: list[FeatureKernel], *, min_gain: float = 1e-12
     ) -> None:
         if not features:
             raise ValidationError("need at least one feature kernel")
-        if mode not in GREEDY_MODES:
-            raise SchedulingError(
-                f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}"
-            )
         self.features = list(features)
         self.min_gain = min_gain
-        self.backend = backend
-        self.mode = mode
-        self.sample_epsilon = sample_epsilon
-        self.seed = seed
-        self.representation = representation
 
     def solve(self, problem: SchedulingProblem) -> Schedule:
         """Schedule ``problem``'s users against the blended objective.
 
         ``problem.kernel`` is ignored — coverage comes from the feature
-        kernels this scheduler was built with. In ``mode="stochastic"``
-        each pick evaluates the blended gain only at a seeded sample of
-        the still-available instants, with the exact full sweep as the
-        dry-sample fallback.
+        kernels this scheduler was built with. The picks and user
+        assignment are :class:`GreedyScheduler`'s exact loop; its
+        metrics go to a private registry so the blended value never
+        lands on the single-kernel coverage gauge.
         """
-        stochastic = self.mode == "stochastic"
-        rng = np.random.default_rng(self.seed) if stochastic else None
-        objective = MultiKernelObjective(
-            problem.period,
-            self.features,
-            backend=self.backend,
-            representation=self.representation,
-        )
-        remaining = [user.budget for user in problem.users]
-        available = np.zeros(problem.period.num_instants, dtype=np.int64)
-        for user_index in range(len(problem.users)):
-            if remaining[user_index] > 0:
-                lo, hi = problem.user_window(user_index)
-                available[lo:hi] += 1
-        assigned: dict[int, set[int]] = {
-            user_index: set() for user_index in range(len(problem.users))
-        }
-        sample_size = stochastic_sample_size(
-            problem.period.num_instants,
-            problem.total_budget(),
-            self.sample_epsilon,
-        )
-        while available.max(initial=0) > 0:
-            best: int | None = None
-            if stochastic:
-                feasible = np.flatnonzero(available > 0)
-                draws = rng.integers(
-                    0, feasible.size, size=min(sample_size, int(feasible.size))
-                )
-                candidates = np.unique(feasible[draws])
-                gains = np.array(
-                    [objective.gain(int(c)) for c in candidates]
-                )
-                pick = argmax_tied_low(gains)
-                if gains[pick] >= self.min_gain:
-                    best = int(candidates[pick])
-            if best is None:
-                # argmax mode, or a dry stochastic sample: exact sweep.
-                gains = objective.gains_fast()
-                masked = np.where(available > 0, gains, -np.inf)
-                best = argmax_tied_low(masked)
-                if masked[best] < self.min_gain:
-                    break
-            user_index = self._pick_user(problem, best, remaining, assigned)
-            if user_index is None:
-                # Everyone covering the best instant holds it already;
-                # zero it out and continue with the next best.
-                available[best] = 0
-                continue
-            objective.add(best)
-            assigned[user_index].add(best)
-            remaining[user_index] -= 1
-            if remaining[user_index] == 0:
-                lo, hi = problem.user_window(user_index)
-                available[lo:hi] -= 1
-        schedule = Schedule(
-            problem=problem,
-            assignments={
-                problem.users[user_index].user_id: sorted(instants)
-                for user_index, instants in assigned.items()
-            },
-            objective_value=objective.value(),
-        )
-        schedule.validate()
+        objective = MultiKernelObjective(problem.period, self.features)
+        greedy = GreedyScheduler(min_gain=self.min_gain, metrics=MetricsRegistry())
+        schedule = greedy._solve(problem, objective)
         self.last_per_feature_coverage = objective.per_feature_coverage()
         return schedule
-
-    @staticmethod
-    def _pick_user(
-        problem: SchedulingProblem,
-        instant_index: int,
-        remaining: list[int],
-        assigned: dict[int, set[int]],
-    ) -> int | None:
-        best: int | None = None
-        for user_index in range(len(problem.users)):
-            if remaining[user_index] <= 0:
-                continue
-            if not problem.user_can_sense_at(user_index, instant_index):
-                continue
-            if instant_index in assigned[user_index]:
-                continue
-            if best is None or (
-                (-remaining[user_index], problem.users[user_index].arrival, user_index)
-                < (-remaining[best], problem.users[best].arrival, best)
-            ):
-                best = user_index
-        return best

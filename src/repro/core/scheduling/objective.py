@@ -7,7 +7,7 @@ incremental interface:
 * ``"numpy"`` (this module, :class:`CoverageObjective`) — the hot path.
   It precomputes the kernel band ``p(d·Δ)`` for ``d ∈ [-w, w]`` once
   per (kernel, horizon) in a σ-keyed cache, and maintains two coverage
-  representations side by side. The *gain path* keeps the survival
+  states side by side. The *gain path* keeps the survival
   products ``s_j = Π_{i∈Ψ}(1 - p_ij)`` directly, updated by windowed
   elementwise multiplies — bitwise identical to the scalar reference's
   products, which is what keeps the two backends' exact-tie structure
@@ -23,18 +23,16 @@ incremental interface:
   scalar specification the numpy backend is differentially tested
   against (values to 1e-9, identical greedy schedules).
 
-Memory model — banded vs dense. The update rows are Toeplitz
+Memory model — the kernel band. The update rows are Toeplitz
 (``P[i, j] = p(|i - j|·Δ)``), and only the ``2w+1`` in-band entries of
-any row are ever read, so the default ``"banded"`` representation
-stores one mirrored band of length ``2w+1`` per array — O(window)
-memory, independent of the horizon, which is what lets the core scale
-to 10⁵ instants (a dense |T|×|T| float matrix would be ~80 GB there).
-A row slice of the dense matrix and the matching band slice hold
-bitwise-identical floats (both are built from the same ``weights``
-array by the same operations), so switching representation changes
-*which array is indexed*, never a single float operation — the
-``"dense"`` representation is kept selectable purely so the
-differential suite can assert that equivalence.
+any row are ever read, so the objective stores one mirrored band of
+length ``2w+1`` per array — O(window) memory, independent of the
+horizon, which is what lets the core scale to 10⁵ instants (a dense
+|T|×|T| float matrix would be ~80 GB there). A band slice holds the
+same floats as the matching row slice of the dense Toeplitz matrix
+(both come from the same ``weights`` array by the same operations);
+the differential suite pins that equality against a test-local dense
+oracle.
 
 The maintained gains are *recomputed* (not delta-updated) over the
 affected band using a per-element operation sequence that never varies
@@ -82,10 +80,6 @@ from repro.obs import get_metrics
 BACKENDS = ("numpy", "reference")
 DEFAULT_BACKEND = "numpy"
 
-#: The selectable kernel-matrix memory layouts (numpy backend only).
-REPRESENTATIONS = ("banded", "dense")
-DEFAULT_REPRESENTATION = "banded"
-
 
 # ----------------------------------------------------------------------
 # kernel-matrix cache
@@ -94,41 +88,29 @@ DEFAULT_REPRESENTATION = "banded"
 class KernelMatrices:
     """Precomputed per-(kernel, horizon) arrays shared across objectives.
 
-    The banded (default) layout stores the mirrored kernel band only:
+    Only the mirrored kernel band is stored:
     ``complement_band[d + window] = 1 - p(|d|·Δ)`` for ``d ∈ [-w, w]``
     (the survival-product update values — the same ``1 - w_d`` floats
     the scalar reference multiplies by, so the two backends' survival
     products are bitwise identical) and ``log_complement_band =
     log1p(-p)`` (the log-space add values, −inf only at the centre
-    where p may be 1). The ``"dense"`` layout additionally materializes
-    the full |T|×|T| ``probability`` / ``complement`` /
-    ``log_complement`` Toeplitz matrices whose row slices equal the
-    band slices float-for-float; it exists so the differential suite
-    can pin that equality. Frozen: objectives must treat the arrays as
+    where p may be 1). Frozen: objectives must treat the arrays as
     read-only because they are shared via the cache.
     """
 
     window: int
     weights: np.ndarray
-    representation: str
     complement_band: np.ndarray
     log_complement_band: np.ndarray
-    probability: np.ndarray | None = None
-    complement: np.ndarray | None = None
-    log_complement: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
         """Total bytes held by this entry (the cache's eviction unit)."""
-        total = (
+        return (
             self.weights.nbytes
             + self.complement_band.nbytes
             + self.log_complement_band.nbytes
         )
-        for dense in (self.probability, self.complement, self.log_complement):
-            if dense is not None:
-                total += dense.nbytes
-        return total
 
 
 _MATRIX_CACHE: OrderedDict[tuple, KernelMatrices] = OrderedDict()
@@ -148,9 +130,7 @@ _CACHE_BYTES_GAUGE = (
 
 
 def _build_matrices(
-    period: SchedulingPeriod,
-    kernel: CoverageKernel,
-    representation: str,
+    period: SchedulingPeriod, kernel: CoverageKernel
 ) -> KernelMatrices:
     num_instants = period.num_instants
     spacing = period.spacing
@@ -160,11 +140,9 @@ def _build_matrices(
         [kernel.probability(d * spacing) for d in range(window + 1)]
     )
     validate_kernel_weights(weights, kernel, spacing)
-    # The mirrored band: index d + window holds p(|d|·Δ). Built by
-    # fancy-indexing the same weights array the dense rows are built
-    # from, so band and dense entries are the same float objects and
-    # every derived value (1 - p, log1p(-p)) is computed by the same
-    # operation — bitwise-equal across representations.
+    # The mirrored band: index d + window holds p(|d|·Δ), fancy-indexed
+    # from the weights array so every derived value (1 - p, log1p(-p))
+    # equals the dense Toeplitz row's float for float.
     band_probability = weights[np.abs(np.arange(-window, window + 1))]
     complement_band = 1.0 - band_probability
     with np.errstate(divide="ignore"):
@@ -172,60 +150,35 @@ def _build_matrices(
         # a measurement fully covers its own instant);
         # validate_kernel_weights rejected p ≥ 1 off the diagonal.
         log_complement_band = np.log1p(-band_probability)
-    probability = complement = log_complement = None
-    if representation == "dense":
-        padded = np.zeros(num_instants)
-        padded[: window + 1] = weights
-        offsets = np.abs(
-            np.arange(num_instants)[:, None] - np.arange(num_instants)[None, :]
-        )
-        probability = padded[offsets]
-        complement = 1.0 - probability
-        with np.errstate(divide="ignore"):
-            log_complement = np.log1p(-probability)
-        probability.setflags(write=False)
-        complement.setflags(write=False)
-        log_complement.setflags(write=False)
     weights.setflags(write=False)
     complement_band.setflags(write=False)
     log_complement_band.setflags(write=False)
     return KernelMatrices(
         window=window,
         weights=weights,
-        representation=representation,
         complement_band=complement_band,
         log_complement_band=log_complement_band,
-        probability=probability,
-        complement=complement,
-        log_complement=log_complement,
     )
 
 
 def kernel_matrices(
-    period: SchedulingPeriod,
-    kernel: CoverageKernel,
-    representation: str = DEFAULT_REPRESENTATION,
+    period: SchedulingPeriod, kernel: CoverageKernel
 ) -> KernelMatrices:
-    """The cached kernel band (or dense matrices) for a (kernel, horizon).
+    """The cached kernel band for a (kernel, horizon).
 
-    Keyed on ``(kernel.cache_key(), num_instants, spacing,
-    representation)``; kernels without a ``cache_key`` are built fresh
-    every time (correct, just uncached). The cache is a byte-bounded
-    LRU guarded by a lock — it is shared by every scheduler thread in
-    the server worker pool — and exports its size as
-    ``sor_kernel_matrix_cache_bytes``. Entries larger than the cap are
-    returned uncached rather than evicting the whole cache.
+    Keyed on ``(kernel.cache_key(), num_instants, spacing)``; kernels
+    without a ``cache_key`` are built fresh every time (correct, just
+    uncached). The cache is a byte-bounded LRU guarded by a lock — it
+    is shared by every scheduler thread in the server worker pool — and
+    exports its size as ``sor_kernel_matrix_cache_bytes``. Entries
+    larger than the cap are returned uncached rather than evicting the
+    whole cache.
     """
-    if representation not in REPRESENTATIONS:
-        raise SchedulingError(
-            f"unknown kernel-matrix representation {representation!r}; "
-            f"expected one of {REPRESENTATIONS}"
-        )
     global _matrix_cache_bytes
     metrics = get_metrics()
     key_fn = getattr(kernel, "cache_key", None)
     key = (
-        (key_fn(), period.num_instants, period.spacing, representation)
+        (key_fn(), period.num_instants, period.spacing)
         if callable(key_fn)
         else None
     )
@@ -244,10 +197,10 @@ def kernel_matrices(
             "sor_kernel_matrix_cache_misses_total",
             "cacheable kernel-matrix lookups that had to build",
         ).inc()
-    built = _build_matrices(period, kernel, representation)
+    built = _build_matrices(period, kernel)
     metrics.counter(
         "sor_kernel_matrix_builds_total",
-        "kernel matrices/bands computed (cache misses + uncacheable)",
+        "kernel bands computed (cache misses + uncacheable)",
     ).inc()
     if key is not None and built.nbytes <= _MATRIX_CACHE_MAX_BYTES:
         evictions = 0
@@ -310,24 +263,17 @@ class CoverageObjective:
     why the band is *recomputed* in the initial sweep's exact operation
     order rather than delta-updated — the tie discipline the
     cross-backend differential tests pin down depends on it.
-
-    ``representation`` selects the kernel-matrix memory layout:
-    ``"banded"`` (default, O(window) memory — the city-scale path) or
-    ``"dense"`` (O(|T|²), kept for the differential suite; see the
-    module docstring's memory-model section). The two index the same
-    float values, so every result is bitwise identical either way.
     """
 
     backend = "numpy"
-    #: Gains are maintained incrementally; schedulers use this to pick
-    #: the dense argmax loop over the lazy heap (re-evaluation is free).
+    #: Gains are maintained incrementally, so a :attr:`current_gains`
+    #: read costs the greedy loop nothing to re-evaluate.
     maintains_gains = True
 
     def __init__(
         self,
         period: SchedulingPeriod,
         kernel: CoverageKernel,
-        representation: str = DEFAULT_REPRESENTATION,
         maintain_gains: bool = True,
     ) -> None:
         self.period = period
@@ -335,22 +281,16 @@ class CoverageObjective:
         # ``maintain_gains=False`` skips the O(window²) banded recompute
         # on every add: gains are then computed on demand — batched for
         # a candidate set via :meth:`gains_at`, or as a full sweep on
-        # the first :meth:`gains_fast`/:meth:`current_gains` read after
+        # the first :meth:`gains_all`/:attr:`current_gains` read after
         # a mutation. The stochastic greedy runs this way: it only ever
         # looks at O((|T|/B)·log(1/ε)) sampled candidates per pick, so
         # paying the full-band maintenance for them is pure waste.
         self.maintains_gains = bool(maintain_gains)
-        matrices = kernel_matrices(period, kernel, representation)
-        self.representation = matrices.representation
+        matrices = kernel_matrices(period, kernel)
         self.window = matrices.window
         self.weights = matrices.weights
         self._complement_band = matrices.complement_band
         self._log_complement_band = matrices.log_complement_band
-        # Dense rows are only populated under representation="dense";
-        # ``add`` reads them there so the differential suite genuinely
-        # exercises the dense indexing path against the banded one.
-        self._dense_complement = matrices.complement
-        self._dense_log_complement = matrices.log_complement
         num_instants = period.num_instants
         self._log_survival = np.zeros(num_instants)
         # Survival products live inside a zero-padded buffer so the
@@ -529,7 +469,7 @@ class CoverageObjective:
         The dot accumulates in BLAS order, not the backend-contract
         fold order, so values agree with the maintained array and the
         scalar reference to a few ulp rather than bitwise. That is the
-        deliberate trade: the exact greedy modes never call this (their
+        deliberate trade: the exact greedy mode never calls this (its
         tie discipline is pinned by :meth:`_recompute_gains`), and the
         stochastic mode's guarantees — seed determinism and
         value-within-ε — survive any fixed rounding of the sampled
@@ -549,17 +489,8 @@ class CoverageObjective:
         """Marginal gains of every instant (a copy of the gains array).
 
         Bitwise identical to per-instant :meth:`gain` reads by
-        construction, so the lazy/naive greedy variants resolve exact
-        ties the same way.
+        construction.
         """
-        self._refresh_gains()
-        return self._gains.copy()
-
-    def gains_fast(self) -> np.ndarray:
-        """Same values as :meth:`gains_all` — kept as the historical name
-        for the vectorized path; both are O(|T|) copies of the gains
-        array (plus, with ``maintain_gains=False``, one full-sweep
-        recompute when stale)."""
         self._refresh_gains()
         return self._gains.copy()
 
@@ -574,11 +505,10 @@ class CoverageObjective:
         backend) and the log-space state ``ℓ += log1p(-p)`` (the value
         path) — followed by the banded recompute of the maintained
         gains over :meth:`affected_range`. The update values come from
-        the mirrored kernel band (or, under ``representation="dense"``,
-        the matching dense row slice — same floats, see the module
-        docstring); instants outside the support window keep s = 1 and
-        ℓ = 0 exactly. Everything is O(window), independent of both the
-        horizon length and how many picks came before.
+        the mirrored kernel band; instants outside the support window
+        keep s = 1 and ℓ = 0 exactly. Everything is O(window),
+        independent of both the horizon length and how many picks came
+        before.
         """
         if not 0 <= instant_index < self.period.num_instants:
             raise SchedulingError(f"instant index {instant_index} out of range")
@@ -591,21 +521,13 @@ class CoverageObjective:
         )
         lo = max(0, instant_index - self.window)
         hi = min(self.period.num_instants, instant_index + self.window + 1)
-        if self._dense_complement is not None:
-            self.survival[lo:hi] *= self._dense_complement[instant_index, lo:hi]
-            self._log_survival[lo:hi] += self._dense_log_complement[
-                instant_index, lo:hi
-            ]
-        else:
-            # band index (j - i) + window for j in [lo, hi): the slice
-            # [lo + shift, hi + shift) with shift = window - i.
-            shift = self.window - instant_index
-            self.survival[lo:hi] *= self._complement_band[
-                lo + shift : hi + shift
-            ]
-            self._log_survival[lo:hi] += self._log_complement_band[
-                lo + shift : hi + shift
-            ]
+        # band index (j - i) + window for j in [lo, hi): the slice
+        # [lo + shift, hi + shift) with shift = window - i.
+        shift = self.window - instant_index
+        self.survival[lo:hi] *= self._complement_band[lo + shift : hi + shift]
+        self._log_survival[lo:hi] += self._log_complement_band[
+            lo + shift : hi + shift
+        ]
         self._chosen.add(instant_index)
         self._chosen_mask[instant_index] = True
         if self.maintains_gains:
@@ -633,24 +555,16 @@ def make_objective(
     kernel: CoverageKernel,
     backend: str = DEFAULT_BACKEND,
     *,
-    representation: str = DEFAULT_REPRESENTATION,
     maintain_gains: bool = True,
 ) -> CoverageObjective | ReferenceCoverageObjective:
     """Construct the coverage objective for the requested backend.
 
-    ``representation`` selects the numpy backend's kernel-matrix layout
-    and ``maintain_gains=False`` turns off its per-add gains
+    ``maintain_gains=False`` turns off the numpy backend's per-add gains
     maintenance (the stochastic sampling path); the scalar reference
-    has no matrices and recomputes gains on demand anyway, so it
-    ignores both.
+    recomputes gains on demand anyway, so it ignores the flag.
     """
     if backend == "numpy":
-        return CoverageObjective(
-            period,
-            kernel,
-            representation=representation,
-            maintain_gains=maintain_gains,
-        )
+        return CoverageObjective(period, kernel, maintain_gains=maintain_gains)
     if backend == "reference":
         return ReferenceCoverageObjective(period, kernel)
     raise SchedulingError(
@@ -678,8 +592,6 @@ def coverage_of_instants(
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "DEFAULT_REPRESENTATION",
-    "REPRESENTATIONS",
     "CoverageObjective",
     "KernelMatrices",
     "ReferenceCoverageObjective",

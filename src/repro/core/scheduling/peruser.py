@@ -21,24 +21,17 @@ this module exists to quantify the difference (see
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.common.errors import SchedulingError
-from repro.core.scheduling.greedy import (
-    GREEDY_MODES,
-    argmax_tied_low,
-    stochastic_sample_size,
-)
-from repro.core.scheduling.objective import DEFAULT_BACKEND, make_objective
+from repro.core.scheduling.greedy import greedy_window
+from repro.core.scheduling.objective import make_objective
 from repro.core.scheduling.problem import Schedule, SchedulingProblem
 
 
-def per_user_sum_value(schedule: Schedule, *, backend: str = DEFAULT_BACKEND) -> float:
+def per_user_sum_value(schedule: Schedule) -> float:
     """Evaluate a schedule under equation (2): Σ_k f(Φ_k)."""
     problem = schedule.problem
     total = 0.0
     for user in problem.users:
-        objective = make_objective(problem.period, problem.kernel, backend)
+        objective = make_objective(problem.period, problem.kernel)
         for instant in schedule.assignments.get(user.user_id, []):
             objective.add(instant)
         total += objective.value()
@@ -54,74 +47,23 @@ class PerUserGreedyScheduler:
     interleaving — the behaviour the pooled objective avoids.
     """
 
-    def __init__(
-        self,
-        *,
-        min_gain: float = 1e-12,
-        backend: str = DEFAULT_BACKEND,
-        mode: str = "argmax",
-        sample_epsilon: float = 0.1,
-        seed: int = 2014,
-        representation: str | None = None,
-    ) -> None:
-        if mode not in GREEDY_MODES:
-            raise SchedulingError(
-                f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}"
-            )
+    def __init__(self, *, min_gain: float = 1e-12) -> None:
         self.min_gain = min_gain
-        self.backend = backend
-        self.mode = mode
-        self.sample_epsilon = sample_epsilon
-        self.seed = seed
-        self.representation = representation
 
     def solve(self, problem: SchedulingProblem) -> Schedule:
         """Schedule every user independently; returns the combined plan.
 
-        ``objective_value`` on the result is the equation-(2) total. In
-        ``mode="stochastic"`` each pick samples candidates from the
-        user's window (seeded rng, one stream shared across users) and
-        falls back to the exact window sweep on a dry sample.
+        Each user runs :func:`~repro.core.scheduling.greedy.greedy_window`
+        over their own window on a fresh objective. ``objective_value``
+        on the result is the equation-(2) total.
         """
-        stochastic = self.mode == "stochastic"
-        rng = np.random.default_rng(self.seed) if stochastic else None
-        objective_kwargs = (
-            {"representation": self.representation}
-            if self.representation is not None
-            else {}
-        )
         assignments: dict[str, list[int]] = {}
         total = 0.0
         for user_index, user in enumerate(problem.users):
             lo, hi = problem.user_window(user_index)
-            objective = make_objective(
-                problem.period, problem.kernel, self.backend, **objective_kwargs
-            )
-            sample_size = stochastic_sample_size(
-                hi - lo, user.budget, self.sample_epsilon
-            )
-            chosen: list[int] = []
-            for _ in range(user.budget):
-                if hi <= lo:
-                    break
-                gains = objective.gains_fast()[lo:hi]
-                for instant in chosen:
-                    gains[instant - lo] = -np.inf
-                if stochastic:
-                    draws = rng.integers(0, hi - lo, size=sample_size)
-                    positions = np.unique(draws)
-                    sampled = gains[positions]
-                    best = int(positions[argmax_tied_low(sampled)])
-                    if gains[best] < self.min_gain:
-                        # Dry sample — decide with the exact window sweep.
-                        best = argmax_tied_low(gains)
-                else:
-                    best = argmax_tied_low(gains)
-                if gains[best] < self.min_gain:
-                    break
-                objective.add(lo + best)
-                chosen.append(lo + best)
-            assignments[user.user_id] = sorted(chosen)
+            objective = make_objective(problem.period, problem.kernel)
+            picks = greedy_window(objective, lo, hi, user.budget, self.min_gain)
+            assignments[user.user_id] = sorted(picks)
             total += objective.value()
         schedule = Schedule(
             problem=problem, assignments=assignments, objective_value=total

@@ -89,7 +89,8 @@ class ReferenceCoverageObjective:
     """
 
     backend = "reference"
-    #: Gains are recomputed on demand — schedulers keep the lazy heap.
+    #: Gains are recomputed on demand: every :attr:`current_gains` read
+    #: is a fresh sweep.
     maintains_gains = False
 
     def __init__(self, period: SchedulingPeriod, kernel: CoverageKernel) -> None:
@@ -163,8 +164,9 @@ class ReferenceCoverageObjective:
         """Marginal gains of every instant (instant-by-instant)."""
         return np.array([self.gain(j) for j in range(self.period.num_instants)])
 
-    def gains_fast(self) -> np.ndarray:
-        """Same as :meth:`gains_all` — the reference has no faster path."""
+    @property
+    def current_gains(self) -> np.ndarray:
+        """Marginal gains of every instant, as a fresh sweep."""
         return self.gains_all()
 
     # ------------------------------------------------------------------
@@ -183,12 +185,6 @@ class ReferenceCoverageObjective:
             self.survival[j] *= 1.0 - self.weights[abs(j - instant_index)]
         self._chosen.add(instant_index)
         return gain
-
-    def affected_range(self, instant_index: int) -> tuple[int, int]:
-        """Instants whose *gain* changes when ``instant_index`` is added."""
-        lo = max(0, instant_index - 2 * self.window)
-        hi = min(self.period.num_instants, instant_index + 2 * self.window + 1)
-        return lo, hi
 
 
 def reference_coverage_of_instants(

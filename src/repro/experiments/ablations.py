@@ -6,7 +6,7 @@ leaves implicit:
 * ``run_sigma_ablation`` — how the coverage-kernel width changes both
   algorithms' coverage (a small σ models fast-changing features;
   schedules must spread much more),
-* ``run_lazy_ablation`` — lazy-heap greedy vs the paper's O(N²) loop:
+* ``run_backend_ablation`` — the numpy core vs the scalar reference:
   identical schedules, very different runtimes,
 * ``run_aggregation_ablation`` — footrule-flow aggregation vs Borda
   count vs the exact (NP-hard) Kemeny optimum on random instances, plus
@@ -33,11 +33,13 @@ from repro.core.ranking import (
     weighted_kemeny_distance,
 )
 from repro.core.scheduling import (
+    CoverageObjective,
     GaussianKernel,
     GreedyScheduler,
     PeriodicBaselineScheduler,
     SchedulingPeriod,
     SchedulingProblem,
+    greedy_window,
 )
 from repro.sim.arrivals import uniform_arrivals
 
@@ -89,64 +91,6 @@ def run_sigma_ablation(
 
 
 # ----------------------------------------------------------------------
-# lazy vs naive greedy
-# ----------------------------------------------------------------------
-@dataclass
-class LazyPoint:
-    num_instants: int
-    lazy_seconds: float
-    naive_seconds: float
-    identical_schedules: bool
-
-    @property
-    def speedup(self) -> float:
-        return self.naive_seconds / self.lazy_seconds if self.lazy_seconds else 0.0
-
-
-def run_lazy_ablation(
-    *,
-    instant_counts: tuple[int, ...] = (180, 360, 720, 1080),
-    users: int = 30,
-    budget: int = 17,
-    seed: int = 0,
-    backend: str = "reference",
-) -> list[LazyPoint]:
-    """Time both greedy variants; assert they agree.
-
-    Defaults to the scalar reference backend, where accelerated
-    evaluation means the classic lazy heap and the comparison against
-    the paper's O(N²) loop is the one DESIGN.md discusses. On the numpy
-    backend the objective maintains its gains array, so both variants
-    read O(1) gains and the gap collapses by design — use
-    :func:`run_backend_ablation` for the speedup that backend delivers.
-    """
-    points = []
-    for num_instants in instant_counts:
-        rng = np.random.default_rng(seed)
-        period = SchedulingPeriod(0.0, PERIOD_S, num_instants)
-        problem = SchedulingProblem(
-            period,
-            uniform_arrivals(users, PERIOD_S, budget, rng),
-            GaussianKernel(sigma=10.0),
-        )
-        start = time.perf_counter()
-        lazy = GreedyScheduler(lazy=True, backend=backend).solve(problem)
-        lazy_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        naive = GreedyScheduler(lazy=False, backend=backend).solve(problem)
-        naive_seconds = time.perf_counter() - start
-        points.append(
-            LazyPoint(
-                num_instants=num_instants,
-                lazy_seconds=lazy_seconds,
-                naive_seconds=naive_seconds,
-                identical_schedules=lazy.assignments == naive.assignments,
-            )
-        )
-    return points
-
-
-# ----------------------------------------------------------------------
 # numpy vs reference scheduling backend
 # ----------------------------------------------------------------------
 @dataclass
@@ -171,17 +115,14 @@ def run_backend_ablation(
     budget: int = 17,
     sigma: float = 10.0,
     seed: int = 0,
-    lazy: bool = False,
     rounds: int = 3,
 ) -> list[BackendPoint]:
     """Time the numpy backend against the scalar reference; assert they agree.
 
-    ``lazy=False`` (default) compares the paper-literal O(N²) greedy on
-    both backends — the cost the vectorization actually removes: the
-    reference re-walks every instant's kernel window per pick, while the
-    numpy objective maintains its gains array and answers each sweep in
-    O(N). ``lazy=True`` compares the accelerated variants instead
-    (reference lazy heap vs numpy dense argmax), a much tighter race.
+    Both run the exact greedy: the reference re-walks every instant's
+    kernel window per pick (the paper-literal O(N²) loop), while the
+    numpy objective maintains its gains array and answers each pick
+    with one O(N) masked argmax — the cost the vectorization removes.
 
     Each backend is timed ``rounds`` times, interleaved, and the best
     round is kept — shared machines stall either backend for tens of
@@ -202,10 +143,10 @@ def run_backend_ablation(
         reference = vectorized = None
         for _ in range(max(1, rounds)):
             start = time.perf_counter()
-            reference = GreedyScheduler(lazy=lazy, backend="reference").solve(problem)
+            reference = GreedyScheduler(backend="reference").solve(problem)
             reference_seconds = min(reference_seconds, time.perf_counter() - start)
             start = time.perf_counter()
-            vectorized = GreedyScheduler(lazy=lazy, backend="numpy").solve(problem)
+            vectorized = GreedyScheduler(backend="numpy").solve(problem)
             numpy_seconds = min(numpy_seconds, time.perf_counter() - start)
         points.append(
             BackendPoint(
@@ -220,33 +161,33 @@ def run_backend_ablation(
 
 
 # ----------------------------------------------------------------------
-# city-scale horizon (banded representation + stochastic greedy)
+# city-scale horizon (kernel band + stochastic greedy)
 # ----------------------------------------------------------------------
 @dataclass
 class ScalingPoint:
-    """One horizon length on the lazy-vs-stochastic scaling curve."""
+    """One horizon length on the exact-vs-stochastic scaling curve."""
 
     num_instants: int
     sigma_s: float
     total_budget: int
-    lazy_seconds: float
+    exact_seconds: float
     stochastic_seconds: float
-    lazy_value: float
+    exact_value: float
     stochastic_value: float
-    #: tracemalloc peak of one banded stochastic solve (objective + loop).
+    #: tracemalloc peak of one stochastic solve (objective + loop).
     peak_bytes: int
 
     @property
     def speedup(self) -> float:
         if not self.stochastic_seconds:
             return 0.0
-        return self.lazy_seconds / self.stochastic_seconds
+        return self.exact_seconds / self.stochastic_seconds
 
     @property
     def value_ratio(self) -> float:
-        if not self.lazy_value:
+        if not self.exact_value:
             return 0.0
-        return self.stochastic_value / self.lazy_value
+        return self.stochastic_value / self.exact_value
 
     @property
     def peak_bytes_per_instant(self) -> float:
@@ -263,7 +204,7 @@ def run_scaling_ablation(
     sample_epsilon: float = 0.1,
     measure_memory: bool = True,
 ) -> list[ScalingPoint]:
-    """Exact lazy greedy vs stochastic greedy as the horizon grows.
+    """Exact greedy vs stochastic greedy as the horizon grows.
 
     The kernel width shrinks with the instant spacing (``sigma_s =
     100000 / N`` seconds) so the banded kernel stays ~60 instants wide
@@ -272,9 +213,9 @@ def run_scaling_ablation(
     O((N/B)·log(1/ε)) with a horizon-independent constant. The total
     budget is ``users × budget`` picks (1000 by default) at every N.
 
-    Each point also records the tracemalloc peak of one untimed banded
+    Each point also records the tracemalloc peak of one untimed
     stochastic solve — the committed scaling gate asserts it stays
-    linear in N (the dense |T|×|T| representation would need 80 GB at
+    linear in N (dense |T|×|T| kernel matrices would need 80 GB at
     N = 10⁵; the band needs a few hundred bytes per instant).
     """
     points = []
@@ -287,12 +228,12 @@ def run_scaling_ablation(
             uniform_arrivals(users, PERIOD_S, budget, rng),
             GaussianKernel(sigma=sigma),
         )
-        lazy_seconds = stochastic_seconds = float("inf")
-        lazy_schedule = stochastic_schedule = None
+        exact_seconds = stochastic_seconds = float("inf")
+        exact_schedule = stochastic_schedule = None
         for _ in range(max(1, rounds)):
             start = time.perf_counter()
-            lazy_schedule = GreedyScheduler(mode="lazy").solve(problem)
-            lazy_seconds = min(lazy_seconds, time.perf_counter() - start)
+            exact_schedule = GreedyScheduler().solve(problem)
+            exact_seconds = min(exact_seconds, time.perf_counter() - start)
             start = time.perf_counter()
             stochastic_schedule = GreedyScheduler(
                 mode="stochastic", seed=seed, sample_epsilon=sample_epsilon
@@ -306,8 +247,7 @@ def run_scaling_ablation(
 
             from repro.core.scheduling import clear_kernel_matrix_cache
 
-            # The cache would hide the objective's allocations (and a
-            # dense leftover from another test would dwarf them).
+            # The cache would hide the objective's allocations.
             clear_kernel_matrix_cache()
             tracemalloc.start()
             GreedyScheduler(
@@ -320,9 +260,9 @@ def run_scaling_ablation(
                 num_instants=num_instants,
                 sigma_s=sigma,
                 total_budget=users * budget,
-                lazy_seconds=lazy_seconds,
+                exact_seconds=exact_seconds,
                 stochastic_seconds=stochastic_seconds,
-                lazy_value=lazy_schedule.objective_value,
+                exact_value=exact_schedule.objective_value,
                 stochastic_value=stochastic_schedule.objective_value,
                 peak_bytes=peak_bytes,
             )
@@ -507,28 +447,19 @@ def _online_coverage(problem: SchedulingProblem) -> float:
 
     Users are processed in arrival order; each spends their budget
     greedily over [arrival, departure] given everything already
-    committed — exactly what
-    :class:`repro.server.scheduler_service.SensingSchedulerService` does
-    per PARTICIPATE request.
+    committed — the same :func:`greedy_window` call
+    :class:`repro.server.scheduler_service.SensingSchedulerService`
+    makes per PARTICIPATE request.
     """
-    from repro.core.scheduling.objective import CoverageObjective
+    from repro.server.scheduler_service import ONLINE_MIN_GAIN
 
     objective = CoverageObjective(problem.period, problem.kernel)
     order = sorted(range(len(problem.users)), key=lambda i: problem.users[i].arrival)
     for user_index in order:
         lo, hi = problem.user_window(user_index)
-        if hi <= lo:
-            continue
-        taken: set[int] = set()
-        for _ in range(problem.users[user_index].budget):
-            gains = objective.gains_fast()[lo:hi]
-            for instant in taken:
-                gains[instant - lo] = -np.inf
-            best = int(np.argmax(gains))
-            if gains[best] <= 1e-12:
-                break
-            objective.add(lo + best)
-            taken.add(lo + best)
+        greedy_window(
+            objective, lo, hi, problem.users[user_index].budget, ONLINE_MIN_GAIN
+        )
     return objective.average_coverage()
 
 

@@ -50,7 +50,7 @@ class SpanRecord:
         return self.end - self.start
 
     def to_dict(self) -> dict[str, Any]:
-        """A JSON-friendly representation (exporters and the CLI)."""
+        """A JSON-friendly form (exporters and the CLI)."""
         return {
             "span_id": self.span_id,
             "parent_id": self.parent_id,

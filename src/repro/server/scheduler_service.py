@@ -21,47 +21,32 @@ import numpy as np
 from repro.common.clock import Clock
 from repro.common.errors import SchedulingError
 from repro.core.scheduling import (
-    DEFAULT_BACKEND,
-    GREEDY_MODES,
+    CoverageObjective,
     GaussianKernel,
     SchedulingPeriod,
-    argmax_tied_low,
-    make_objective,
-    stochastic_sample_size,
+    greedy_window,
 )
 from repro.obs import MetricsRegistry, Tracer, get_metrics, get_tracer
 from repro.server.app_manager import Application
 from repro.server.participation import ParticipationManager
 
+#: Online picks must gain strictly more than 1e-12 coverage;
+#: :func:`greedy_window` keeps gains at or above its ``min_gain``, so the
+#: threshold passed is the next float up.
+ONLINE_MIN_GAIN = float(np.nextafter(1e-12, np.inf))
+
 
 class _AppSchedulerState:
     """Per-application incremental coverage state."""
 
-    def __init__(
-        self,
-        application: Application,
-        backend: str = DEFAULT_BACKEND,
-        *,
-        mode: str = "argmax",
-        sample_epsilon: float = 0.1,
-        seed: int = 2014,
-    ) -> None:
+    def __init__(self, application: Application) -> None:
         self.period = SchedulingPeriod(
             application.period_start,
             application.period_end,
             application.num_instants,
         )
         self.kernel = GaussianKernel(sigma=application.coverage_sigma_s)
-        self.backend = backend
-        self.mode = mode
-        self.sample_epsilon = sample_epsilon
-        # One seeded stream per application state: schedules stay
-        # deterministic for a fixed arrival order, and rehydrate rebuilds
-        # coverage from the persisted times rather than replaying draws.
-        self._rng = (
-            np.random.default_rng(seed) if mode == "stochastic" else None
-        )
-        self.objective = make_objective(self.period, self.kernel, backend)
+        self.objective = CoverageObjective(self.period, self.kernel)
         self.scheduled_counts: dict[str, int] = {}
 
     def schedule_user(
@@ -70,46 +55,18 @@ class _AppSchedulerState:
         """Greedily pick up to ``budget`` instants in the user's window.
 
         Returns the chosen instants and the number of candidate instants
-        whose marginal gain was evaluated (the service reports it). In
-        ``mode="stochastic"`` each pick scores a seeded sample of the
-        window instead of the whole window, falling back to the exact
-        sweep when the sample comes up dry.
+        whose marginal gain was read (the service reports it): the whole
+        window once per pick, plus once for the read that found nothing
+        left worth picking.
         """
         lo, hi = self.period.window_indices(
             max(from_time, self.period.start), min(until_time, self.period.end)
         )
-        if hi <= lo:
-            return [], 0
-        chosen: list[int] = []
-        already: set[int] = set()
-        evaluated = 0
-        sample_size = stochastic_sample_size(
-            hi - lo, budget, self.sample_epsilon
-        )
-        for _ in range(budget):
-            gains = self.objective.gains_fast()[lo:hi]
-            evaluated += hi - lo
-            if already:
-                for index in already:
-                    gains[index - lo] = -np.inf
-            if self._rng is not None:
-                draws = self._rng.integers(0, hi - lo, size=sample_size)
-                positions = np.unique(draws)
-                best_offset = int(positions[argmax_tied_low(gains[positions])])
-                if gains[best_offset] <= 1e-12:
-                    best_offset = argmax_tied_low(gains)
-            else:
-                best_offset = argmax_tied_low(gains)
-            if gains[best_offset] <= 1e-12:
-                break
-            instant = lo + best_offset
-            self.objective.add(instant)
-            already.add(instant)
-            chosen.append(instant)
+        picks = greedy_window(self.objective, lo, hi, budget, ONLINE_MIN_GAIN)
         self.scheduled_counts[user_id] = (
-            self.scheduled_counts.get(user_id, 0) + len(chosen)
+            self.scheduled_counts.get(user_id, 0) + len(picks)
         )
-        return sorted(chosen), evaluated
+        return sorted(picks), (hi - lo) * min(budget, len(picks) + 1)
 
     @property
     def average_coverage(self) -> float:
@@ -124,23 +81,11 @@ class SensingSchedulerService:
         participation: ParticipationManager,
         clock: Clock,
         *,
-        backend: str = DEFAULT_BACKEND,
-        mode: str = "argmax",
-        sample_epsilon: float = 0.1,
-        seed: int = 2014,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        if mode not in GREEDY_MODES:
-            raise SchedulingError(
-                f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}"
-            )
         self.participation = participation
         self.clock = clock
-        self.backend = backend
-        self.mode = mode
-        self.sample_epsilon = sample_epsilon
-        self.seed = seed
         self._states: dict[str, _AppSchedulerState] = {}
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -165,13 +110,7 @@ class SensingSchedulerService:
         """The per-application incremental coverage state (lazily built)."""
         state = self._states.get(application.app_id)
         if state is None:
-            state = _AppSchedulerState(
-                application,
-                self.backend,
-                mode=self.mode,
-                sample_epsilon=self.sample_epsilon,
-                seed=self.seed,
-            )
+            state = _AppSchedulerState(application)
             self._states[application.app_id] = state
         return state
 

@@ -9,6 +9,7 @@ will be processed later by the Data Processor."
 
 from __future__ import annotations
 
+import math
 import time
 
 from repro.common.clock import Clock
@@ -20,7 +21,6 @@ from repro.common.errors import (
     TransportError,
 )
 from repro.common.geo import LatLon
-from repro.core.scheduling import DEFAULT_BACKEND
 from repro.db import Database, DurabilityConfig, RecoveryReport, eq
 from repro.db.wal import open_durable_database
 from repro.net import (
@@ -69,8 +69,6 @@ class SensingServer:
         dedupe_capacity: int = 4096,
         ranking_cache: bool = True,
         ranking_cache_capacity: int = 256,
-        scheduler_backend: str = DEFAULT_BACKEND,
-        scheduler_mode: str = "argmax",
         durability: DurabilityConfig | None = None,
         concurrency: ConcurrencyConfig | None = None,
         io_delay_s: float = 0.0,
@@ -125,12 +123,7 @@ class SensingServer:
             self.database, self.users, self.apps, clock, id_prefix=f"{host}:"
         )
         self.scheduler = SensingSchedulerService(
-            self.participation,
-            clock,
-            backend=scheduler_backend,
-            mode=scheduler_mode,
-            metrics=self.metrics,
-            tracer=self.tracer,
+            self.participation, clock, metrics=self.metrics, tracer=self.tracer
         )
         # Rebuild in-memory coverage state from the persisted schedules
         # of whatever applications survived on disk (no-op on a fresh
@@ -372,9 +365,20 @@ class SensingServer:
                 latitude=float(payload["latitude"]),
                 longitude=float(payload["longitude"]),
             )
+            # Absent means "until the period ends"; inf says the same.
+            departure_time = payload.get("departure_time")
+            if departure_time is not None:
+                departure_time = float(departure_time)
+                if math.isnan(departure_time):
+                    raise ValueError("departure_time is NaN")
         except (KeyError, TypeError, ValueError):
             return envelope.reply(
                 MessageType.ERROR, {"reason": "malformed participation request"}
+            )
+        # Checked before create_task so a refusal leaves no task row.
+        if departure_time is not None and departure_time < self.clock.now():
+            return envelope.reply(
+                MessageType.ERROR, {"reason": "departure before now"}
             )
         try:
             task_id = self.participation.create_task(
@@ -394,7 +398,7 @@ class SensingServer:
             application,
             task_id,
             budget=budget,
-            departure_time=payload.get("departure_time"),
+            departure_time=departure_time,
         )
         return envelope.reply(
             MessageType.SCHEDULE,

@@ -17,7 +17,6 @@ from repro.common.geo import LatLon
 from repro.common.rng import RngRegistry
 from repro.core.features import FeaturePipeline
 from repro.core.ranking import PreferenceProfile
-from repro.core.scheduling import DEFAULT_BACKEND
 from repro.db import DurabilityConfig, RecoveryReport
 from repro.net import CloudMessenger, NetworkConditions
 from repro.net.resilience import BreakerPolicy, ResilientClient, RetryPolicy
@@ -109,8 +108,6 @@ class SORSystem:
         durability: DurabilityConfig | None = None,
         concurrency: ConcurrencyConfig | None = None,
         io_delay_s: float = 0.0,
-        scheduler_backend: str = DEFAULT_BACKEND,
-        scheduler_mode: str = "argmax",
         ranking_cache: bool = True,
     ) -> None:
         if num_servers < 1:
@@ -166,8 +163,6 @@ class SORSystem:
         self.durability = durability
         self.concurrency = concurrency
         self.io_delay_s = io_delay_s
-        self.scheduler_backend = scheduler_backend
-        self.scheduler_mode = scheduler_mode
         self.ranking_cache = ranking_cache
         self.recovery_reports: list[RecoveryReport] = []
         if num_servers == 1:
@@ -181,8 +176,6 @@ class SORSystem:
                     durability=durability,
                     concurrency=concurrency,
                     io_delay_s=io_delay_s,
-                    scheduler_backend=scheduler_backend,
-                    scheduler_mode=scheduler_mode,
                     ranking_cache=ranking_cache,
                 )
             ]
@@ -202,8 +195,6 @@ class SORSystem:
                     client=make_client(f"server:{index + 1}"),
                     concurrency=concurrency,
                     io_delay_s=io_delay_s,
-                    scheduler_backend=scheduler_backend,
-                    scheduler_mode=scheduler_mode,
                     ranking_cache=ranking_cache,
                 )
                 for index in range(num_servers)
@@ -460,8 +451,6 @@ class SORSystem:
             durability=self.durability,
             concurrency=self.concurrency,
             io_delay_s=self.io_delay_s,
-            scheduler_backend=self.scheduler_backend,
-            scheduler_mode=self.scheduler_mode,
             ranking_cache=self.ranking_cache,
         )
         for deployed in self._places.values():

@@ -144,10 +144,10 @@ class TestRegistry:
 
     def test_subset_preserves_order_and_rejects_unknown(self):
         registry = default_registry()
-        subset = registry.subset(["ranking_cache", "backend"])
-        assert subset.names() == ["backend", "ranking_cache"]
+        subset = registry.subset(["ranking_cache", "stochastic"])
+        assert subset.names() == ["stochastic", "ranking_cache"]
         with pytest.raises(AblationError, match="unknown switch"):
-            registry.subset(["backend", "nope"])
+            registry.subset(["stochastic", "nope"])
 
     def test_inverted_swaps_exactly_one_switch(self):
         registry = synthetic_registry()

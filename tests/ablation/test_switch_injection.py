@@ -3,7 +3,7 @@ constructor.
 
 Each leave-one-out configuration is applied to the real constructors
 through :mod:`repro.ablation.apply` and probed back out via an
-*observable effect* (the scheduler's backend, the ranker's attached
+*observable effect* (the greedy scheduler's mode, the ranker's attached
 cache, the database's durability manager, the admission executor, the
 resilient client factory). If a constructor ever stops honoring a knob
 — or a new switch is registered without plumbing — the round trip
@@ -16,11 +16,8 @@ import pytest
 
 from repro.ablation import (
     default_registry,
-    effective_greedy_values,
-    effective_server_values,
     effective_stochastic_values,
     effective_system_values,
-    greedy_kwargs,
     server_kwargs,
     stochastic_greedy_kwargs,
     system_kwargs,
@@ -29,9 +26,8 @@ from repro.common.errors import AblationError
 from repro.core.scheduling import GreedyScheduler
 from repro.server.system import SORSystem
 
-GREEDY_SWITCHES = ("backend", "lazy_greedy")
 STOCHASTIC_SWITCHES = ("stochastic",)
-SERVER_SWITCHES = ("backend", "ranking_cache", "durability", "concurrency")
+SERVER_SWITCHES = ("ranking_cache", "durability", "concurrency")
 SYSTEM_SWITCHES = SERVER_SWITCHES + ("resilient",)
 
 
@@ -41,12 +37,6 @@ def _configs():
 
 @pytest.mark.parametrize("config", _configs(), ids=lambda c: c.name)
 class TestEveryConfigReachesConstructors:
-    def test_greedy_scheduler_round_trip(self, config):
-        scheduler = GreedyScheduler(**greedy_kwargs(config.values))
-        effective = effective_greedy_values(scheduler)
-        for name in GREEDY_SWITCHES:
-            assert effective[name] == config.values[name], name
-
     def test_stochastic_cell_round_trip(self, config):
         scheduler = GreedyScheduler(**stochastic_greedy_kwargs(config.values))
         effective = effective_stochastic_values(scheduler)
@@ -71,11 +61,7 @@ class TestEveryConfigReachesConstructors:
 class TestRegistryCoverage:
     def test_every_switch_probed_by_some_round_trip(self):
         """A new switch must be added to a probe set here and in apply."""
-        probed = (
-            set(GREEDY_SWITCHES)
-            | set(STOCHASTIC_SWITCHES)
-            | set(SYSTEM_SWITCHES)
-        )
+        probed = set(STOCHASTIC_SWITCHES) | set(SYSTEM_SWITCHES)
         assert set(default_registry().names()) <= probed
 
     def test_every_switch_changes_an_effective_value(self, tmp_path):
@@ -89,8 +75,6 @@ class TestRegistryCoverage:
             )
             try:
                 effective = effective_system_values(system)
-                scheduler = GreedyScheduler(**greedy_kwargs(values))
-                effective.update(effective_greedy_values(scheduler))
                 cell = GreedyScheduler(**stochastic_greedy_kwargs(values))
                 effective.update(effective_stochastic_values(cell))
                 return effective
@@ -113,10 +97,6 @@ class TestRegistryCoverage:
 
 
 class TestApplyHelpers:
-    def test_bad_lazy_mode_raises(self):
-        with pytest.raises(AblationError, match="lazy_greedy"):
-            greedy_kwargs({"lazy_greedy": "eager"})
-
     def test_durability_requires_directory(self):
         with pytest.raises(AblationError, match="durability_dir"):
             server_kwargs({"durability": "on"})
@@ -126,14 +106,8 @@ class TestApplyHelpers:
         would not default to themselves (durability and concurrency stay
         absent, matching the production ``SensingServer`` defaults)."""
         kwargs = system_kwargs({})
-        assert kwargs == {
-            "scheduler_backend": "numpy",
-            "ranking_cache": True,
-            "resilient": True,
-        }
-        assert greedy_kwargs({}) == {"backend": "numpy", "lazy": True}
+        assert kwargs == {"ranking_cache": True, "resilient": True}
         assert stochastic_greedy_kwargs({}) == {
-            "backend": "numpy",
             "mode": "stochastic",
             "seed": 2014,
         }
@@ -142,10 +116,6 @@ class TestApplyHelpers:
         with pytest.raises(AblationError, match="stochastic"):
             stochastic_greedy_kwargs({"stochastic": "maybe"})
 
-    def test_ablated_stochastic_follows_lazy_greedy(self):
-        """The no-stochastic twin runs the exact mode lazy_greedy picks."""
-        kwargs = stochastic_greedy_kwargs(
-            {"stochastic": "off", "lazy_greedy": "argmax"}
-        )
-        assert kwargs["mode"] == "argmax"
-        assert stochastic_greedy_kwargs({"stochastic": "off"})["mode"] == "lazy"
+    def test_ablated_stochastic_runs_the_exact_mode(self):
+        """The no-stochastic twin runs the system as it would unsampled."""
+        assert stochastic_greedy_kwargs({"stochastic": "off"})["mode"] == "exact"

@@ -72,23 +72,6 @@ class TestBasics:
         assert matroid.is_independent(elements)
 
 
-class TestLazyEqualsNaive:
-    def test_paper_scale_identical(self, paper_problem):
-        lazy = GreedyScheduler(lazy=True).solve(paper_problem)
-        naive = GreedyScheduler(lazy=False).solve(paper_problem)
-        assert lazy.assignments == naive.assignments
-        assert lazy.objective_value == pytest.approx(naive.objective_value)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_random_instances_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        problem = random_problem(rng, num_instants=30, duration=300.0, users=4)
-        lazy = GreedyScheduler(lazy=True).solve(problem)
-        naive = GreedyScheduler(lazy=False).solve(problem)
-        assert lazy.assignments == naive.assignments
-
-
 class TestApproximationGuarantee:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -128,10 +111,10 @@ class TestMinGain:
 class TestTieBreaking:
     """The explicit lowest-index tie-break contract (regression tests).
 
-    Both backends and both strategies must land on the same instant when
-    marginal gains tie exactly — otherwise cross-backend schedules
-    diverge on the first plateau (uniform gains at step 0 are the
-    everyday case: every instant of an empty schedule gains w_0).
+    Both backends must land on the same instant when marginal gains tie
+    exactly — otherwise cross-backend schedules diverge on the first
+    plateau (uniform gains at step 0 are the everyday case: every
+    instant of an empty schedule gains w_0).
     """
 
     def test_argmax_tied_low_picks_first_of_exact_ties(self):
@@ -149,15 +132,12 @@ class TestTieBreaking:
         users = [MobileUser("u", 0, 1000, 4)]
         problem = SchedulingProblem(period, users, GaussianKernel(sigma=1e-6))
         for backend in ("numpy", "reference"):
-            for lazy in (True, False):
-                schedule = GreedyScheduler(backend=backend, lazy=lazy).solve(
-                    problem
-                )
-                assert schedule.assignments["u"] == [0, 1, 2, 3], (backend, lazy)
+            schedule = GreedyScheduler(backend=backend).solve(problem)
+            assert schedule.assignments["u"] == [0, 1, 2, 3], backend
 
     def test_symmetric_problem_is_deterministic_across_variants(self):
         # Mirror-symmetric setup: gains tie in symmetric pairs at every
-        # step. All four scheduler variants and a re-run must agree.
+        # step. Both backends and a re-run must agree.
         period = SchedulingPeriod(0.0, 600.0, 24)
         users = [
             MobileUser("a", 0, 600, 3),
@@ -165,9 +145,8 @@ class TestTieBreaking:
         ]
         problem = SchedulingProblem(period, users, GaussianKernel(sigma=60.0))
         schedules = [
-            GreedyScheduler(backend=backend, lazy=lazy).solve(problem)
+            GreedyScheduler(backend=backend).solve(problem)
             for backend in ("numpy", "reference")
-            for lazy in (True, False)
         ]
         schedules.append(GreedyScheduler().solve(problem))
         for other in schedules[1:]:

@@ -85,15 +85,6 @@ class TestCacheSharing:
         assert a is not b
         assert kernel_matrix_cache_bytes() == a.nbytes + b.nbytes
 
-    def test_representation_is_part_of_the_key(self):
-        kernel = GaussianKernel(sigma=45.0)
-        banded = kernel_matrices(PERIOD, kernel, "banded")
-        dense = kernel_matrices(PERIOD, kernel, "dense")
-        assert banded is not dense
-        assert banded.representation == "banded"
-        assert dense.representation == "dense"
-        assert kernel_matrix_cache_bytes() == banded.nbytes + dense.nbytes
-
     def test_uncacheable_kernel_builds_fresh_every_time(self):
         kernel = StubKernel(0.5)
         first = kernel_matrices(PERIOD, kernel)

@@ -55,13 +55,13 @@ class TestObjective:
         objective.add(40)
         assert objective.value() - before == pytest.approx(predicted, rel=1e-9)
 
-    def test_gains_fast_matches_gain(self):
+    def test_current_gains_matches_gain(self):
         period = SchedulingPeriod(0.0, 1_000.0, 100)
         objective = MultiKernelObjective(period, FEATURES)
         objective.add(50)
-        fast = objective.gains_fast()
+        gains = objective.current_gains
         for instant in (0, 25, 49, 50, 51, 99):
-            assert fast[instant] == pytest.approx(objective.gain(instant), abs=1e-10)
+            assert gains[instant] == pytest.approx(objective.gain(instant), abs=1e-10)
 
     @settings(max_examples=25)
     @given(

@@ -92,13 +92,11 @@ class TestGains:
         for instant in range(20):
             assert gains[instant] == objective.gain(instant)
 
-    def test_gains_fast_matches_gains_all(self):
+    def test_current_gains_matches_gains_all(self):
         objective = make_objective()
         for instant in (1, 9, 15):
             objective.add(instant)
-        np.testing.assert_allclose(
-            objective.gains_fast(), objective.gains_all(), atol=1e-12
-        )
+        assert np.array_equal(objective.current_gains, objective.gains_all())
 
     def test_chosen_instant_gain_zero(self):
         objective = make_objective()

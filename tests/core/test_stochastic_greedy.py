@@ -1,6 +1,6 @@
 """Property tests for the stochastic greedy mode.
 
-The stochastic mode trades the exact modes' bitwise pick discipline for
+The stochastic mode trades the exact mode's bitwise pick discipline for
 horizon-free per-pick cost, and promises exactly two things instead:
 
 * **determinism under a fixed seed, within a backend** — a scheduler
@@ -29,15 +29,11 @@ from hypothesis import strategies as st
 
 from repro.common.errors import SchedulingError
 from repro.core.scheduling import (
-    FeatureKernel,
     GaussianKernel,
     GreedyScheduler,
     MobileUser,
-    MultiKernelGreedyScheduler,
-    PerUserGreedyScheduler,
     SchedulingPeriod,
     SchedulingProblem,
-    TriangularKernel,
     stochastic_sample_size,
 )
 from repro.obs import MetricsRegistry
@@ -179,7 +175,7 @@ class TestGuarantees:
     @settings(max_examples=25, deadline=None)
     def test_value_within_epsilon_of_exact_greedy(self, problem):
         epsilon = 0.1
-        exact = GreedyScheduler(mode="lazy").solve(problem)
+        exact = GreedyScheduler().solve(problem)
         sampled = GreedyScheduler(
             mode="stochastic", sample_epsilon=epsilon, seed=7
         ).solve(problem)
@@ -258,79 +254,3 @@ class TestFallbackAndMetrics:
             ).value()
             >= 1
         )
-
-
-# ----------------------------------------------------------------------
-# stochastic mode through the composite schedulers and the server path
-# ----------------------------------------------------------------------
-class TestCompositeSchedulers:
-    def test_per_user_stochastic_is_deterministic_and_feasible(self):
-        problem = wide_open_problem(num_instants=40, num_users=3, budget=4)
-        first = PerUserGreedyScheduler(mode="stochastic", seed=7).solve(
-            problem
-        )
-        second = PerUserGreedyScheduler(mode="stochastic", seed=7).solve(
-            problem
-        )
-        assert first.assignments == second.assignments
-        first.validate()
-        for user in problem.users:
-            assert len(first.assignments[user.user_id]) <= user.budget
-
-    def test_multikernel_stochastic_is_deterministic_and_feasible(self):
-        features = [
-            FeatureKernel("noise", GaussianKernel(sigma=45.0), weight=1.0),
-            FeatureKernel(
-                "occupancy", TriangularKernel(width=90.0), weight=0.5
-            ),
-        ]
-        problem = wide_open_problem(num_instants=40, num_users=3, budget=3)
-        first = MultiKernelGreedyScheduler(
-            features, mode="stochastic", seed=7
-        ).solve(problem)
-        second = MultiKernelGreedyScheduler(
-            features, mode="stochastic", seed=7
-        ).solve(problem)
-        assert first.assignments == second.assignments
-        first.validate()
-
-    def test_scheduler_service_rejects_unknown_mode(self):
-        from repro.server.scheduler_service import SensingSchedulerService
-
-        with pytest.raises(SchedulingError):
-            SensingSchedulerService(None, None, mode="sampled")
-
-    def test_app_scheduler_state_stochastic_is_deterministic(self):
-        from repro.server.app_manager import Application
-        from repro.server.scheduler_service import _AppSchedulerState
-        from repro.common.geo import LatLon
-
-        def make_state():
-            application = Application(
-                app_id="app-1",
-                creator="owner",
-                place_id="place-1",
-                place_name="Place One",
-                category="coffee_shop",
-                location=LatLon(43.05, -76.15),
-                script="return get_temperature_readings(3, 1.0)",
-                pipeline=None,
-                period_start=0.0,
-                period_end=10_800.0,
-                num_instants=360,
-            )
-            return _AppSchedulerState(
-                application, mode="stochastic", seed=7
-            )
-
-        a, b = make_state(), make_state()
-        for user in ("u0", "u1", "u2"):
-            chosen_a, _ = a.schedule_user(
-                user, from_time=0.0, until_time=10_800.0, budget=5
-            )
-            chosen_b, _ = b.schedule_user(
-                user, from_time=0.0, until_time=10_800.0, budget=5
-            )
-            assert chosen_a == chosen_b
-            assert len(chosen_a) <= 5
-            assert len(set(chosen_a)) == len(chosen_a)

@@ -15,7 +15,6 @@ from repro.experiments import (
 from repro.experiments.ablations import (
     run_aggregation_ablation,
     run_backend_ablation,
-    run_lazy_ablation,
     run_multikernel_ablation,
     run_online_ablation,
     run_sigma_ablation,
@@ -112,12 +111,6 @@ class TestAblations:
         assert points[1].greedy_coverage > points[0].greedy_coverage
         for point in points:
             assert point.greedy_coverage >= point.baseline_coverage
-
-    def test_lazy_identical_and_faster_at_scale(self):
-        # Reference backend: the lazy heap vs the paper's O(N²) loop.
-        points = run_lazy_ablation(instant_counts=(360, 1080))
-        assert all(point.identical_schedules for point in points)
-        assert points[-1].speedup > 2.0
 
     def test_backend_identical_and_numpy_faster_at_scale(self):
         # Correctness tier asserts identity plus a conservative speedup

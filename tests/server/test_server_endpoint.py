@@ -6,6 +6,8 @@ import pytest
 from repro.common.clock import ManualClock
 from repro.common.geo import LatLon
 from repro.core.features import FeaturePipeline, FeatureSpec, MeanExtractor
+from repro.db import DurabilityConfig
+from repro.db.wal import read_wal_file
 from repro.net import (
     CloudMessenger,
     Envelope,
@@ -21,14 +23,16 @@ from repro.server.visualization import bar_chart, feature_table, to_csv
 PLACE = LatLon(43.05, -76.15)
 
 
-def make_server(clock=None, drop=0.0):
+def make_server(clock=None, drop=0.0, durability=None):
     clock = clock or ManualClock(start=10.0)
     network = Network(
         conditions=NetworkConditions(drop_probability=drop),
         rng=np.random.default_rng(0),
     )
     gcm = CloudMessenger()
-    server = SensingServer("server", network, clock, gcm=gcm)
+    server = SensingServer(
+        "server", network, clock, gcm=gcm, durability=durability
+    )
     server.register_user("alice", "Alice", "tok-a")
     server.create_application(
         Application(
@@ -113,6 +117,79 @@ class TestParticipateEndpoint:
             HttpRequest("POST", "server", "/sor", envelope.to_bytes())
         )
         assert response.status == 404
+
+
+def participate_leaving_at(departure_time):
+    return Envelope(
+        MessageType.PARTICIPATE,
+        sender="phone-1",
+        recipient="server",
+        payload={
+            "user_id": "alice",
+            "token": "tok-a",
+            "app_id": "app-1",
+            "place_id": "place-1",
+            "latitude": PLACE.latitude,
+            "longitude": PLACE.longitude,
+            "budget": 5,
+            "departure_time": departure_time,
+        },
+    )
+
+
+def wal_records(directory):
+    return sum(
+        len(read_wal_file(path)[0]) for path in directory.glob("wal-*.log")
+    )
+
+
+class TestParticipateDepartureTime:
+    """A bad ``departure_time`` is refused at the boundary as an ERROR."""
+
+    @pytest.mark.parametrize(
+        ("departure_time", "reason"),
+        [
+            (float("nan"), "malformed participation request"),
+            ("soon", "malformed participation request"),
+            ([1.0], "malformed participation request"),
+            (5.0, "departure before now"),
+        ],
+        ids=["nan", "string", "list", "past"],
+    )
+    def test_refused_with_no_task_row_and_no_wal_record(
+        self, tmp_path, departure_time, reason
+    ):
+        server, network, *_ = make_server(
+            durability=DurabilityConfig(directory=tmp_path, fsync=False)
+        )
+        records = wal_records(tmp_path)
+        reply = post(network, participate_leaving_at(departure_time))
+        assert reply.message_type is MessageType.ERROR
+        assert reply.payload["reason"] == reason
+        assert server.database.table("tasks").count() == 0
+        assert wal_records(tmp_path) == records
+        server.database.durability.close()
+
+    def test_retried_refusal_replays_the_same_error(self):
+        server, network, *_ = make_server()
+        envelope = participate_leaving_at(5.0).with_idempotency_key("scan-1")
+        first = post(network, envelope)
+        second = post(network, envelope)
+        assert first.message_type is MessageType.ERROR
+        assert second.payload == first.payload
+        assert server.database.table("tasks").count() == 0
+
+    @pytest.mark.parametrize("departure_time", [None, float("inf"), 600.0])
+    def test_absent_infinite_and_future_departures_schedule(
+        self, departure_time
+    ):
+        _, network, *_ = make_server()
+        reply = post(network, participate_leaving_at(departure_time))
+        assert reply.message_type is MessageType.SCHEDULE
+        assert reply.payload["times"]
+        assert all(10.0 <= t <= 10_800.0 for t in reply.payload["times"])
+        if departure_time == 600.0:
+            assert all(t <= 600.0 for t in reply.payload["times"])
 
 
 class TestSensedDataEndpoint:
