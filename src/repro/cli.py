@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.experiments.fig6_trail_features import format_fig6, run_fig6
 from repro.experiments.fig10_shop_features import format_fig10, run_fig10
@@ -24,6 +24,9 @@ from repro.experiments.fig14_scheduling import (
 )
 from repro.experiments.table1_trail_rankings import format_table1, run_table1
 from repro.experiments.table2_shop_rankings import format_table2, run_table2
+
+if TYPE_CHECKING:
+    from repro.sim.faults import FaultReport
 
 
 def _cmd_fig6(args: argparse.Namespace) -> str:
@@ -121,37 +124,57 @@ def _cmd_rank(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_crash(args: argparse.Namespace) -> str:
-    """Run the crash-injection scenario and report what survived.
+def _fault_output(report: FaultReport, fmt: str) -> str:
+    """Render a fault report; exit 1 when its audit fails.
 
-    With durability on (the default) the report should end ``data
-    intact``; pass ``--no-durability`` to watch the same kills destroy
-    acknowledged state.
+    CI runs the fault presets as gates, so a broken promise (lost,
+    duplicated or undelivered data) must fail the process.
+    """
+    from repro.sim.faults import format_fault_report
+
+    if fmt == "json":
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    else:
+        text = format_fault_report(report)
+    if not report.data_intact:
+        print(text, file=sys.stderr)
+        raise SystemExit(1)
+    return text
+
+
+def _cmd_crash(args: argparse.Namespace) -> str:
+    """Kill the field test's server mid-run and report what survived.
+
+    With durability on (the default) the verdict should be INTACT;
+    ``--no-durability`` shows the same kills destroying acknowledged
+    state, and exits 1.
     """
     import tempfile
 
-    from repro.sim.crash import CrashSpec, run_crash_scenario
+    from repro.db import DurabilityConfig
+    from repro.net import NetworkConditions
+    from repro.sim.faults import run_field_faults
 
-    spec = CrashSpec(
-        kills=args.kills, seed=args.seed, durability=not args.no_durability
-    )
-    if args.durability_dir is not None:
-        report = run_crash_scenario(spec, args.durability_dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="sor-crash-") as tmp:
-            report = run_crash_scenario(spec, tmp)
-    lines = [
-        f"kills executed      : {report.kills_executed}",
-        f"acked schedules     : {report.acked_schedules}"
-        f" (lost {report.lost_acked_schedules})",
-        f"acked uploads       : {report.acked_uploads}"
-        f" (lost {report.lost_acked_uploads})",
-        f"duplicate tasks     : {report.duplicate_tasks}",
-        f"duplicate uploads   : {report.duplicate_uploads}",
-        f"WAL records replayed: {report.records_replayed}",
-        f"verdict             : data {'intact' if report.data_intact else 'LOST'}",
-    ]
-    return "\n".join(lines)
+    with tempfile.TemporaryDirectory(prefix="sor-crash-") as tmp:
+        durability = (
+            None
+            if args.no_durability
+            else DurabilityConfig(
+                directory=args.durability_dir or tmp, checkpoint_every_records=40
+            )
+        )
+        report = run_field_faults(
+            network=NetworkConditions(),
+            kills=args.kills,
+            seed=args.seed,
+            durability=durability,
+        )
+    return _fault_output(report, args.format)
+
+
+def _given(value: int | None, default: int) -> int:
+    """A fleet-shape flag's value, or the running command's own default."""
+    return default if value is None else value
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> str:
@@ -168,15 +191,16 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
         run_loadgen,
     )
 
+    categories = _given(args.categories, 1)
     if args.places:
         places = args.places
     else:
         # Auto-size: the spec requires places to be a multiple of
         # categories with at least two places per category to rank.
-        per_category = max(2, -(-8 // args.categories))
-        places = per_category * args.categories
+        per_category = max(2, -(-8 // categories))
+        places = per_category * categories
     spec = LoadgenSpec(
-        phones=args.phones,
+        phones=_given(args.phones, 10000),
         seed=args.seed,
         mode="concurrent" if args.mode == "compare" else args.mode,
         clients=args.clients,
@@ -184,9 +208,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
         queue_capacity=args.queue_capacity,
         io_delay_s=args.io_delay_ms / 1000.0,
         places=places,
-        shards=args.shards,
+        shards=_given(args.shards, 1),
         replicas=args.replicas,
-        categories=args.categories,
+        categories=categories,
     )
     if args.mode == "compare":
         concurrent, sequential, speedup = run_comparison(spec)
@@ -256,8 +280,8 @@ def _cmd_ablate(args: argparse.Namespace) -> str:
 def _cmd_shardchaos(args: argparse.Namespace) -> str:
     """Kill shard primaries mid-run (repeatedly) and audit acked data.
 
-    Drives the loadgen protocol mix through the shard router under a
-    lossy network and runs ``--kills`` kill→promote→reseed cycles: the
+    Drives the loadgen protocol mix through the shard router under 20%
+    loss per leg and runs ``--kills`` kill→promote→reseed cycles: the
     first hard-kills ``--kill-shard``'s primary and durably promotes
     its WAL-fed replica; with ``--kills 2`` or more, the second kill
     hits the *same shard again* — the freshly promoted primary — and
@@ -266,32 +290,32 @@ def _cmd_shardchaos(args: argparse.Namespace) -> str:
     recovering it from its re-attached WAL, then reports whether every
     acked schedule and upload survived.
     """
-    from repro.sim.shard_chaos import (
-        ShardChaosSpec,
-        format_shard_chaos_report,
-        run_shard_chaos,
-    )
+    from repro.net import NetworkConditions
+    from repro.sim.faults import run_fleet_faults
+    from repro.sim.loadgen import LoadgenSpec
 
-    spec = ShardChaosSpec(
-        phones=args.phones if args.phones != 10000 else 120,
-        shards=args.shards if args.shards > 1 else 4,
-        replicas=max(args.replicas, 1),
-        categories=args.categories if args.categories > 1 else 8,
+    fleet = LoadgenSpec(
+        phones=_given(args.phones, 120),
         seed=args.seed,
-        kill_shard=args.kill_shard,
-        kills=args.kills,
+        workers=2,
+        io_delay_s=0.0005,
+        places=16,
+        shards=_given(args.shards, 4),
+        replicas=args.replicas,
+        categories=_given(args.categories, 8),
     )
-    report = run_shard_chaos(spec)
-    if not report.data_intact:
-        # CI runs this as a gate: acked data loss must fail the job.
-        print(format_shard_chaos_report(report), file=sys.stderr)
-        raise SystemExit(1)
-    if args.format == "json":
-        payload = dict(vars(report))
-        payload.pop("metrics")
-        payload["data_intact"] = report.data_intact
-        return json.dumps(payload, indent=2, sort_keys=True)
-    return format_shard_chaos_report(report)
+    report = run_fleet_faults(
+        fleet,
+        network=NetworkConditions(
+            base_latency_s=0.0,
+            jitter_s=0.0,
+            drop_probability=0.2,
+            response_drop_probability=0.2,
+        ),
+        kills=args.kills,
+        kill_shard=args.kill_shard,
+    )
+    return _fault_output(report, args.format)
 
 
 _COMMANDS: dict[str, Callable[[argparse.Namespace], str]] = {
@@ -334,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=("text", "json", "table"),
         default="text",
-        help="output format for the obs/ablate commands ('text' means "
-        "'table' for ablate; default: text)",
+        help="output format for the obs/ablate/loadgen/crash/shardchaos "
+        "commands ('text' means 'table' for ablate; default: text)",
     )
     parser.add_argument(
         "--kills",
@@ -359,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--phones",
         type=int,
-        default=10000,
-        help="phone population for the loadgen command (default 10000)",
+        default=None,
+        help="phone population for loadgen/shardchaos (default 10000 for "
+        "loadgen, 120 for shardchaos)",
     )
     parser.add_argument(
         "--mode",
@@ -397,9 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--shards",
         type=int,
-        default=1,
+        default=None,
         help="shard count for loadgen/shardchaos; loadgen with more "
-        "than 1 drives a ShardCluster through its router (default 1)",
+        "than 1 drives a ShardCluster through its router (default 1 "
+        "for loadgen, 4 for shardchaos)",
     )
     parser.add_argument(
         "--replicas",
@@ -411,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--categories",
         type=int,
-        default=1,
+        default=None,
         help="rankable categories the places split into for "
-        "loadgen/shardchaos (default 1)",
+        "loadgen/shardchaos (default 1 for loadgen, 8 for shardchaos)",
     )
     parser.add_argument(
         "--places",

@@ -29,7 +29,7 @@ class RecoveryError(DatabaseError):
 
 
 class SimulatedCrashError(ReproError):
-    """An armed crash-injection hook fired (see :mod:`repro.sim.crash`).
+    """An armed crash-injection hook fired (see :mod:`repro.sim.faults`).
 
     Deliberately *not* a :class:`TransportError`: a simulated kill must
     tear the whole process down in the harness, not be absorbed by a

@@ -27,9 +27,11 @@ dance as :func:`repro.db.persistence.save_database`, so a crash during
 compaction can never destroy the previous checkpoint.
 
 The :class:`DurabilityManager` also carries one-shot crash hooks
-(:meth:`~DurabilityManager.arm`) used by :mod:`repro.sim.crash` to kill
+(:meth:`~DurabilityManager.arm`) used by :mod:`repro.sim.faults` to kill
 the process at the nastiest possible instants — mid-batch, pre-fsync,
-between the checkpoint temp write and its rename.
+between the checkpoint temp write and its rename — and
+:meth:`~DurabilityManager.simulate_wreck`, the one place that leaves a
+killed process's wreckage on disk.
 
 :func:`attach_durability` is the inverse of recovery: it takes a
 database that is already populated *in memory* (a promoted read-replica
@@ -542,6 +544,31 @@ class DurabilityManager:
         self._writer.append({"op": "begin", "txn": self._txn_counter})
         for record in records:
             self._writer.append(record)
+
+    def simulate_wreck(self, kind: str) -> None:
+        """Leave the on-disk wreckage of a process killed at ``kind``.
+
+        * ``torn_tail`` — killed inside ``write(2)``: a transaction with
+          no commit marker, then half a frame.
+        * ``mid_checkpoint`` — killed inside compaction, via the armed
+          ``checkpoint.pre_replace`` hook: a fresh segment is open and
+          the checkpoint temp file never got renamed.
+
+        Nothing of the wreckage was acked; recovery, replication and a
+        later re-attach must all discard it.
+        """
+        if kind == "torn_tail":
+            doomed = {"op": "insert", "table": "raw_data", "row": {"doomed": True}}
+            self.simulate_partial_transaction([doomed])
+            self.simulate_torn_append(doomed)
+        elif kind == "mid_checkpoint":
+            self.arm("checkpoint.pre_replace")
+            try:
+                self.checkpoint()
+            except SimulatedCrashError:
+                pass
+        else:
+            raise DatabaseError(f"unknown wreck kind {kind!r}")
 
 
 def open_durable_database(

@@ -179,7 +179,7 @@ class MobilePhone:
     def acked_uploads(self) -> frozenset[str]:
         """Task ids whose SENSED_DATA upload the server acknowledged.
 
-        The crash harness asserts that everything in this set survives
+        The fault harness asserts that everything in this set survives
         server recovery: an acknowledged upload is a promise.
         """
         return frozenset(self._uploaded_tasks)

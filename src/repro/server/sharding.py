@@ -56,7 +56,6 @@ from repro.common.errors import (
     ConfigurationError,
     DatabaseError,
     RankingError,
-    SimulatedCrashError,
 )
 from repro.db import Database, DurabilityConfig, eq
 from repro.db.replication import (
@@ -570,11 +569,9 @@ class ShardCluster:
 
         ``wreck=True`` leaves the nastiest crash-consistent directory a
         real kill can: the process dies *inside checkpoint compaction*
-        (via the armed ``checkpoint.pre_replace`` crash hook — a fresh
-        segment is open, the checkpoint temp file never got renamed)
         and the new live segment ends in an uncommitted transaction
-        plus a torn frame. Nothing of that wreckage is acked; recovery,
-        replication and a later re-attach must all discard it.
+        plus a torn frame (``mid_checkpoint`` then ``torn_tail``, via
+        :meth:`~repro.db.wal.DurabilityManager.simulate_wreck`).
         """
         shard = self.shards[shard_id]
         server = shard.primary
@@ -585,18 +582,8 @@ class ShardCluster:
         if manager is None:
             return
         if wreck and not manager.closed:
-            manager.arm("checkpoint.pre_replace")
-            try:
-                manager.checkpoint()
-            except SimulatedCrashError:
-                pass
-            manager.simulate_partial_transaction(
-                [{"op": "insert", "table": "raw_data", "row": {"doomed": True}}]
-            )
-            manager.simulate_torn_append(
-                {"op": "insert", "table": "tasks", "row": {"doomed": True}},
-                keep=0.4,
-            )
+            manager.simulate_wreck("mid_checkpoint")
+            manager.simulate_wreck("torn_tail")
         manager.close()
 
     def promote(

@@ -103,8 +103,6 @@ class SORSystem:
         server_host: str = "sor-server",
         num_servers: int = 1,
         resilient: bool = True,
-        retry_policy: RetryPolicy | None = None,
-        breaker_policy: BreakerPolicy | None = None,
         durability: DurabilityConfig | None = None,
         concurrency: ConcurrencyConfig | None = None,
         io_delay_s: float = 0.0,
@@ -133,15 +131,11 @@ class SORSystem:
         # simulation clock (the event queue owns that timeline), so the
         # retry budget is bounded by max_attempts rather than the deadline.
         self.resilient = resilient
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(max_attempts=8, base_backoff_s=0.1, max_backoff_s=5.0)
+        retries = RetryPolicy(
+            max_attempts=8, base_backoff_s=0.1, max_backoff_s=5.0
         )
-        self.breaker_policy = (
-            breaker_policy
-            if breaker_policy is not None
-            else BreakerPolicy(failure_threshold=32, recovery_timeout_s=60.0)
+        breaker = BreakerPolicy(
+            failure_threshold=32, recovery_timeout_s=60.0
         )
 
         def make_client(stream: str) -> ResilientClient | None:
@@ -149,8 +143,8 @@ class SORSystem:
                 return None
             return ResilientClient(
                 self.network,
-                policy=self.retry_policy,
-                breaker_policy=self.breaker_policy,
+                policy=retries,
+                breaker_policy=breaker,
                 clock=self.simulator.clock,
                 rng=self.rngs.generator("resilience", stream),
                 sleep=lambda seconds: None,  # virtual waits; see note above
@@ -409,7 +403,7 @@ class SORSystem:
         )
 
     # ------------------------------------------------------------------
-    # crash and restart (used by the crash-injection harness)
+    # crash and restart (used by the fault harness)
     # ------------------------------------------------------------------
     def kill_server(self, index: int = 0) -> None:
         """Simulate a hard process kill of one sensing server.

@@ -300,9 +300,14 @@ def _seed_features(spec: LoadgenSpec, server: SensingServer, place_index: int) -
         )
 
 
-def _make_network(spec: LoadgenSpec, metrics: MetricsRegistry) -> Network:
+def _make_network(
+    spec: LoadgenSpec,
+    metrics: MetricsRegistry,
+    conditions: NetworkConditions | None = None,
+) -> Network:
     return Network(
-        conditions=NetworkConditions(base_latency_s=0.0, jitter_s=0.0),
+        conditions=conditions
+        or NetworkConditions(base_latency_s=0.0, jitter_s=0.0),
         rng=np.random.default_rng(spec.seed + 1),
         metrics=metrics,
     )
@@ -335,16 +340,22 @@ def _build_server(spec: LoadgenSpec, metrics: MetricsRegistry) -> SensingServer:
     return server
 
 
-def _build_cluster(
-    spec: LoadgenSpec, metrics: MetricsRegistry, base_dir: str
+def _start_cluster(
+    spec: LoadgenSpec,
+    scripts: list[_PhoneScript],
+    metrics: MetricsRegistry,
+    base_dir: str,
+    conditions: NetworkConditions | None = None,
 ) -> ShardCluster:
-    """A sharded deployment for the drivers to load through the router.
+    """A sharded deployment, seeded and replicating, ready for traffic.
 
     Categories are pinned round-robin across the shards (directory
     placement), so the offered load splits evenly and the 1→N scaling
     the bench gates on measures shard capacity, not ring luck.
+    ``conditions`` impairs every network leg (the fault harness makes
+    it lossy); by default the links are perfect.
     """
-    network = _make_network(spec, metrics)
+    network = _make_network(spec, metrics, conditions)
     concurrency = (
         ConcurrencyConfig(
             workers=spec.workers, queue_capacity=spec.queue_capacity
@@ -389,6 +400,12 @@ def _build_cluster(
             pin_to=f"shard-{category_index % spec.shards}",
         )
         _seed_features(spec, primary, place_index)
+    for script in scripts:
+        cluster.register_user(script.user_id, script.user_id.title(), script.token)
+    # Ship the seeded applications/features before taking traffic so
+    # an early rank query never finds a replica without its category.
+    cluster.sync_replicas()
+    cluster.start_replication(0.01)
     return cluster
 
 
@@ -396,8 +413,8 @@ class _Counts:
     """One driver thread's tallies, merged after the join.
 
     ``acked_schedules`` / ``acked_uploads`` record the task id of every
-    positive reply the "phone" saw — the ground truth the shard chaos
-    scenario audits against the surviving primaries' tables.
+    positive reply the "phone" saw — the ledger the fleet fault run
+    audits against the surviving primaries' tables.
     """
 
     __slots__ = (
@@ -501,6 +518,101 @@ def _run_session(
     counts.sessions += 1
 
 
+class _Drivers:
+    """The closed-loop driver threads and their per-thread tallies.
+
+    Each of ``spec.effective_clients`` drivers walks its share of the
+    scripts through its own patient resilient client. A driver whose
+    retries run out records the error instead of hanging the run;
+    :meth:`raise_failures` surfaces it after the join.
+    """
+
+    def __init__(
+        self,
+        spec: LoadgenSpec,
+        scripts: list[_PhoneScript],
+        network: Network,
+        host: str,
+        metrics: MetricsRegistry,
+    ) -> None:
+        self._spec = spec
+        self._scripts = scripts
+        self._host = host
+        num_clients = spec.effective_clients
+        self._clients = [
+            ResilientClient(
+                network,
+                # Patient on purpose: a saturated admission queue (or a
+                # lossy link, or a failover window) rejects many
+                # attempts, and the drivers must ride that out rather
+                # than abandon the run.
+                policy=RetryPolicy(
+                    max_attempts=64,
+                    base_backoff_s=0.002,
+                    max_backoff_s=0.05,
+                    deadline_s=600.0,
+                ),
+                breaker_policy=BreakerPolicy(
+                    failure_threshold=1_000_000, recovery_timeout_s=0.001
+                ),
+                rng=np.random.default_rng((spec.seed, 2, stream)),
+                sleep=time.sleep,
+                metrics=metrics,
+                tracer=NullTracer(),
+            )
+            for stream in range(num_clients)
+        ]
+        self.counts = [_Counts() for _ in range(num_clients)]
+        self.failures: list[BaseException] = []
+        self._threads = [
+            threading.Thread(target=self._drive, args=(i,), name=f"lg-client-{i}")
+            for i in range(num_clients)
+        ]
+
+    def _drive(self, client_index: int) -> None:
+        num_clients = len(self._clients)
+        try:
+            for script in self._scripts[client_index::num_clients]:
+                _run_session(
+                    script,
+                    self._clients[client_index],
+                    self.counts[client_index],
+                    self._spec,
+                    host=self._host,
+                )
+        except TransportError as exc:  # retries exhausted: report, don't hang
+            self.failures.append(exc)
+
+    def start(self) -> None:
+        for thread in self._threads:
+            thread.start()
+
+    def alive(self) -> bool:
+        return any(thread.is_alive() for thread in self._threads)
+
+    def join(self) -> None:
+        for thread in self._threads:
+            thread.join()
+
+    def run(self) -> None:
+        """Drive every session to completion (inline with one client)."""
+        if len(self._threads) == 1:
+            self._drive(0)
+        else:
+            self.start()
+            self.join()
+
+    def acked_schedules(self) -> int:
+        return sum(len(counts.acked_schedules) for counts in self.counts)
+
+    def raise_failures(self) -> None:
+        if self.failures:
+            raise TransportError(
+                f"{len(self.failures)} driver thread(s) exhausted retries: "
+                f"{self.failures[0]}"
+            )
+
+
 def run_loadgen(spec: LoadgenSpec) -> LoadgenReport:
     """Run one load generation pass and report counters + wall-clock."""
     metrics = MetricsRegistry()
@@ -513,17 +625,9 @@ def run_loadgen(spec: LoadgenSpec) -> LoadgenReport:
     tmp: tempfile.TemporaryDirectory | None = None
     if spec.shards > 1:
         tmp = tempfile.TemporaryDirectory(prefix="sor-loadgen-shards-")
-        cluster = _build_cluster(spec, metrics, tmp.name)
+        cluster = _start_cluster(spec, scripts, metrics, tmp.name)
         network = cluster.network
         target_host = cluster.router_host
-        for script in scripts:
-            cluster.register_user(
-                script.user_id, script.user_id.title(), script.token
-            )
-        # Ship the seeded applications/features before taking traffic so
-        # an early rank query never finds a replica without its category.
-        cluster.sync_replicas()
-        cluster.start_replication(0.01)
     else:
         server = _build_server(spec, metrics)
         network = server.network
@@ -533,53 +637,9 @@ def run_loadgen(spec: LoadgenSpec) -> LoadgenReport:
                 script.user_id, script.user_id.title(), script.token
             )
 
-    num_clients = spec.effective_clients
-    clients = [
-        ResilientClient(
-            network,
-            # Patient on purpose: a saturated admission queue rejects
-            # most attempts, and the drivers must ride out the busy
-            # wave rather than abandon the run.
-            policy=RetryPolicy(
-                max_attempts=64,
-                base_backoff_s=0.002,
-                max_backoff_s=0.05,
-                deadline_s=600.0,
-            ),
-            breaker_policy=BreakerPolicy(
-                failure_threshold=1_000_000, recovery_timeout_s=0.001
-            ),
-            rng=np.random.default_rng((spec.seed, 2, stream)),
-            sleep=time.sleep,
-            metrics=metrics,
-            tracer=NullTracer(),
-        )
-        for stream in range(num_clients)
-    ]
-    all_counts = [_Counts() for _ in range(num_clients)]
-    failures: list[BaseException] = []
-
-    def drive(client_index: int) -> None:
-        counts = all_counts[client_index]
-        client = clients[client_index]
-        try:
-            for script in scripts[client_index::num_clients]:
-                _run_session(script, client, counts, spec, host=target_host)
-        except TransportError as exc:  # retries exhausted: report, don't hang
-            failures.append(exc)
-
+    drivers = _Drivers(spec, scripts, network, target_host, metrics)
     started = time.perf_counter()
-    if num_clients == 1:
-        drive(0)
-    else:
-        threads = [
-            threading.Thread(target=drive, args=(i,), name=f"lg-client-{i}")
-            for i in range(num_clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+    drivers.run()
     report.duration_s = max(time.perf_counter() - started, 1e-9)
     if cluster is not None:
         cluster.stop_replication()
@@ -590,11 +650,8 @@ def run_loadgen(spec: LoadgenSpec) -> LoadgenReport:
     elif server is not None:
         server.close()
 
-    if failures:
-        raise TransportError(
-            f"{len(failures)} driver thread(s) exhausted retries: {failures[0]}"
-        )
-    for counts in all_counts:
+    drivers.raise_failures()
+    for counts in drivers.counts:
         report.requests_ok += counts.ok
         report.sessions_completed += counts.sessions
         report.error_replies += counts.errors

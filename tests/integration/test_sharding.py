@@ -13,33 +13,34 @@ from disk alone.
 
 import pytest
 
+from repro.common.errors import ValidationError
+from repro.net import NetworkConditions
+from repro.sim.faults import format_fault_report, run_fleet_faults
 from repro.sim.loadgen import LoadgenSpec, run_loadgen
-from repro.sim.shard_chaos import (
-    ShardChaosSpec,
-    format_shard_chaos_report,
-    run_shard_chaos,
-)
 
-CHAOS = ShardChaosSpec(
+FLEET = LoadgenSpec(
     phones=60,
+    seed=2014,
+    clients=6,
+    workers=2,
+    io_delay_s=0.0005,
+    places=12,
     shards=3,
     replicas=1,
     categories=6,
-    places=12,
-    clients=6,
-    seed=2014,
-    request_drop=0.2,
-    response_drop=0.2,
-    kill_shard=1,
-    kill_after_schedules=12,
-    downtime_s=0.05,
-    kills=3,
 )
+LOSSY = NetworkConditions(
+    base_latency_s=0.0,
+    jitter_s=0.0,
+    drop_probability=0.2,
+    response_drop_probability=0.2,
+)
+KILLS = dict(kills=3, kill_shard=1, kill_after_schedules=12, downtime_s=0.05)
 
 
 @pytest.fixture(scope="module")
 def chaos_report():
-    return run_shard_chaos(CHAOS)
+    return run_fleet_faults(FLEET, network=LOSSY, **KILLS)
 
 
 class TestShardChaos:
@@ -52,6 +53,11 @@ class TestShardChaos:
         assert chaos_report.failovers == 3
         assert chaos_report.killed_shard == "shard-1"
 
+    def test_dead_shard_requests_hit_the_busy_path(self, chaos_report):
+        # The downtime window exists so requests for the victim's
+        # categories get the router's BUSY reply and are re-sent.
+        assert chaos_report.busy_replies > 0
+
     def test_every_promotion_was_reseeded(self, chaos_report):
         # Cycle 0 defers its reseed so cycle 1 can race the kill against
         # it; every cycle still ends with a replacement replica.
@@ -61,12 +67,13 @@ class TestShardChaos:
         assert chaos_report.promoted_recovery_ok
 
     def test_every_phone_completed(self, chaos_report):
-        assert chaos_report.acked_schedules == CHAOS.phones
-        assert chaos_report.acked_uploads == CHAOS.phones
+        assert chaos_report.acked_schedules == FLEET.phones
+        assert chaos_report.acked_uploads == FLEET.phones
+        assert chaos_report.delivered
 
     def test_no_acked_data_was_lost(self, chaos_report):
-        assert chaos_report.lost_schedules == 0
-        assert chaos_report.lost_uploads == 0
+        assert chaos_report.lost_acked_schedules == 0
+        assert chaos_report.lost_acked_uploads == 0
 
     def test_retries_never_duplicated_state(self, chaos_report):
         assert chaos_report.duplicate_tasks == 0
@@ -77,8 +84,26 @@ class TestShardChaos:
 
     def test_report_rolls_up_to_data_intact(self, chaos_report):
         assert chaos_report.data_intact
-        text = format_shard_chaos_report(chaos_report)
+        text = format_fault_report(chaos_report)
         assert "intact" in text.lower()
+
+
+class TestFleetValidation:
+    @pytest.mark.parametrize(
+        "fleet, kills",
+        [
+            (LoadgenSpec(phones=60, shards=1), KILLS),
+            (LoadgenSpec(phones=60, shards=3, replicas=0), KILLS),
+            (LoadgenSpec(phones=60, shards=3), {**KILLS, "kill_shard": 3}),
+            (LoadgenSpec(phones=36, shards=3), KILLS),
+            (LoadgenSpec(phones=60, shards=3), {**KILLS, "kills": 0}),
+            (LoadgenSpec(phones=60, shards=3), {**KILLS, "downtime_s": -1.0}),
+        ],
+        ids=["one-shard", "no-replica", "kill-shard", "late-kill", "no-kill", "downtime"],
+    )
+    def test_bad_fleet_inputs_rejected_before_running(self, fleet, kills):
+        with pytest.raises(ValidationError):
+            run_fleet_faults(fleet, network=LOSSY, **kills)
 
 
 class TestShardedLoadgen:

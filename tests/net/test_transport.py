@@ -92,6 +92,8 @@ class TestImpairments:
         with pytest.raises(ValidationError):
             NetworkConditions(drop_probability=1.5)
         with pytest.raises(ValidationError):
+            NetworkConditions(response_drop_probability=-0.1)
+        with pytest.raises(ValidationError):
             NetworkConditions(base_latency_s=-1.0)
 
 

@@ -50,3 +50,82 @@ class TestCli:
         assert main(["fig14a", "--runs", "1"]) == 0
         out = capsys.readouterr().out
         assert "mean improvement" in out
+
+
+class _Captured(Exception):
+    """Raised by a stubbed driver so a test can inspect its arguments."""
+
+
+def _capture(monkeypatch, module, name):
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Captured
+
+    monkeypatch.setattr(module, name, fake)
+    return calls
+
+
+class TestFaultPresets:
+    def test_crash_preset_is_intact(self, capsys):
+        assert main(["crash"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict             : INTACT" in out
+        assert "WAL records replayed: 80" in out
+
+    def test_crash_preset_json(self, capsys):
+        import json
+
+        assert main(["crash", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["data_intact"] and payload["kills"] == 2
+        assert len(payload["recovery_reports"]) == 3
+
+    def test_crash_without_durability_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["crash", "--no-durability"])
+        assert exc.value.code == 1
+        assert "DATA LOSS" in capsys.readouterr().err
+
+    def test_shardchaos_has_its_own_defaults(self, monkeypatch):
+        import repro.sim.faults as faults
+
+        calls = _capture(monkeypatch, faults, "run_fleet_faults")
+        with pytest.raises(_Captured):
+            main(["shardchaos"])
+        (fleet,), kwargs = calls[0]
+        assert (fleet.phones, fleet.shards, fleet.replicas, fleet.categories) == (
+            120, 4, 1, 8,
+        )
+        assert kwargs["kills"] == 2 and kwargs["kill_shard"] == 1
+
+    def test_shardchaos_explicit_flags_reach_the_driver(self, monkeypatch):
+        import repro.sim.faults as faults
+
+        calls = _capture(monkeypatch, faults, "run_fleet_faults")
+        with pytest.raises(_Captured):
+            main([
+                "shardchaos", "--phones", "10000", "--shards", "1",
+                "--categories", "1", "--replicas", "0",
+            ])
+        (fleet,), _ = calls[0]
+        assert (fleet.phones, fleet.shards, fleet.replicas, fleet.categories) == (
+            10000, 1, 0, 1,
+        )
+
+    def test_shardchaos_bad_flag_raises_instead_of_being_replaced(self):
+        with pytest.raises(ValidationError):
+            main(["shardchaos", "--shards", "1"])
+
+    def test_loadgen_keeps_its_defaults(self, monkeypatch):
+        import repro.sim.loadgen as loadgen
+
+        calls = _capture(monkeypatch, loadgen, "run_loadgen")
+        with pytest.raises(_Captured):
+            main(["loadgen"])
+        (spec,), _ = calls[0]
+        assert (spec.phones, spec.shards, spec.replicas, spec.categories) == (
+            10000, 1, 1, 1,
+        )
+        assert spec.places == 8
