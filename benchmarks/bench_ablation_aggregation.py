@@ -1,10 +1,10 @@
-"""Ablation — aggregation quality: footrule flow vs Borda vs exact Kemeny.
+"""Ablation — aggregation quality: footrule vs Borda vs exact Kemeny.
 
 On random weighted instances small enough for exhaustive search, compare
-the weighted-Kemeny objective achieved by the paper's min-cost-flow
-footrule aggregation, the local-search-refined variant, and Borda count,
-against the true optimum (ratio 1.0 = optimal; theory guarantees the
-footrule solution ≤ 2.0).
+the weighted-Kemeny objective achieved by the paper's footrule
+aggregation (a min-cost assignment), the local-search-refined variant,
+and Borda count, against the true optimum (ratio 1.0 = optimal; theory
+guarantees the footrule solution ≤ 2.0).
 """
 
 from benchmarks._ablation_common import record, run_once
@@ -18,7 +18,7 @@ def test_ablation_aggregation_quality(benchmark):
     )
     print()
     print(f"instances:                    {stats.instances}")
-    print(f"footrule-flow / optimum:      {stats.footrule_ratio:.4f}")
+    print(f"footrule / optimum:           {stats.footrule_ratio:.4f}")
     print(f"  + local search / optimum:   {stats.refined_ratio:.4f}")
     print(f"borda / optimum:              {stats.borda_ratio:.4f}")
     print(f"footrule exactly optimal on:  {stats.footrule_optimal_fraction:.0%}")

@@ -8,8 +8,8 @@ aggregator drifts from the truth.
 
 Expected shape: while the spammer is a *minority* (weight < half the
 honest mass… up to ~3 here), the median-like footrule aggregation drifts
-less than the mean-like Borda count. Once the spammer matches the
-honest mass (weight 5), the median commits to one side and degrades
+less than the mean-like Borda count. As the spammer nears the honest
+mass (weights 4–5), the median commits to one side and degrades
 catastrophically while Borda merely averages — the classic breakdown
 point of robust estimators.
 """

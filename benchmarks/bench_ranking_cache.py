@@ -4,7 +4,7 @@ The workload is the Table II reproduction — the three Syracuse coffee
 shops' sensed features (Fig. 10) ranked for David and Emma (Fig. 11).
 The cold path bumps the category's data version before every request,
 so the cache can never hit and every call runs the full Algorithm 2
-pipeline (table scan, H matrix, Γ, min-cost-flow aggregation). The warm
+pipeline (table scan, H matrix, Γ, min-cost assignment). The warm
 path repeats the identical requests over unchanged data, which the
 versioned cache serves as a dictionary lookup. The gate asserts the
 warm path is at least 10× faster — if the cache key ever stops

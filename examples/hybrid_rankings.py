@@ -5,8 +5,8 @@ The paper positions SOR as an *enhancement* of subjective recommendation
 systems, not a replacement (Section I). This example shows the
 integration: the coffee-shop feature data feeds the objective pipeline,
 a (synthetic) star-rating source contributes one more individual
-ranking, and the min-cost-flow aggregation blends both according to how
-much the user trusts the crowd.
+ranking, and the footrule aggregation blends both according to how much
+the user trusts the crowd.
 
 Run:  python examples/hybrid_rankings.py
 """

@@ -9,15 +9,17 @@ Pipeline:
    ascending (:func:`individual_rankings`),
 3. aggregation: find the ranking minimizing the weighted Spearman
    footrule distance ``κ_f(R, Ω) = Σ_j w_j · d_f(R, R_j)`` by reduction
-   to min-cost bipartite perfect matching on a place × rank flow graph
-   (:func:`aggregate_footrule`). Because ``d_K ≤ d_f ≤ 2·d_K``
-   (Diaconis–Graham), the footrule optimum 2-approximates the NP-hard
-   weighted Kemeny optimum.
+   to a min-cost perfect matching of places to ranks, solved with
+   scipy's ``linear_sum_assignment`` (:func:`aggregate_footrule`).
+   Because ``d_K ≤ d_f ≤ 2·d_K`` (Diaconis–Graham), the footrule
+   optimum 2-approximates the NP-hard weighted Kemeny optimum.
 
 Baselines and references: exact weighted Kemeny by exhaustive search
 (:func:`brute_force_kemeny`, small N), Borda count
-(:func:`borda_count`), and a Kemeny-improving local-search refinement
-(:func:`refine_by_adjacent_swaps`).
+(:func:`borda_count`), a Kemeny-improving local-search refinement
+(:func:`refine_by_adjacent_swaps`), and the paper's flow graph solved
+literally by :class:`MinCostFlow`, the tests' independent oracle for
+the assignment.
 """
 
 from repro.core.ranking.aggregate import (

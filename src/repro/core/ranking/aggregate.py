@@ -3,10 +3,12 @@
 The footrule-optimal aggregation is a min-cost perfect matching between
 places and ranks: assigning place i to final rank r costs
 ``Σ_j w_j · |π(i, R_j) − r|`` (the paper's edge cost on its auxiliary
-flow graph). We build exactly that graph — virtual source → places →
-ranks → virtual sink, all capacities 1 — and solve it with our
-min-cost-flow solver. The result minimizes the weighted footrule
-distance κ_f and therefore 2-approximates the weighted Kemeny optimum.
+flow graph). We build that place × rank cost matrix and solve the
+assignment with scipy's ``linear_sum_assignment``. The result minimizes
+the weighted footrule distance κ_f and therefore 2-approximates the
+weighted Kemeny optimum. The successive-shortest-paths flow in
+:mod:`repro.core.ranking.mincostflow` solves the paper's graph literally
+and is kept only as the differential suite's independent oracle.
 
 Also here: exhaustive weighted-Kemeny search (reference for tests),
 Borda count (a cheap baseline for the ablation bench), and an
@@ -20,13 +22,14 @@ import itertools
 from typing import Hashable, Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from repro.common.errors import RankingError
 from repro.core.ranking.distances import (
+    require_valid_weights,
     weighted_footrule_distance,
     weighted_kemeny_distance,
 )
-from repro.core.ranking.mincostflow import MinCostFlow
 from repro.core.ranking.types import Ranking
 from repro.obs import MetricsRegistry, get_metrics
 
@@ -41,12 +44,7 @@ _FOOTRULE_COST_BUCKETS = (
 def _check_inputs(collection: Sequence[Ranking], weights: Sequence[float]) -> None:
     if not collection:
         raise RankingError("need at least one individual ranking")
-    if len(collection) != len(weights):
-        raise RankingError(
-            f"{len(collection)} rankings but {len(weights)} weights"
-        )
-    if any(weight < 0 for weight in weights):
-        raise RankingError("weights must be non-negative")
+    require_valid_weights(collection, weights)
     first = collection[0]
     for other in collection[1:]:
         first.require_same_items(other)
@@ -117,51 +115,34 @@ def aggregate_footrule(
     *,
     metrics: MetricsRegistry | None = None,
 ) -> Ranking:
-    """The footrule-optimal aggregated ranking via min-cost flow.
+    """The footrule-optimal aggregated ranking via min-cost assignment.
 
-    Ties between equally good assignments resolve deterministically
-    (the flow augments ranks in item order over a fixed graph).
+    Rows of the cost matrix follow the first ranking's item order and
+    ``linear_sum_assignment`` is a pure function of the matrix, so the
+    same input always yields the same order. Among tied optima the order
+    is the one scipy's shortest-augmenting-path solver settles on when
+    it augments the rows in that item order. It may differ from the flow
+    oracle's pick; the tests pin its footrule cost and its determinism.
     """
     registry = metrics if metrics is not None else get_metrics()
     cost, items = footrule_cost_matrix(collection, weights)
-    count = len(items)
-    # Node layout: 0 = source, 1..N = places, N+1..2N = ranks, 2N+1 = sink.
-    network = MinCostFlow(2 * count + 2, metrics=registry)
-    source, sink = 0, 2 * count + 1
-    edge_ids: dict[tuple[int, int], int] = {}
-    for item_index in range(count):
-        network.add_edge(source, 1 + item_index, 1, 0.0)
-    for item_index in range(count):
-        for rank_index in range(count):
-            edge_ids[(item_index, rank_index)] = network.add_edge(
-                1 + item_index,
-                1 + count + rank_index,
-                1,
-                float(cost[item_index, rank_index]),
-            )
-    for rank_index in range(count):
-        network.add_edge(1 + count + rank_index, sink, 1, 0.0)
-    footrule_cost = network.solve(source, sink, count)
+    rows, ranks = linear_sum_assignment(cost)
+    footrule_cost = float(cost[rows, ranks].sum())
     registry.counter(
         "sor_ranking_aggregations_total",
-        "footrule aggregations solved via min-cost flow",
+        "footrule aggregations solved as a min-cost assignment",
     ).inc()
     registry.gauge(
         "sor_ranking_matching_size",
         "items matched to ranks in the most recent aggregation",
-    ).set(count)
+    ).set(len(items))
     registry.histogram(
         "sor_ranking_footrule_cost",
         "total weighted footrule cost of each aggregation",
         buckets=_FOOTRULE_COST_BUCKETS,
     ).observe(footrule_cost)
-    slots: list[Hashable | None] = [None] * count
-    for (item_index, rank_index), edge_id in edge_ids.items():
-        if network.flow_on(edge_id) > 0:
-            slots[rank_index] = items[item_index]
-    if any(slot is None for slot in slots):
-        raise RankingError("flow did not produce a perfect matching")
-    return Ranking(slots)  # type: ignore[arg-type]
+    # rows is 0..N-1, so argsort(ranks) lists the item at each rank.
+    return Ranking(items[index] for index in np.argsort(ranks))
 
 
 def brute_force_kemeny(
@@ -194,7 +175,7 @@ def borda_count(collection: Sequence[Ranking], weights: Sequence[float]) -> Rank
     """Weighted Borda count: order by weighted mean position.
 
     A popular cheap aggregation heuristic; included as the baseline the
-    ablation bench compares the flow-based aggregation against.
+    ablation bench compares the footrule aggregation against.
     """
     _check_inputs(collection, weights)
     items = collection[0].items

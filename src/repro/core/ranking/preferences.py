@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -44,10 +45,14 @@ class FeaturePreference:
             raise RankingError(
                 f"weight must be an integer in [0, {MAX_WEIGHT}], got {self.weight!r}"
             )
-        if not isinstance(self.preferred, _Sentinel) and not isinstance(
-            self.preferred, (int, float)
-        ):
+        if isinstance(self.preferred, _Sentinel):
+            return
+        if not isinstance(self.preferred, (int, float)):
             raise RankingError(f"preferred value {self.preferred!r} is not numeric")
+        # A NaN or infinite target makes every γ NaN or inf, and argsort
+        # would quietly return place order as the "ranking".
+        if not math.isfinite(self.preferred):
+            raise RankingError(f"preferred value {self.preferred!r} is not finite")
 
     def resolve(self, column_min: float, column_max: float) -> float:
         """The concrete preferred value given the observed feature range."""

@@ -8,7 +8,7 @@ leaves implicit:
   schedules must spread much more),
 * ``run_backend_ablation`` — the numpy core vs the scalar reference:
   identical schedules, very different runtimes,
-* ``run_aggregation_ablation`` — footrule-flow aggregation vs Borda
+* ``run_aggregation_ablation`` — footrule aggregation vs Borda
   count vs the exact (NP-hard) Kemeny optimum on random instances, plus
   the local-search refinement,
 * ``run_online_ablation`` — the price of online operation: the server's
@@ -407,11 +407,11 @@ def run_spam_resistance_ablation(
         for weight in spam_weights:
             collection = honest + ([spam] if weight > 0 else [])
             weights = [1] * honest_rankings + ([weight] if weight > 0 else [])
-            flow = aggregate_footrule(collection, weights)
+            footrule = aggregate_footrule(collection, weights)
             borda = borda_count(collection, weights)
             drifts[weight].append(
                 [
-                    float(kemeny_distance(flow, truth)),
+                    float(kemeny_distance(footrule, truth)),
                     float(kemeny_distance(borda, truth)),
                 ]
             )
@@ -530,8 +530,8 @@ def run_aggregation_ablation(
         weights = [int(value) for value in rng.integers(1, 6, size=num_rankings)]
         optimum = brute_force_kemeny(collection, weights)
         optimum_value = weighted_kemeny_distance(optimum, collection, weights)
-        flow = aggregate_footrule(collection, weights)
-        refined = refine_by_adjacent_swaps(flow, collection, weights)
+        footrule = aggregate_footrule(collection, weights)
+        refined = refine_by_adjacent_swaps(footrule, collection, weights)
         borda = borda_count(collection, weights)
 
         def ratio(candidate: Ranking) -> float:
@@ -540,7 +540,7 @@ def run_aggregation_ablation(
                 return 1.0 if value == 0 else float("inf")
             return value / optimum_value
 
-        footrule_ratio = ratio(flow)
+        footrule_ratio = ratio(footrule)
         footrule_ratios.append(footrule_ratio)
         refined_ratios.append(ratio(refined))
         borda_ratios.append(ratio(borda))
@@ -549,7 +549,7 @@ def run_aggregation_ablation(
         stats.per_instance.append(
             {
                 "optimum": optimum_value,
-                "footrule": weighted_kemeny_distance(flow, collection, weights),
+                "footrule": weighted_kemeny_distance(footrule, collection, weights),
                 "refined": weighted_kemeny_distance(refined, collection, weights),
                 "borda": weighted_kemeny_distance(borda, collection, weights),
             }

@@ -2,8 +2,8 @@
 
 Reads feature data for all places of a category from the database,
 assembles the paper's H matrix, and runs Algorithm 2 (Γ → individual
-rankings → weighted footrule aggregation via min-cost flow) for a
-user's preference profile.
+rankings → weighted footrule aggregation as a min-cost assignment) for
+a user's preference profile.
 
 Serving-path additions on top of the paper:
 
@@ -335,7 +335,14 @@ class PersonalizableRanker:
         Returns ``profile name → report`` in the profiles' order. Cached
         profiles are served from the cache; the remaining ones share a
         single ``feature_data`` scan, H matrix and per-feature rankings.
+        Raises :class:`RankingError` if two profiles share a name, since
+        the result could hold only one of them.
         """
+        names: set[str] = set()
+        for profile in profiles:
+            if profile.name in names:
+                raise RankingError(f"duplicate profile name {profile.name!r}")
+            names.add(profile.name)
         reports: dict[str, RankingReport] = {}
         hits = 0
         with self.tracer.span(

@@ -139,3 +139,10 @@ class TestInputValidation:
     def test_mismatched_item_sets_rejected(self):
         with pytest.raises(RankingError):
             aggregate_footrule([Ranking("AB"), Ranking("AC")], [1, 1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weights_rejected(self, bad):
+        collection = [Ranking("ABC"), Ranking("CAB"), Ranking("BCA")]
+        with pytest.raises(RankingError, match="weights must be finite"):
+            aggregate_footrule(collection, [1, bad, 2])

@@ -1,17 +1,21 @@
-"""Differential tests pinning the ranking aggregation to scipy.
+"""Differential tests pinning the ranking aggregation to independent oracles.
 
-The footrule aggregation is a min-cost perfect matching solved by our
-successive-shortest-paths flow solver; scipy's
-``linear_sum_assignment`` (Jonker–Volgenant) solves the same assignment
-problem by a completely different algorithm, which makes it an ideal
-cross-implementation oracle:
+The footrule aggregation is a min-cost perfect matching of places to
+ranks, which :func:`aggregate_footrule` solves with scipy's
+``linear_sum_assignment`` (Jonker–Volgenant). Our successive-shortest-
+paths :class:`MinCostFlow` solves the paper's auxiliary flow graph by a
+completely different algorithm and never runs on the serving path,
+which makes the two ideal cross-implementation oracles for each other:
 
 * on random cost matrices, the flow solver's total cost must equal the
-  scipy optimum,
-* on random ranking collections, the aggregate produced by
-  :func:`aggregate_footrule` must *achieve* the scipy-optimal footrule
-  cost (not just approximate it — the constraint matrix is totally
-  unimodular, so the LP optimum is integral and attained),
+  scipy optimum (this pins the oracle itself),
+* on random ranking collections up to the serving size (32 places, as
+  in the rank-heavy workload), the aggregate must *achieve* the flow
+  oracle's optimal footrule cost exactly — the constraint matrix is
+  totally unimodular, so the LP optimum is integral and attained — and
+  ranking the same input twice must return the same order,
+* the vectorized weighted Kemeny and footrule distances equal the
+  scalar per-pair spec ``Σ w · d(R, R_j)`` bitwise, type included,
 * the footrule aggregate's weighted Kemeny distance stays within the
   theoretical 2× of the exact (brute-force) Kemeny optimum on ≤6
   places.
@@ -37,15 +41,19 @@ from repro.core.ranking.aggregate import (
     footrule_cost_matrix,
     footrule_cost_matrix_reference,
 )
-from repro.core.ranking.distances import weighted_footrule_distance
+from repro.core.ranking.distances import (
+    footrule_distance,
+    kemeny_distance,
+    weighted_footrule_distance,
+)
 from repro.core.ranking.mincostflow import MinCostFlow
 
 
 def _flow_assignment_cost(cost: np.ndarray) -> float:
     """Total cost of a min-cost perfect matching via our flow solver.
 
-    Same graph shape as :func:`aggregate_footrule`: source → rows →
-    columns → sink, all capacities 1.
+    The paper's graph shape: source → rows (places) → columns (ranks) →
+    sink, all capacities 1.
     """
     count = cost.shape[0]
     network = MinCostFlow(2 * count + 2)
@@ -75,7 +83,14 @@ def cost_matrices(max_size: int = 7):
     return build()
 
 
-def ranking_collections(max_items: int = 6, max_rankings: int = 5):
+def ranking_collections(
+    max_items: int = 6,
+    max_rankings: int = 5,
+    *,
+    min_weight: int = 1,
+    max_weight: int = 9,
+    float_weights: bool = True,
+):
     @st.composite
     def build(draw):
         num_items = draw(st.integers(min_value=1, max_value=max_items))
@@ -87,14 +102,27 @@ def ranking_collections(max_items: int = 6, max_rankings: int = 5):
             collection.append(Ranking(order))
         weights = draw(
             st.lists(
-                st.integers(min_value=1, max_value=9),
+                st.integers(min_value=min_weight, max_value=max_weight),
                 min_size=num_rankings,
                 max_size=num_rankings,
             )
         )
-        return collection, [float(weight) for weight in weights]
+        if float_weights:
+            return collection, [float(weight) for weight in weights]
+        return collection, weights
 
     return build()
+
+
+#: rank_heavy's place count: the size a cache miss solves when serving.
+SERVING_ITEMS = 32
+
+
+def serving_collections():
+    """Up to 32 places, 1–3 feature rankings, profile weights 0–5."""
+    return ranking_collections(
+        SERVING_ITEMS, 3, min_weight=0, max_weight=5, float_weights=False
+    )
 
 
 def weighted_ranking_collections(max_items: int = 6, max_rankings: int = 5):
@@ -163,6 +191,56 @@ class TestFlowMatchesScipy:
         aggregate = aggregate_footrule(collection, weights)
         achieved = weighted_footrule_distance(aggregate, collection, weights)
         assert achieved == pytest.approx(optimum, rel=1e-9, abs=1e-9)
+
+
+class TestAssignmentMatchesFlowOracle:
+    @given(case=serving_collections())
+    @settings(max_examples=40, deadline=None)
+    def test_aggregate_reaches_flow_optimum_at_serving_size(self, case):
+        collection, weights = case
+        cost, _ = footrule_cost_matrix(collection, weights)
+        aggregate = aggregate_footrule(collection, weights)
+        # Integer weights make every cost an exact integer, so the two
+        # solvers must agree exactly, not just approximately.
+        assert weighted_footrule_distance(
+            aggregate, collection, weights
+        ) == _flow_assignment_cost(cost)
+
+    @given(case=serving_collections())
+    @settings(max_examples=40, deadline=None)
+    def test_same_input_same_order(self, case):
+        collection, weights = case
+        first = aggregate_footrule(collection, weights)
+        rebuilt = [Ranking(ranking.items) for ranking in collection]
+        assert aggregate_footrule(rebuilt, list(weights)).items == first.items
+
+
+class TestWeightedDistancesMatchScalarSpec:
+    """The numpy distances equal ``Σ w · d`` over the scalar spec bitwise,
+    so a report's ``weighted_*`` values keep their value and wire type."""
+
+    @given(
+        case=st.one_of(
+            serving_collections(),
+            weighted_ranking_collections(max_items=SERVING_ITEMS, max_rankings=4),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_weighted_distances_equal_scalar_spec(self, case, data):
+        collection, weights = case
+        ranking = Ranking(data.draw(st.permutations(collection[0].items)))
+        for vectorized, spec in (
+            (weighted_kemeny_distance, kemeny_distance),
+            (weighted_footrule_distance, footrule_distance),
+        ):
+            expected = sum(
+                weight * spec(ranking, individual)
+                for individual, weight in zip(collection, weights)
+            )
+            value = vectorized(ranking, collection, weights)
+            assert value == expected
+            assert type(value) is type(expected)
 
 
 class TestKemenyGuarantee:

@@ -85,6 +85,16 @@ class TestWeightedVariants:
         with pytest.raises(RankingError):
             weighted_kemeny_distance(Ranking("AB"), [Ranking("AB")], [-1])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "distance", [weighted_kemeny_distance, weighted_footrule_distance]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weights_rejected(self, distance, bad):
+        collection = [Ranking("AB"), Ranking("BA")]
+        with pytest.raises(RankingError, match="weights must be finite"):
+            distance(Ranking("AB"), collection, [1, bad])
+
 
 class TestRankingType:
     def test_positions_one_based(self):

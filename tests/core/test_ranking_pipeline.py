@@ -43,6 +43,11 @@ class TestFeaturePreference:
         with pytest.raises(RankingError):
             FeaturePreference("hot", 1)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("preferred", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_preferred_rejected(self, preferred):
+        with pytest.raises(RankingError, match="not finite"):
+            FeaturePreference(preferred, 1)
+
 
 class TestPreferenceProfile:
     def test_lookup(self):

@@ -248,6 +248,14 @@ class TestBatchRanking:
         assert cache.hits == 1
         assert cache.misses == 2
 
+    def test_rank_many_rejects_duplicate_names(self):
+        ranker, cache, _ = make_ranker()
+        with pytest.raises(RankingError, match="duplicate profile name 'u'"):
+            ranker.rank_many(
+                "coffee_shop", [profile("u"), profile("v"), profile("u")]
+            )
+        assert cache.misses == 0
+
     def test_rank_many_needs_two_places(self):
         database = Database(name="one", metrics=MetricsRegistry())
         create_all_tables(database)
@@ -374,6 +382,40 @@ class TestRankQueryEndpoint:
         )
         assert reply.message_type is MessageType.ERROR
         assert "two places" in reply.payload["reason"]
+
+    @pytest.mark.parametrize(
+        "preferred", [float("nan"), float("inf"), float("-inf")],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_preferred_is_error(self, preferred):
+        # The codec carries IEEE doubles, so these arrive intact; a
+        # non-finite target would make Γ all-NaN/inf and rank in place
+        # order with footrule 0.
+        server, network = self.make_server()
+        entry = profile_to_dict(profile("David"))
+        entry["preferences"]["temperature"]["preferred"] = preferred
+        reply = self.post(
+            network, {"category": "coffee_shop", "profiles": [entry]}
+        )
+        assert reply.message_type is MessageType.ERROR
+        assert "not finite" in reply.payload["reason"]
+        assert len(server.ranker.cache) == 0
+
+    def test_duplicate_profile_names_is_error(self):
+        server, network = self.make_server()
+        reply = self.post(
+            network,
+            {
+                "category": "coffee_shop",
+                "profiles": [
+                    profile_to_dict(profile("u", noise=(MIN, 5))),
+                    profile_to_dict(profile("u", noise=(MAX, 5))),
+                ],
+            },
+        )
+        assert reply.message_type is MessageType.ERROR
+        assert "duplicate profile name 'u'" in reply.payload["reason"]
+        assert len(server.ranker.cache) == 0
 
 
 class TestDataProcessorBumpsVersion:
