@@ -1,41 +1,30 @@
-"""Automated ablation harness: leave-one-out matrix over the injectable
+"""Automated ablation harness: leave-one-out matrix over the on/off
 components (stochastic sampling, ranking cache, concurrency,
-resilience, durability), a pinned-seed
-benchmark slate, and a ranked component-importance report with CI
-gates. See docs/ABLATION.md.
+resilience, durability), a pinned-seed benchmark slate, and a ranked
+component-importance report gated against the committed floors. See
+docs/ABLATION.md.
 """
 
-from repro.ablation.apply import (
-    effective_server_values,
-    effective_stochastic_values,
-    effective_system_values,
-    server_kwargs,
-    stochastic_greedy_kwargs,
-    system_kwargs,
-)
 from repro.ablation.benches import (
     DEFAULT_BENCHES,
     BenchResult,
-    BenchScale,
+    stochastic_greedy_kwargs,
+    system_kwargs,
 )
 from repro.ablation.registry import (
-    OFF,
-    ON,
+    SWITCHES,
     AblationConfig,
     Switch,
-    SwitchRegistry,
-    default_registry,
+    enumerate_configs,
 )
 from repro.ablation.report import (
     EFFECT_PREFIX,
-    baseline_bench_json,
     format_report,
     render,
     to_bench_json,
 )
 from repro.ablation.runner import (
     AblationReport,
-    AblationSpec,
     ComponentImportance,
     ConfigResult,
     effect_ratio,
@@ -45,27 +34,18 @@ from repro.ablation.runner import (
 __all__ = [
     "AblationConfig",
     "AblationReport",
-    "AblationSpec",
     "BenchResult",
-    "BenchScale",
     "ComponentImportance",
     "ConfigResult",
     "DEFAULT_BENCHES",
     "EFFECT_PREFIX",
-    "OFF",
-    "ON",
+    "SWITCHES",
     "Switch",
-    "SwitchRegistry",
-    "baseline_bench_json",
-    "default_registry",
     "effect_ratio",
-    "effective_server_values",
-    "effective_stochastic_values",
-    "effective_system_values",
+    "enumerate_configs",
     "format_report",
     "render",
     "run_ablation",
-    "server_kwargs",
     "stochastic_greedy_kwargs",
     "system_kwargs",
     "to_bench_json",

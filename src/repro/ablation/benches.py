@@ -1,6 +1,6 @@
 """The pinned-seed benchmark slate every ablation configuration runs.
 
-Four benches, one per subsystem the switch matrix touches:
+Four benches (*cells*), one per subsystem the switch matrix touches:
 
 * ``scheduling`` — offline greedy on a seeded long-horizon problem,
   where the ``stochastic`` switch's sampled picks race the exact sweep
@@ -15,6 +15,12 @@ Four benches, one per subsystem the switch matrix touches:
   seeded 10 %-lossy network (the ``durability`` cost and, through the
   count of feature rows that actually made it to the database, the
   ``resilient`` switch's delivery importance).
+
+Each cell reads its switches' booleans from the configuration's
+``values``; :func:`stochastic_greedy_kwargs` and :func:`system_kwargs`
+turn them into constructor keywords, and
+``tests/ablation/test_switch_injection.py`` asserts that every twin's
+keywords reach their constructors.
 
 Timings are best-of-``repeat`` after one untimed warmup (the standard
 robust estimator on shared machines; the warmup also charges the global
@@ -31,19 +37,21 @@ import json
 import tempfile
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.ablation.apply import stochastic_greedy_kwargs, system_kwargs
+from repro.common.errors import AblationError
 from repro.core.scheduling import (
     GaussianKernel,
     GreedyScheduler,
     SchedulingPeriod,
     SchedulingProblem,
 )
-from repro.db import Database
+from repro.db import Database, DurabilityConfig
 from repro.obs import MetricsRegistry, NullTracer
+from repro.server.concurrency import ConcurrencyConfig
 from repro.server.ranker_service import (
     PersonalizableRanker,
     RankingCache,
@@ -54,31 +62,27 @@ from repro.sim.arrivals import uniform_arrivals
 
 PERIOD_S = 10800.0  # the paper's three-hour sensing period
 
-
-@dataclass(frozen=True)
-class BenchScale:
-    """Problem sizes for the slate — the smoke defaults fit a CI job."""
-
-    # The stochastic cell needs a horizon long enough that a dense sweep
-    # per pick actually hurts; sigma shrinks with the spacing so the
-    # kernel band stays ~60 instants wide.
-    stochastic_instants: int = 20_000
-    stochastic_users: int = 40
-    stochastic_budget: int = 15
-    stochastic_sigma_s: float = 5.0
-    ranking_places: int = 8
-    ranking_features: int = 4
-    ranking_rounds: int = 30
-    loadgen_phones: int = 120
-    loadgen_clients: int = 6
-    loadgen_workers: int = 6
-    loadgen_queue_capacity: int = 32
-    loadgen_io_delay_s: float = 0.002
-    loadgen_places: int = 4
-    fieldtest_phones_per_place: int = 2
-    fieldtest_budget: int = 5
-    fieldtest_instants: int = 240
-    fieldtest_drop_probability: float = 0.10
+# Problem sizes for the slate; they fit a CI job. The stochastic cell
+# needs a horizon long enough that a dense sweep per pick actually
+# hurts; sigma shrinks with the spacing so the kernel band stays ~60
+# instants wide.
+STOCHASTIC_INSTANTS = 20_000
+STOCHASTIC_USERS = 40
+STOCHASTIC_BUDGET = 15
+STOCHASTIC_SIGMA_S = 5.0
+RANKING_PLACES = 8
+RANKING_FEATURES = 4
+RANKING_ROUNDS = 30
+LOADGEN_PHONES = 120
+LOADGEN_CLIENTS = 6
+LOADGEN_WORKERS = 6
+LOADGEN_QUEUE_CAPACITY = 32
+LOADGEN_IO_DELAY_S = 0.002
+LOADGEN_PLACES = 4
+FIELDTEST_PHONES_PER_PLACE = 2
+FIELDTEST_BUDGET = 5
+FIELDTEST_INSTANTS = 240
+FIELDTEST_DROP_PROBABILITY = 0.10
 
 
 @dataclass
@@ -96,6 +100,34 @@ class BenchResult:
 
 
 BenchFn = Callable[..., BenchResult]
+
+
+def stochastic_greedy_kwargs(
+    values: Mapping[str, bool], *, seed: int = 2014
+) -> dict[str, Any]:
+    """``GreedyScheduler`` keywords for the long-horizon stochastic cell.
+
+    Off runs the exact mode, so the twin is the system as it would
+    actually run without sampling.
+    """
+    return {"mode": "stochastic" if values["stochastic"] else "exact", "seed": seed}
+
+
+def system_kwargs(
+    values: Mapping[str, bool], *, durability_dir: str | Path | None = None
+) -> dict[str, Any]:
+    """The switch-controlled subset of ``SORSystem`` keywords."""
+    kwargs: dict[str, Any] = {
+        "ranking_cache": values["ranking_cache"],
+        "resilient": values["resilient"],
+    }
+    if values["durability"]:
+        if durability_dir is None:
+            raise AblationError("durability needs a durability_dir for the WAL")
+        kwargs["durability"] = DurabilityConfig(directory=durability_dir)
+    if values["concurrency"]:
+        kwargs["concurrency"] = ConcurrencyConfig()
+    return kwargs
 
 
 def _digest(payload: Any) -> str:
@@ -118,29 +150,27 @@ def _best_of(repeat: int, run: Callable[[], Any]) -> tuple[float, Any]:
 # ----------------------------------------------------------------------
 # scheduling
 # ----------------------------------------------------------------------
-def _stochastic_problem(seed: int, scale: BenchScale) -> SchedulingProblem:
+def _stochastic_problem(seed: int) -> SchedulingProblem:
     rng = np.random.default_rng(seed)
-    period = SchedulingPeriod(0.0, PERIOD_S, scale.stochastic_instants)
+    period = SchedulingPeriod(0.0, PERIOD_S, STOCHASTIC_INSTANTS)
     return SchedulingProblem(
         period,
-        uniform_arrivals(
-            scale.stochastic_users, PERIOD_S, scale.stochastic_budget, rng
-        ),
-        GaussianKernel(sigma=scale.stochastic_sigma_s),
+        uniform_arrivals(STOCHASTIC_USERS, PERIOD_S, STOCHASTIC_BUDGET, rng),
+        GaussianKernel(sigma=STOCHASTIC_SIGMA_S),
     )
 
 
 def bench_scheduling(
-    values: Mapping[str, Any], *, seed: int, repeat: int, scale: BenchScale
+    values: Mapping[str, bool], *, seed: int, repeat: int
 ) -> BenchResult:
     """Long-horizon offline greedy: sampled picks vs the exact sweep.
 
     The baseline samples, the ablated twin runs the exact mode — see
-    :func:`~repro.ablation.apply.stochastic_greedy_kwargs`. The schedule
-    is deterministic under the pinned seed but differs from exact greedy
-    by design, so it contributes no digest.
+    :func:`stochastic_greedy_kwargs`. The schedule is deterministic
+    under the pinned seed but differs from exact greedy by design, so
+    it contributes no digest.
     """
-    problem = _stochastic_problem(seed, scale)
+    problem = _stochastic_problem(seed)
     scheduler = GreedyScheduler(
         metrics=MetricsRegistry(), **stochastic_greedy_kwargs(values, seed=seed)
     )
@@ -156,7 +186,7 @@ def bench_scheduling(
 # ----------------------------------------------------------------------
 # ranking
 # ----------------------------------------------------------------------
-def _ranking_fixture(seed: int, scale: BenchScale):
+def _ranking_fixture(seed: int):
     from repro.core.ranking.preferences import (
         MAX,
         MIN,
@@ -168,8 +198,8 @@ def _ranking_fixture(seed: int, scale: BenchScale):
     database = Database(name="ablation-ranking", metrics=MetricsRegistry())
     create_all_tables(database)
     table = database.table("feature_data")
-    features = [f"f{index}" for index in range(scale.ranking_features)]
-    for place in range(scale.ranking_places):
+    features = [f"f{index}" for index in range(RANKING_FEATURES)]
+    for place in range(RANKING_PLACES):
         for feature_index, feature in enumerate(features):
             table.insert(
                 {
@@ -210,23 +240,19 @@ def _ranking_fixture(seed: int, scale: BenchScale):
 
 
 def bench_ranking(
-    values: Mapping[str, Any], *, seed: int, repeat: int, scale: BenchScale
+    values: Mapping[str, bool], *, seed: int, repeat: int
 ) -> BenchResult:
     """Repeated warm ``rank_many`` over unchanged data, cache per config."""
-    database, profiles = _ranking_fixture(seed, scale)
+    database, profiles = _ranking_fixture(seed)
     registry = MetricsRegistry()
-    cache = (
-        RankingCache(metrics=registry)
-        if values.get("ranking_cache", "on") == "on"
-        else None
-    )
+    cache = RankingCache(metrics=registry) if values["ranking_cache"] else None
     ranker = PersonalizableRanker(
         database, cache=cache, metrics=registry, tracer=NullTracer()
     )
 
     def warm_loop():
         reports = None
-        for _ in range(scale.ranking_rounds):
+        for _ in range(RANKING_ROUNDS):
             reports = ranker.rank_many("ablation", profiles)
         return reports
 
@@ -244,24 +270,20 @@ def bench_ranking(
 # loadgen
 # ----------------------------------------------------------------------
 def bench_loadgen(
-    values: Mapping[str, Any], *, seed: int, repeat: int, scale: BenchScale
+    values: Mapping[str, bool], *, seed: int, repeat: int
 ) -> BenchResult:
     """Scaled-down loadgen slate with simulated per-request I/O."""
     from repro.sim.loadgen import LoadgenSpec, run_loadgen
 
     spec = LoadgenSpec(
-        phones=scale.loadgen_phones,
+        phones=LOADGEN_PHONES,
         seed=seed,
-        mode=(
-            "concurrent"
-            if values.get("concurrency", "pool") == "pool"
-            else "sequential"
-        ),
-        clients=scale.loadgen_clients,
-        workers=scale.loadgen_workers,
-        queue_capacity=scale.loadgen_queue_capacity,
-        io_delay_s=scale.loadgen_io_delay_s,
-        places=scale.loadgen_places,
+        mode="concurrent" if values["concurrency"] else "sequential",
+        clients=LOADGEN_CLIENTS,
+        workers=LOADGEN_WORKERS,
+        queue_capacity=LOADGEN_QUEUE_CAPACITY,
+        io_delay_s=LOADGEN_IO_DELAY_S,
+        places=LOADGEN_PLACES,
     )
     best = float("inf")
     report = None
@@ -290,8 +312,8 @@ def bench_loadgen(
 # fieldtest
 # ----------------------------------------------------------------------
 def _run_fieldtest(
-    values: Mapping[str, Any], seed: int, scale: BenchScale, directory: str
-) -> tuple[float, int]:
+    values: Mapping[str, bool], seed: int, directory: str
+) -> tuple[float, int, int, int]:
     from repro.net import NetworkConditions
     from repro.server.system import SORSystem
     from repro.sim.scenarios import (
@@ -305,8 +327,8 @@ def _run_fieldtest(
         network_conditions=NetworkConditions(
             base_latency_s=0.0,
             jitter_s=0.0,
-            drop_probability=scale.fieldtest_drop_probability,
-            response_drop_probability=scale.fieldtest_drop_probability,
+            drop_probability=FIELDTEST_DROP_PROBABILITY,
+            response_drop_probability=FIELDTEST_DROP_PROBABILITY,
         ),
         **system_kwargs(values, durability_dir=directory),
     )
@@ -316,12 +338,10 @@ def _run_fieldtest(
         system.deploy_place(
             shop,
             shop_feature_pipeline(),
-            num_instants=scale.fieldtest_instants,
+            num_instants=FIELDTEST_INSTANTS,
         )
-        for _ in range(scale.fieldtest_phones_per_place):
-            system.deploy_phone(
-                shop.place_id, budget=scale.fieldtest_budget
-            )
+        for _ in range(FIELDTEST_PHONES_PER_PLACE):
+            system.deploy_phone(shop.place_id, budget=FIELDTEST_BUDGET)
     system.run()
     system.process_and_rank("coffee_shop", customer_profiles())
     seconds = time.perf_counter() - started
@@ -345,7 +365,7 @@ def _run_fieldtest(
 
 
 def bench_fieldtest(
-    values: Mapping[str, Any], *, seed: int, repeat: int, scale: BenchScale
+    values: Mapping[str, bool], *, seed: int, repeat: int
 ) -> BenchResult:
     """End-to-end field test on a lossy network, then a crash + restart."""
     best = float("inf")
@@ -355,7 +375,7 @@ def bench_fieldtest(
     for _ in range(1 + max(1, repeat)):
         with tempfile.TemporaryDirectory(prefix="sor-ablation-") as directory:
             seconds, raw_rows, feature_rows, recovered = _run_fieldtest(
-                values, seed, scale, directory
+                values, seed, directory
             )
         best = min(best, seconds)
     return BenchResult(

@@ -5,12 +5,12 @@ Two consumers, two formats:
 * :func:`format_report` — the ``--format table`` text a person reads:
   the ranked importance table plus the raw per-config metrics;
 * :func:`to_bench_json` — the canonical metric schema
-  ``benchmarks/compare_bench.py`` already understands. Every gated
+  ``benchmarks/compare_bench.py`` already understands. Every measured
   switch becomes one ``ablation_effect_<name>`` metric whose value is
   the switch's effect ratio with ``direction: "higher"`` — a component
   whose measured benefit collapses (importance inversion) regresses
-  that metric past its tolerance and fails the gate, exactly like a
-  slow benchmark fails a perf gate.
+  that metric past the tolerance of its committed floor and fails the
+  gate, exactly like a slow benchmark fails a perf gate.
 """
 
 from __future__ import annotations
@@ -25,41 +25,23 @@ EFFECT_PREFIX = "ablation_effect_"
 
 
 def to_bench_json(report: AblationReport) -> dict[str, Any]:
-    """The ``{"metrics": {...}}`` document ``compare_bench.py`` loads."""
-    metrics: dict[str, Any] = {}
-    for entry in report.importance:
-        if not entry.gate:
-            continue
-        metrics[f"{EFFECT_PREFIX}{entry.name}"] = {
-            "value": entry.ratio,
-            "direction": "higher",
-            "tolerance_pct": entry.gate_tolerance_pct,
-        }
+    """The ``{"metrics": {...}}`` document ``compare_bench.py`` loads.
+
+    Tolerances are left out: ``compare_bench.py`` takes each one from
+    the committed floor table, ``benchmarks/baselines/BENCH_ablation.json``.
+    """
     return {
         "seed": report.seed,
         "repeat": report.repeat,
         "ranking": [entry.name for entry in report.importance],
-        "metrics": metrics,
+        "metrics": {
+            f"{EFFECT_PREFIX}{entry.name}": {
+                "value": entry.ratio,
+                "direction": "higher",
+            }
+            for entry in report.importance
+        },
     }
-
-
-def baseline_bench_json(report: AblationReport) -> dict[str, Any]:
-    """A committable baseline: gate metrics pinned at their floors.
-
-    The floors are deliberately conservative (well below the measured
-    ratios) so the gate only fires on a real inversion or a collapse of
-    the component's benefit, not on shared-runner jitter.
-    """
-    metrics: dict[str, Any] = {}
-    for entry in report.importance:
-        if not entry.gate:
-            continue
-        metrics[f"{EFFECT_PREFIX}{entry.name}"] = {
-            "value": entry.gate_floor,
-            "direction": "higher",
-            "tolerance_pct": entry.gate_tolerance_pct,
-        }
-    return {"metrics": metrics}
 
 
 def format_report(report: AblationReport) -> str:

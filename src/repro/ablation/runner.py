@@ -1,9 +1,9 @@
 """Run the leave-one-out matrix and rank component importance.
 
-For every configuration the registry enumerates, the runner executes
-the benchmark slate and collects one merged metric/digest set. Each
-switch's importance is then read off its **primary metric**: the
-*effect ratio* is
+For every configuration :func:`~repro.ablation.registry.enumerate_configs`
+builds, the runner executes the benchmark slate and collects one merged
+metric/digest set. Each switch's importance is then read off its
+**primary metric**: the *effect ratio* is
 
 * ``ablated / baseline`` when lower is better (how much slower the
   system gets without the component), or
@@ -27,34 +27,21 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Sequence
 
-from repro.ablation.benches import DEFAULT_BENCHES, BenchFn, BenchScale
+from repro.ablation.benches import DEFAULT_BENCHES, BenchFn
 from repro.ablation.registry import (
+    SWITCHES,
     AblationConfig,
-    SwitchRegistry,
-    default_registry,
+    Switch,
+    enumerate_configs,
 )
 from repro.common.errors import AblationError
 from repro.obs import MetricsRegistry, get_metrics
 
 #: Ratios within this band of 1.0 are called neutral in the report.
 NEUTRAL_BAND = 0.02
-
-
-@dataclass(frozen=True)
-class AblationSpec:
-    """Everything that determines an ablation run."""
-
-    seed: int = 2014
-    repeat: int = 2
-    components: tuple[str, ...] | None = None
-    scale: BenchScale = field(default_factory=BenchScale)
-
-    def __post_init__(self) -> None:
-        if self.repeat < 1:
-            raise AblationError("repeat must be at least 1")
 
 
 @dataclass
@@ -91,9 +78,6 @@ class ComponentImportance:
     ratio: float
     impact: float
     kind: str  # "speedup" | "cost" | "neutral"
-    gate: bool
-    gate_floor: float
-    gate_tolerance_pct: float
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form for the report's ``importance`` list."""
@@ -108,10 +92,6 @@ class AblationReport:
     repeat: int
     results: list[ConfigResult]
     importance: list[ComponentImportance]  # ranked, most impactful first
-
-    @property
-    def baseline(self) -> ConfigResult:
-        return self.results[0]
 
     def to_dict(self) -> dict[str, Any]:
         """The full report as plain JSON-ready data (``--format json``)."""
@@ -144,11 +124,11 @@ def _importance_kind(ratio: float) -> str:
 
 
 def _check_behavior_preserved(
-    registry: SwitchRegistry,
+    switches: list[Switch],
     baseline: ConfigResult,
     twins: dict[str, ConfigResult],
 ) -> None:
-    for switch in registry:
+    for switch in switches:
         if not switch.behavior_preserving:
             continue
         twin = twins[switch.name]
@@ -164,16 +144,25 @@ def _check_behavior_preserved(
 
 
 def run_ablation(
-    spec: AblationSpec,
     *,
-    registry: SwitchRegistry | None = None,
+    seed: int = 2014,
+    repeat: int = 2,
+    components: Sequence[str] | None = None,
+    invert: str | None = None,
+    switches: Sequence[Switch] = SWITCHES,
     benches: dict[str, BenchFn] | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> AblationReport:
-    """Run the full leave-one-out matrix described by ``spec``."""
-    registry = registry if registry is not None else default_registry()
-    if spec.components is not None:
-        registry = registry.subset(list(spec.components))
+    """Run the leave-one-out matrix and rank the measured components.
+
+    ``components`` chooses which twins run and ``invert`` flips one
+    switch's baseline (see :func:`enumerate_configs`); ``repeat`` is the
+    best-of count of every timed cell. Bad arguments raise
+    :class:`AblationError` before any cell runs.
+    """
+    if repeat < 1:
+        raise AblationError("repeat must be at least 1")
+    configs = enumerate_configs(switches, components, invert)
     benches = benches if benches is not None else DEFAULT_BENCHES
     obs = metrics if metrics is not None else get_metrics()
     m_configs = obs.counter(
@@ -193,18 +182,13 @@ def run_ablation(
     )
 
     results: list[ConfigResult] = []
-    for config in registry.enumerate_configs():
+    for config in configs:
         merged_metrics: dict[str, float] = {}
         merged_digests: dict[str, str] = {}
         config_started = time.perf_counter()
         for bench_name, bench in benches.items():
             bench_started = time.perf_counter()
-            result = bench(
-                config.values,
-                seed=spec.seed,
-                repeat=spec.repeat,
-                scale=spec.scale,
-            )
+            result = bench(config.values, seed=seed, repeat=repeat)
             m_bench_seconds.set(
                 time.perf_counter() - bench_started,
                 config=config.name,
@@ -236,10 +220,11 @@ def run_ablation(
     twins = {
         result.config.ablated: result for result in results[1:]
     }
-    _check_behavior_preserved(registry, baseline, twins)
+    measured = [switch for switch in switches if switch.name in twins]
+    _check_behavior_preserved(measured, baseline, twins)
 
     importance: list[ComponentImportance] = []
-    for switch in registry:
+    for switch in measured:
         twin = twins[switch.name]
         metric = switch.primary_metric
         for result in (baseline, twin):
@@ -262,9 +247,6 @@ def run_ablation(
                 ratio=ratio,
                 impact=abs(math.log(ratio)),
                 kind=_importance_kind(ratio),
-                gate=switch.gate,
-                gate_floor=switch.gate_floor,
-                gate_tolerance_pct=switch.gate_tolerance_pct,
             )
         )
         m_effect.set(ratio, switch=switch.name)
@@ -272,8 +254,8 @@ def run_ablation(
     # components) break alphabetically so the ranking is deterministic.
     importance.sort(key=lambda entry: (-entry.impact, entry.name))
     return AblationReport(
-        seed=spec.seed,
-        repeat=spec.repeat,
+        seed=seed,
+        repeat=repeat,
         results=results,
         importance=importance,
     )

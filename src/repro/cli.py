@@ -243,31 +243,40 @@ def _cmd_ablate(args: argparse.Namespace) -> str:
     ``--out`` additionally writes the canonical gate document
     (``ablation_effect_<switch>`` metrics) that
     ``benchmarks/compare_bench.py`` checks against the committed
-    baseline; ``--invert SWITCH`` deliberately swaps that switch's
-    baseline/ablated values so its measured importance inverts — the CI
-    job uses it to prove the gate fails when a component stops winning.
+    floors; ``--invert SWITCH`` deliberately runs the baseline with that
+    switch off and its twin with it on, so its measured importance
+    inverts — the CI job uses it to prove the gate fails when a
+    component stops winning. Bad ``--components``, ``--invert`` or
+    ``--repeat`` values exit 2 with one line on stderr before any cell
+    runs.
     """
     from pathlib import Path
 
     from repro.ablation import (
-        AblationSpec,
-        default_registry,
+        enumerate_configs,
         render,
         run_ablation,
         to_bench_json,
     )
+    from repro.common.errors import AblationError
 
-    registry = default_registry()
-    if args.invert:
-        registry = registry.inverted(args.invert)
     components = (
         tuple(name.strip() for name in args.components.split(",") if name.strip())
-        if args.components
+        if args.components is not None
         else None
     )
+    try:
+        if args.repeat < 1:
+            raise AblationError("--repeat must be at least 1")
+        enumerate_configs(components=components, invert=args.invert)
+    except AblationError as error:
+        print(f"repro ablate: error: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
     report = run_ablation(
-        AblationSpec(seed=args.seed, repeat=args.repeat, components=components),
-        registry=registry,
+        seed=args.seed,
+        repeat=args.repeat,
+        components=components,
+        invert=args.invert,
     )
     if args.out:
         Path(args.out).write_text(
@@ -478,8 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--invert",
         default=None,
         metavar="SWITCH",
-        help="swap SWITCH's baseline/ablated values to demonstrate an "
-        "importance inversion failing the gate (ablate command)",
+        help="run the baseline with SWITCH off and its twin with it on, "
+        "to demonstrate an importance inversion failing the gate "
+        "(ablate command)",
     )
     return parser
 

@@ -14,18 +14,17 @@ Pipeline:
    Because ``d_K ≤ d_f ≤ 2·d_K`` (Diaconis–Graham), the footrule
    optimum 2-approximates the NP-hard weighted Kemeny optimum.
 
-Baselines and references: exact weighted Kemeny by exhaustive search
-(:func:`brute_force_kemeny`, small N), Borda count
-(:func:`borda_count`), a Kemeny-improving local-search refinement
-(:func:`refine_by_adjacent_swaps`), and the paper's flow graph solved
-literally by :class:`MinCostFlow`, the tests' independent oracle for
-the assignment.
+Baselines: Borda count (:func:`borda_count`) and a Kemeny-improving
+local-search refinement (:func:`refine_by_adjacent_swaps`). The tests'
+oracles — exact weighted Kemeny by exhaustive search, the scalar cost
+matrix spec, and the paper's flow graph solved literally by min-cost
+flow — live in :mod:`repro.core.ranking.reference`, off the serving
+path.
 """
 
 from repro.core.ranking.aggregate import (
     aggregate_footrule,
     borda_count,
-    brute_force_kemeny,
     footrule_cost_matrix,
     refine_by_adjacent_swaps,
 )
@@ -41,7 +40,6 @@ from repro.core.ranking.individual import (
     preference_distance_matrix,
     require_finite_features,
 )
-from repro.core.ranking.mincostflow import MinCostFlow
 from repro.core.ranking.preferences import (
     MAX,
     MIN,
@@ -54,13 +52,11 @@ __all__ = [
     "MAX",
     "MIN",
     "FeaturePreference",
-    "MinCostFlow",
     "PreferenceProfile",
     "Ranking",
     "aggregate_footrule",
     "aggregate_hybrid",
     "borda_count",
-    "brute_force_kemeny",
     "footrule_cost_matrix",
     "footrule_distance",
     "individual_rankings",

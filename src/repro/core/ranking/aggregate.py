@@ -6,19 +6,16 @@ places and ranks: assigning place i to final rank r costs
 flow graph). We build that place × rank cost matrix and solve the
 assignment with scipy's ``linear_sum_assignment``. The result minimizes
 the weighted footrule distance κ_f and therefore 2-approximates the
-weighted Kemeny optimum. The successive-shortest-paths flow in
-:mod:`repro.core.ranking.mincostflow` solves the paper's graph literally
-and is kept only as the differential suite's independent oracle.
+weighted Kemeny optimum. :mod:`repro.core.ranking.reference` solves the
+paper's flow graph literally and holds the other test oracles.
 
-Also here: exhaustive weighted-Kemeny search (reference for tests),
-Borda count (a cheap baseline for the ablation bench), and an
+Also here: Borda count (a cheap baseline for the ablation sweeps) and an
 adjacent-swap local search that can only improve the Kemeny objective
 of any starting ranking.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -70,8 +67,9 @@ def footrule_cost_matrix(
     One broadcasted ``w_j · |P[j, i] − r|`` tensor reduced over the
     ranking axis with :func:`np.add.reduce`, whose slice-by-slice
     accumulation order matches the scalar reference's ``total += …``
-    loop — the two are bitwise identical (pinned by the differential
-    suite), like the scheduling backends.
+    loop (``footrule_cost_matrix_reference``) — the two are bitwise
+    identical (pinned by the differential suite), like the scheduling
+    backends.
     """
     _check_inputs(collection, weights)
     positions, items = _position_matrix(collection)
@@ -83,30 +81,6 @@ def footrule_cost_matrix(
         positions[:, :, None] - ranks[None, None, :]
     )
     return np.add.reduce(terms, axis=0), items
-
-
-def footrule_cost_matrix_reference(
-    collection: Sequence[Ranking], weights: Sequence[float]
-) -> tuple[np.ndarray, tuple[Hashable, ...]]:
-    """The O(N²·J) scalar spec of :func:`footrule_cost_matrix`.
-
-    Kept as the oracle for the differential test; the vectorized path
-    must reproduce it bitwise.
-    """
-    _check_inputs(collection, weights)
-    positions, items = _position_matrix(collection)
-    count = len(items)
-    weight_vector = [float(weight) for weight in weights]
-    cost = np.zeros((count, count))
-    for item_index in range(count):
-        for rank_index in range(count):
-            total = 0.0
-            for ranking_index, weight in enumerate(weight_vector):
-                total += weight * abs(
-                    positions[ranking_index, item_index] - float(rank_index + 1)
-                )
-            cost[item_index, rank_index] = total
-    return cost, items
 
 
 def aggregate_footrule(
@@ -143,32 +117,6 @@ def aggregate_footrule(
     ).observe(footrule_cost)
     # rows is 0..N-1, so argsort(ranks) lists the item at each rank.
     return Ranking(items[index] for index in np.argsort(ranks))
-
-
-def brute_force_kemeny(
-    collection: Sequence[Ranking], weights: Sequence[float], *, max_items: int = 8
-) -> Ranking:
-    """Exact weighted-Kemeny-optimal ranking by exhaustive permutation.
-
-    Only for small item sets; used as the ground truth in tests and the
-    aggregation-quality ablation.
-    """
-    _check_inputs(collection, weights)
-    items = collection[0].items
-    if len(items) > max_items:
-        raise RankingError(
-            f"brute force limited to {max_items} items, got {len(items)}"
-        )
-    best_ranking: Ranking | None = None
-    best_value = float("inf")
-    for permutation in itertools.permutations(items):
-        candidate = Ranking(permutation)
-        value = weighted_kemeny_distance(candidate, collection, weights)
-        if value < best_value - 1e-12:
-            best_value = value
-            best_ranking = candidate
-    assert best_ranking is not None
-    return best_ranking
 
 
 def borda_count(collection: Sequence[Ranking], weights: Sequence[float]) -> Ranking:

@@ -35,7 +35,6 @@ from repro.core.scheduling.greedy import (
     GREEDY_MODES,
     GreedyScheduler,
     argmax_tied_low,
-    brute_force_optimal,
     greedy_window,
     stochastic_sample_size,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "TriangularKernel",
     "argmax_tied_low",
     "average_coverage",
-    "brute_force_optimal",
     "clear_kernel_matrix_cache",
     "coverage_of_instants",
     "evaluate_instants",

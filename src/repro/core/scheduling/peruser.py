@@ -16,7 +16,8 @@ paper reports (average coverage ≤ 1, "almost 100% with 55 users") only
 make sense under the pooled objective, which is why
 :class:`~repro.core.scheduling.greedy.GreedyScheduler` is the default;
 this module exists to quantify the difference (see
-``benchmarks/bench_ablation_objective.py``).
+:func:`~repro.experiments.ablations.run_objective_ablation`, run by
+``benchmarks/bench_ablation_sweeps.py``).
 """
 
 from __future__ import annotations

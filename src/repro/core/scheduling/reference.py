@@ -13,17 +13,26 @@ Per instant ``j`` it maintains the survival product
 ``s_j = Π_{t_i∈Ψ}(1 - p_ij)`` directly (no log-space), truncating the
 kernel at its support window exactly like the vectorized backend so the
 two compute the same mathematical function.
+
+Also here, for the tests only: :func:`brute_force_optimal`, the exact
+optimum by exhaustive search that the approximation-guarantee tests
+hold greedy against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from repro.common.errors import KernelValidationError, SchedulingError
 from repro.core.scheduling.coverage import CoverageKernel
-from repro.core.scheduling.problem import SchedulingPeriod
+from repro.core.scheduling.problem import (
+    Schedule,
+    SchedulingPeriod,
+    SchedulingProblem,
+)
 
 
 def validate_kernel_weights(
@@ -195,3 +204,71 @@ def reference_coverage_of_instants(
     for instant_index in sorted(set(instants)):
         objective.add(instant_index)
     return objective.value()
+
+
+def brute_force_optimal(problem: SchedulingProblem) -> tuple[float, Schedule]:
+    """Exact optimum by exhaustive search (tiny instances only).
+
+    Enumerates pooled instant sets together with a feasibility check via
+    b-matching (greedy works here because the constraint is a partition
+    matroid per user over disjoint slots — we verify assignability with
+    Hall-style bipartite matching), and scores each set with
+    :func:`reference_coverage_of_instants`. The tests compare greedy
+    against it with 1e-9 slack.
+    """
+    num_instants = problem.period.num_instants
+    total_budget = problem.total_budget()
+    if num_instants > 16:
+        raise SchedulingError("brute force limited to at most 16 instants")
+
+    def assignable(instants: tuple[int, ...]) -> bool:
+        # Bipartite matching instants → users (each user up to budget).
+        # Small sizes: simple augmenting-path matching on expanded slots.
+        slots: list[int] = []  # slot -> user index
+        for user_index, user in enumerate(problem.users):
+            slots.extend([user_index] * user.budget)
+        slot_of: list[int | None] = [None] * len(slots)
+
+        def augment(instant: int, seen: set[int]) -> bool:
+            for slot_index, slot_user in enumerate(slots):
+                if slot_index in seen:
+                    continue
+                if not problem.user_can_sense_at(slot_user, instant):
+                    continue
+                seen.add(slot_index)
+                if slot_of[slot_index] is None or augment(slot_of[slot_index], seen):
+                    slot_of[slot_index] = instant
+                    return True
+            return False
+
+        return all(augment(instant, set()) for instant in instants)
+
+    best_value = -1.0
+    best_set: tuple[int, ...] = ()
+    all_instants = range(num_instants)
+    for size in range(0, min(total_budget, num_instants) + 1):
+        for candidate in itertools.combinations(all_instants, size):
+            if not assignable(candidate):
+                continue
+            value = reference_coverage_of_instants(
+                problem.period, problem.kernel, candidate
+            )
+            if value > best_value + 1e-12:
+                best_value = value
+                best_set = candidate
+    # Rebuild one witness assignment for the best set.
+    schedule = Schedule(problem=problem, objective_value=best_value)
+    remaining = [user.budget for user in problem.users]
+    assignments: dict[str, list[int]] = {user.user_id: [] for user in problem.users}
+    for instant in best_set:
+        for user_index, user in enumerate(problem.users):
+            if remaining[user_index] > 0 and problem.user_can_sense_at(
+                user_index, instant
+            ):
+                assignments[user.user_id].append(instant)
+                remaining[user_index] -= 1
+                break
+    schedule.assignments = {
+        user_id: sorted(instants) for user_id, instants in assignments.items()
+    }
+    return best_value, schedule

@@ -17,23 +17,25 @@ from pathlib import Path
 import pytest
 
 from repro.ablation import (
-    AblationSpec,
+    EFFECT_PREFIX,
+    SWITCHES,
     BenchResult,
     Switch,
-    SwitchRegistry,
-    baseline_bench_json,
-    default_registry,
     effect_ratio,
+    enumerate_configs,
     render,
     run_ablation,
     to_bench_json,
 )
+from repro.cli import main
 from repro.common.errors import AblationError
 from repro.obs import MetricsRegistry
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
 
 def _load_compare_bench():
-    path = Path(__file__).resolve().parents[2] / "benchmarks" / "compare_bench.py"
+    path = REPO_ROOT / "benchmarks" / "compare_bench.py"
     spec = importlib.util.spec_from_file_location("compare_bench_ablation", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -46,50 +48,48 @@ compare_bench = _load_compare_bench()
 # ----------------------------------------------------------------------
 # fixtures: a synthetic three-switch world with known effect sizes
 # ----------------------------------------------------------------------
-def synthetic_registry() -> SwitchRegistry:
-    registry = SwitchRegistry()
-    registry.register(
-        Switch(
-            name="fast",
-            description="a component worth 4x",
-            baseline="on",
-            ablated="off",
-            primary_metric="t_seconds",
-            behavior_preserving=True,
-            gate=True,
-            gate_floor=2.0,
-            gate_tolerance_pct=40.0,
-        )
-    )
-    registry.register(
-        Switch(
-            name="costly",
-            description="a component that halves throughput",
-            baseline="on",
-            ablated="off",
-            primary_metric="delivered",
-            direction="higher",
-            gate=True,
-            gate_floor=1.5,
-            gate_tolerance_pct=20.0,
-        )
-    )
-    registry.register(
-        Switch(
-            name="useless",
-            description="a component that does nothing",
-            baseline="on",
-            ablated="off",
-            primary_metric="t_seconds",
-        )
-    )
-    return registry
+SYNTHETIC_SWITCHES = (
+    Switch(
+        name="fast",
+        description="a component worth 4x",
+        primary_metric="t_seconds",
+        behavior_preserving=True,
+    ),
+    Switch(
+        name="costly",
+        description="a component that halves throughput",
+        primary_metric="delivered",
+        direction="higher",
+    ),
+    Switch(
+        name="useless",
+        description="a component that does nothing",
+        primary_metric="t_seconds",
+    ),
+)
+
+#: A floor table for the synthetic switches, shaped like the committed
+#: ``benchmarks/baselines/BENCH_ablation.json``.
+SYNTHETIC_FLOORS = {
+    "metrics": {
+        "ablation_effect_fast": {
+            "value": 2.0,
+            "direction": "higher",
+            "tolerance_pct": 40.0,
+        },
+        "ablation_effect_costly": {
+            "value": 1.5,
+            "direction": "higher",
+            "tolerance_pct": 20.0,
+        },
+    }
+}
 
 
-def synthetic_bench(values, *, seed, repeat, scale):
-    """Deterministic metrics: fast=off ⇒ 4x slower; costly=on ⇒ 2x rows."""
-    seconds = 1.0 * (4.0 if values.get("fast", "on") == "off" else 1.0)
-    delivered = 100.0 * (2.0 if values.get("costly", "on") == "on" else 1.0)
+def synthetic_bench(values, *, seed, repeat):
+    """Deterministic metrics: fast off ⇒ 4x slower; costly on ⇒ 2x rows."""
+    seconds = 1.0 if values["fast"] else 4.0
+    delivered = 200.0 if values["costly"] else 100.0
     return BenchResult(
         metrics={"t_seconds": seconds, "delivered": delivered},
         digests={"work": "identical-everywhere"},
@@ -99,13 +99,28 @@ def synthetic_bench(values, *, seed, repeat, scale):
 SYNTHETIC_BENCHES = {"synthetic": synthetic_bench}
 
 
-def run_synthetic(registry=None, spec=None, benches=None):
+def run_synthetic(benches=None, repeat=1, **kwargs):
     return run_ablation(
-        spec or AblationSpec(seed=7, repeat=1),
-        registry=registry or synthetic_registry(),
+        seed=7,
+        repeat=repeat,
+        switches=SYNTHETIC_SWITCHES,
         benches=benches or SYNTHETIC_BENCHES,
         metrics=MetricsRegistry(),
+        **kwargs,
     )
+
+
+def gate_failures(tmp_path, report):
+    """compare_bench's failures for ``report`` against the synthetic floors."""
+    baseline_path = tmp_path / "baseline.json"
+    fresh_path = tmp_path / "fresh.json"
+    baseline_path.write_text(json.dumps(SYNTHETIC_FLOORS))
+    fresh_path.write_text(json.dumps(to_bench_json(report)))
+    _, failures = compare_bench.compare(
+        compare_bench.load_metrics(baseline_path, 20.0),
+        compare_bench.load_metrics(fresh_path, 20.0),
+    )
+    return failures
 
 
 # ----------------------------------------------------------------------
@@ -113,82 +128,64 @@ def run_synthetic(registry=None, spec=None, benches=None):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_enumerates_baseline_plus_one_per_switch(self):
-        registry = default_registry()
-        configs = registry.enumerate_configs()
-        assert len(configs) == len(registry) + 1
+        configs = enumerate_configs()
+        names = [switch.name for switch in SWITCHES]
+        assert len(configs) == len(SWITCHES) + 1
         assert configs[0].name == "baseline"
         assert configs[0].ablated is None
-        ablated = [config.ablated for config in configs[1:]]
-        assert ablated == registry.names()
+        assert configs[0].values == {name: True for name in names}
+        assert [config.ablated for config in configs[1:]] == names
         for config in configs[1:]:
-            switch = registry.get(config.ablated)
-            assert config.values[switch.name] == switch.ablated
-            others = {
-                name: value
-                for name, value in config.values.items()
-                if name != switch.name
-            }
-            baseline = registry.baseline_values()
-            assert others == {
-                name: baseline[name] for name in baseline if name != switch.name
+            assert config.name == f"no-{config.ablated}"
+            assert config.values == {
+                name: name != config.ablated for name in names
             }
 
     def test_duplicate_registration_raises(self):
-        registry = synthetic_registry()
-        with pytest.raises(AblationError, match="already registered"):
-            registry.register(registry.get("fast"))
+        with pytest.raises(AblationError, match="duplicate"):
+            enumerate_configs(SYNTHETIC_SWITCHES + SYNTHETIC_SWITCHES[:1])
 
     def test_unknown_switch_raises_with_known_names(self):
+        with pytest.raises(AblationError, match="unknown switch.*stochastic"):
+            enumerate_configs(components=("flux_capacitor",))
         with pytest.raises(AblationError, match="unknown switch"):
-            default_registry().get("flux_capacitor")
+            enumerate_configs(invert="flux_capacitor")
 
     def test_subset_preserves_order_and_rejects_unknown(self):
-        registry = default_registry()
-        subset = registry.subset(["ranking_cache", "stochastic"])
-        assert subset.names() == ["stochastic", "ranking_cache"]
+        configs = enumerate_configs(components=("ranking_cache", "stochastic"))
+        assert [config.ablated for config in configs[1:]] == [
+            "stochastic",
+            "ranking_cache",
+        ]
+        # Only the twins are chosen: every config still holds every switch.
+        assert configs[0].values == enumerate_configs()[0].values
         with pytest.raises(AblationError, match="unknown switch"):
-            registry.subset(["stochastic", "nope"])
+            enumerate_configs(components=("stochastic", "nope"))
 
     def test_inverted_swaps_exactly_one_switch(self):
-        registry = synthetic_registry()
-        inverted = registry.inverted("fast")
-        swapped = inverted.get("fast")
-        original = registry.get("fast")
-        assert swapped.baseline == original.ablated
-        assert swapped.ablated == original.baseline
-        assert swapped.description.startswith("INVERTED")
-        assert inverted.get("costly") is registry.get("costly")
+        baseline, fast_twin, *_ = enumerate_configs(
+            SYNTHETIC_SWITCHES, invert="fast"
+        )
+        assert baseline.values == {"fast": False, "costly": True, "useless": True}
+        assert fast_twin.ablated == "fast"
+        assert fast_twin.values == {"fast": True, "costly": True, "useless": True}
 
     def test_empty_enumeration_raises(self):
-        with pytest.raises(AblationError, match="empty switch registry"):
-            SwitchRegistry().enumerate_configs()
+        with pytest.raises(AblationError, match="empty switch selection"):
+            enumerate_configs(components=())
+        with pytest.raises(AblationError, match="empty switch selection"):
+            enumerate_configs(())
 
     def test_switch_validation(self):
         with pytest.raises(AblationError, match="direction"):
             Switch(
                 name="x",
                 description="",
-                baseline="a",
-                ablated="b",
                 primary_metric="m",
                 direction="sideways",
             )
-        with pytest.raises(AblationError, match="equal"):
-            Switch(
-                name="x",
-                description="",
-                baseline="same",
-                ablated="same",
-                primary_metric="m",
-            )
         with pytest.raises(AblationError, match="bad switch name"):
-            Switch(
-                name="not a name",
-                description="",
-                baseline="a",
-                ablated="b",
-                primary_metric="m",
-            )
+            Switch(name="not a name", description="", primary_metric="m")
 
 
 # ----------------------------------------------------------------------
@@ -224,24 +221,20 @@ class TestRunner:
         ]
 
     def test_cost_switch_reports_cost_kind(self):
-        registry = SwitchRegistry()
-        registry.register(
-            Switch(
-                name="overhead",
-                description="pure tax",
-                baseline="on",
-                ablated="off",
-                primary_metric="t_seconds",
-            )
-        )
-
-        def bench(values, *, seed, repeat, scale):
-            seconds = 2.0 if values["overhead"] == "on" else 1.0
+        def bench(values, *, seed, repeat):
+            seconds = 2.0 if values["overhead"] else 1.0
             return BenchResult(metrics={"t_seconds": seconds})
 
         report = run_ablation(
-            AblationSpec(seed=1, repeat=1),
-            registry=registry,
+            seed=1,
+            repeat=1,
+            switches=(
+                Switch(
+                    name="overhead",
+                    description="pure tax",
+                    primary_metric="t_seconds",
+                ),
+            ),
             benches={"b": bench},
             metrics=MetricsRegistry(),
         )
@@ -251,13 +244,24 @@ class TestRunner:
         assert entry.impact == pytest.approx(abs(math.log(0.5)))
 
     def test_components_subset_limits_matrix(self):
-        report = run_synthetic(spec=AblationSpec(seed=7, repeat=1, components=("fast",)))
+        report = run_synthetic(components=("fast",))
         assert len(report.results) == 2
         assert [entry.name for entry in report.importance] == ["fast"]
 
+    def test_subset_baseline_values_equal_the_full_run(self):
+        """A ``--components`` run measures against the production
+        baseline, not against per-cell defaults for unselected switches."""
+        full = run_synthetic().to_dict()["configs"][0]["values"]
+        subset = run_synthetic(components=("costly",)).to_dict()["configs"][0]
+        assert subset["values"] == full == {
+            "fast": True,
+            "costly": True,
+            "useless": True,
+        }
+
     def test_behavior_digest_divergence_raises(self):
-        def treacherous(values, *, seed, repeat, scale):
-            result = synthetic_bench(values, seed=seed, repeat=repeat, scale=scale)
+        def treacherous(values, *, seed, repeat):
+            result = synthetic_bench(values, seed=seed, repeat=repeat)
             result.digests["work"] = f"depends-on-{values['fast']}"
             return result
 
@@ -267,7 +271,7 @@ class TestRunner:
     def test_metric_collision_between_benches_raises(self):
         benches = {
             "one": synthetic_bench,
-            "two": lambda values, *, seed, repeat, scale: BenchResult(
+            "two": lambda values, *, seed, repeat: BenchResult(
                 metrics={"t_seconds": 1.0}
             ),
         }
@@ -275,15 +279,22 @@ class TestRunner:
             run_synthetic(benches=benches)
 
     def test_missing_primary_metric_raises(self):
-        def sparse(values, *, seed, repeat, scale):
+        def sparse(values, *, seed, repeat):
             return BenchResult(metrics={"t_seconds": 1.0})
 
         with pytest.raises(AblationError, match="primary metric"):
             run_synthetic(benches={"sparse": sparse})
 
     def test_repeat_must_be_positive(self):
+        calls = []
+
+        def counting(values, *, seed, repeat):
+            calls.append(values)
+            return synthetic_bench(values, seed=seed, repeat=repeat)
+
         with pytest.raises(AblationError, match="repeat"):
-            AblationSpec(repeat=0)
+            run_synthetic(benches={"counting": counting}, repeat=0)
+        assert calls == []
 
     def test_effect_ratio_semantics(self):
         assert effect_ratio("lower", 1.0, 4.0) == pytest.approx(4.0)
@@ -295,8 +306,9 @@ class TestRunner:
     def test_emits_sor_ablation_metrics(self):
         metrics = MetricsRegistry()
         run_ablation(
-            AblationSpec(seed=7, repeat=1),
-            registry=synthetic_registry(),
+            seed=7,
+            repeat=1,
+            switches=SYNTHETIC_SWITCHES,
             benches=SYNTHETIC_BENCHES,
             metrics=metrics,
         )
@@ -323,35 +335,20 @@ class TestReport:
         path = tmp_path / "BENCH_ablation.json"
         path.write_text(json.dumps(document))
         loaded = compare_bench.load_metrics(path, 20.0)
-        # Only gated switches become metrics; all read back exactly.
-        assert set(loaded) == {"ablation_effect_fast", "ablation_effect_costly"}
+        # Every measured switch becomes a metric; all read back exactly.
+        assert set(loaded) == {
+            "ablation_effect_fast",
+            "ablation_effect_costly",
+            "ablation_effect_useless",
+        }
         assert loaded["ablation_effect_fast"]["value"] == pytest.approx(4.0)
         assert loaded["ablation_effect_fast"]["direction"] == "higher"
-        assert loaded["ablation_effect_fast"]["tolerance_pct"] == 40.0
 
     def test_fresh_run_passes_gate_against_committed_floors(self, tmp_path):
-        report = run_synthetic()
-        baseline_path = tmp_path / "baseline.json"
-        fresh_path = tmp_path / "fresh.json"
-        baseline_path.write_text(json.dumps(baseline_bench_json(report)))
-        fresh_path.write_text(json.dumps(to_bench_json(report)))
-        _, failures = compare_bench.compare(
-            compare_bench.load_metrics(baseline_path, 20.0),
-            compare_bench.load_metrics(fresh_path, 20.0),
-        )
-        assert failures == []
+        assert gate_failures(tmp_path, run_synthetic()) == []
 
     def test_importance_inversion_fails_gate(self, tmp_path):
-        honest = run_synthetic()
-        inverted = run_synthetic(registry=synthetic_registry().inverted("fast"))
-        baseline_path = tmp_path / "baseline.json"
-        fresh_path = tmp_path / "fresh.json"
-        baseline_path.write_text(json.dumps(baseline_bench_json(honest)))
-        fresh_path.write_text(json.dumps(to_bench_json(inverted)))
-        _, failures = compare_bench.compare(
-            compare_bench.load_metrics(baseline_path, 20.0),
-            compare_bench.load_metrics(fresh_path, 20.0),
-        )
+        failures = gate_failures(tmp_path, run_synthetic(invert="fast"))
         # fast's measured ratio collapses to 1/4 — far below its 2.0
         # floor even with 40% tolerance.
         assert any("ablation_effect_fast" in failure for failure in failures)
@@ -374,3 +371,45 @@ class TestReport:
     def test_ranking_listed_in_bench_json(self):
         report = run_synthetic()
         assert to_bench_json(report)["ranking"] == ["fast", "costly", "useless"]
+
+
+# ----------------------------------------------------------------------
+# the committed floor table
+# ----------------------------------------------------------------------
+class TestCommittedFloors:
+    def test_one_floor_per_switch(self):
+        """``BENCH_ablation.json`` is the only floor table: one
+        ``ablation_effect_<name>`` gate per switch, nothing else, each
+        higher-is-better with its own tolerance."""
+        path = REPO_ROOT / "benchmarks" / "baselines" / "BENCH_ablation.json"
+        floors = json.loads(path.read_text())["metrics"]
+        assert sorted(floors) == sorted(
+            f"{EFFECT_PREFIX}{switch.name}" for switch in SWITCHES
+        )
+        for name, entry in floors.items():
+            assert entry["direction"] == "higher", name
+            assert float(entry["tolerance_pct"]) > 0, name
+            assert float(entry["value"]) > 0, name
+
+
+# ----------------------------------------------------------------------
+# CLI flags
+# ----------------------------------------------------------------------
+class TestAblateFlags:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--invert", "nope"], ["--components", ","], ["--repeat", "0"]],
+        ids=["unknown-invert", "empty-components", "zero-repeat"],
+    )
+    def test_bad_flag_exits_2_with_one_line(self, flags, capsys, monkeypatch):
+        def no_run(**kwargs):
+            raise AssertionError("a cell ran despite a bad flag")
+
+        monkeypatch.setattr("repro.ablation.run_ablation", no_run)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ablate", *flags])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("repro ablate: error:")

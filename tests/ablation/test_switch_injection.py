@@ -1,13 +1,14 @@
-"""Switch-injection uniformity: every registry switch reaches its
-constructor.
+"""Switch-injection uniformity: every switch reaches its constructor.
 
 Each leave-one-out configuration is applied to the real constructors
-through :mod:`repro.ablation.apply` and probed back out via an
-*observable effect* (the greedy scheduler's mode, the ranker's attached
-cache, the database's durability manager, the admission executor, the
-resilient client factory). If a constructor ever stops honoring a knob
-— or a new switch is registered without plumbing — the round trip
-breaks here instead of the ablation silently measuring nothing.
+through the cells' keyword translations
+(:func:`~repro.ablation.benches.stochastic_greedy_kwargs`,
+:func:`~repro.ablation.benches.system_kwargs`) and probed back out via
+an *observable effect* (the greedy scheduler's mode, the ranker's
+attached cache, the database's durability manager, the admission
+executor, the resilient client factory). If a constructor ever stops
+honoring a knob — or a new switch is added without plumbing — the round
+trip breaks here instead of the ablation silently measuring nothing.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.ablation import (
-    default_registry,
-    effective_stochastic_values,
-    effective_system_values,
-    server_kwargs,
+    SWITCHES,
+    enumerate_configs,
     stochastic_greedy_kwargs,
     system_kwargs,
 )
@@ -27,12 +26,32 @@ from repro.core.scheduling import GreedyScheduler
 from repro.server.system import SORSystem
 
 STOCHASTIC_SWITCHES = ("stochastic",)
-SERVER_SWITCHES = ("ranking_cache", "durability", "concurrency")
-SYSTEM_SWITCHES = SERVER_SWITCHES + ("resilient",)
+SYSTEM_SWITCHES = ("ranking_cache", "durability", "concurrency", "resilient")
+
+
+def effective_stochastic_values(scheduler: GreedyScheduler) -> dict[str, bool]:
+    """Probe the stochastic cell's ``GreedyScheduler`` back out."""
+    return {"stochastic": scheduler.mode == "stochastic"}
+
+
+def effective_system_values(system: SORSystem) -> dict[str, bool]:
+    """Probe a ``SORSystem`` (via its first server) into switch values.
+
+    Every entry reads an *observable effect* of the constructor keyword
+    rather than a stored copy of it — that is what makes the round trip
+    catch silently ignored knobs.
+    """
+    server = system.server
+    return {
+        "ranking_cache": server.ranker.cache is not None,
+        "durability": server.database.durability is not None,
+        "concurrency": server._executor is not None,
+        "resilient": system._make_client("probe") is not None,
+    }
 
 
 def _configs():
-    return default_registry().enumerate_configs()
+    return enumerate_configs()
 
 
 @pytest.mark.parametrize("config", _configs(), ids=lambda c: c.name)
@@ -60,14 +79,13 @@ class TestEveryConfigReachesConstructors:
 
 class TestRegistryCoverage:
     def test_every_switch_probed_by_some_round_trip(self):
-        """A new switch must be added to a probe set here and in apply."""
+        """A new switch must be added to a probe set here and in a cell."""
         probed = set(STOCHASTIC_SWITCHES) | set(SYSTEM_SWITCHES)
-        assert set(default_registry().names()) <= probed
+        assert {switch.name for switch in SWITCHES} <= probed
 
     def test_every_switch_changes_an_effective_value(self, tmp_path):
         """Ablating any switch flips at least one probed value."""
-        registry = default_registry()
-        baseline = registry.baseline_values()
+        baseline = enumerate_configs()[0].values
 
         def snapshot(values, directory):
             system = SORSystem(
@@ -86,36 +104,20 @@ class TestRegistryCoverage:
         base_dir = tmp_path / "base"
         base_dir.mkdir()
         base_effective = snapshot(baseline, base_dir)
-        for index, switch in enumerate(registry):
-            values = dict(baseline)
-            values[switch.name] = switch.ablated
+        for index, switch in enumerate(SWITCHES):
+            values = {**baseline, switch.name: False}
             directory = tmp_path / f"cfg{index}"
             directory.mkdir()
             effective = snapshot(values, directory)
             assert effective != base_effective, switch.name
-            assert effective[switch.name] == switch.ablated
+            assert effective[switch.name] is False
 
 
 class TestApplyHelpers:
     def test_durability_requires_directory(self):
         with pytest.raises(AblationError, match="durability_dir"):
-            server_kwargs({"durability": "on"})
-
-    def test_empty_values_mirror_constructor_defaults(self):
-        """With no switches set, apply adds nothing the constructors
-        would not default to themselves (durability and concurrency stay
-        absent, matching the production ``SensingServer`` defaults)."""
-        kwargs = system_kwargs({})
-        assert kwargs == {"ranking_cache": True, "resilient": True}
-        assert stochastic_greedy_kwargs({}) == {
-            "mode": "stochastic",
-            "seed": 2014,
-        }
-
-    def test_bad_stochastic_value_raises(self):
-        with pytest.raises(AblationError, match="stochastic"):
-            stochastic_greedy_kwargs({"stochastic": "maybe"})
+            system_kwargs(enumerate_configs()[0].values)
 
     def test_ablated_stochastic_runs_the_exact_mode(self):
         """The no-stochastic twin runs the system as it would unsampled."""
-        assert stochastic_greedy_kwargs({"stochastic": "off"})["mode"] == "exact"
+        assert stochastic_greedy_kwargs({"stochastic": False})["mode"] == "exact"

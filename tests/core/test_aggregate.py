@@ -11,12 +11,12 @@ from repro.core.ranking import (
     Ranking,
     aggregate_footrule,
     borda_count,
-    brute_force_kemeny,
     footrule_cost_matrix,
     refine_by_adjacent_swaps,
     weighted_footrule_distance,
     weighted_kemeny_distance,
 )
+from repro.core.ranking.reference import brute_force_kemeny
 
 ITEMS = tuple("ABCDE")
 

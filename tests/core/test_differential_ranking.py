@@ -2,9 +2,10 @@
 
 The footrule aggregation is a min-cost perfect matching of places to
 ranks, which :func:`aggregate_footrule` solves with scipy's
-``linear_sum_assignment`` (Jonker–Volgenant). Our successive-shortest-
-paths :class:`MinCostFlow` solves the paper's auxiliary flow graph by a
-completely different algorithm and never runs on the serving path,
+``linear_sum_assignment`` (Jonker–Volgenant). The successive-shortest-
+paths flow in :mod:`repro.core.ranking.reference`
+(:func:`assignment_via_flow`) solves the paper's auxiliary flow graph by
+a completely different algorithm and never runs on the serving path,
 which makes the two ideal cross-implementation oracles for each other:
 
 * on random cost matrices, the flow solver's total cost must equal the
@@ -34,37 +35,19 @@ from scipy.optimize import linear_sum_assignment
 from repro.core.ranking import (
     Ranking,
     aggregate_footrule,
-    brute_force_kemeny,
-    weighted_kemeny_distance,
-)
-from repro.core.ranking.aggregate import (
     footrule_cost_matrix,
-    footrule_cost_matrix_reference,
+    weighted_kemeny_distance,
 )
 from repro.core.ranking.distances import (
     footrule_distance,
     kemeny_distance,
     weighted_footrule_distance,
 )
-from repro.core.ranking.mincostflow import MinCostFlow
-
-
-def _flow_assignment_cost(cost: np.ndarray) -> float:
-    """Total cost of a min-cost perfect matching via our flow solver.
-
-    The paper's graph shape: source → rows (places) → columns (ranks) →
-    sink, all capacities 1.
-    """
-    count = cost.shape[0]
-    network = MinCostFlow(2 * count + 2)
-    source, sink = 0, 2 * count + 1
-    for row in range(count):
-        network.add_edge(source, 1 + row, 1, 0.0)
-        for column in range(count):
-            network.add_edge(1 + row, 1 + count + column, 1, float(cost[row, column]))
-    for column in range(count):
-        network.add_edge(1 + count + column, sink, 1, 0.0)
-    return network.solve(source, sink, count)
+from repro.core.ranking.reference import (
+    assignment_via_flow,
+    brute_force_kemeny,
+    footrule_cost_matrix_reference,
+)
 
 
 def cost_matrices(max_size: int = 7):
@@ -177,7 +160,7 @@ class TestFlowMatchesScipy:
     def test_min_cost_matching_equals_linear_sum_assignment(self, cost):
         rows, columns = linear_sum_assignment(cost)
         scipy_cost = float(cost[rows, columns].sum())
-        assert _flow_assignment_cost(cost) == pytest.approx(
+        assert assignment_via_flow(cost)[0] == pytest.approx(
             scipy_cost, rel=1e-9, abs=1e-9
         )
 
@@ -204,7 +187,7 @@ class TestAssignmentMatchesFlowOracle:
         # solvers must agree exactly, not just approximately.
         assert weighted_footrule_distance(
             aggregate, collection, weights
-        ) == _flow_assignment_cost(cost)
+        ) == assignment_via_flow(cost)[0]
 
     @given(case=serving_collections())
     @settings(max_examples=40, deadline=None)

@@ -42,14 +42,13 @@ from repro.core.scheduling import (
     SchedulingPeriod,
     SchedulingProblem,
     TriangularKernel,
-    brute_force_optimal,
     coverage_of_instants,
     greedy_window,
     kernel_matrices,
     make_objective,
     reference_coverage_of_instants,
 )
-from repro.core.scheduling.reference import fold_tree_sum
+from repro.core.scheduling.reference import brute_force_optimal, fold_tree_sum
 
 PERIOD_S = 600.0
 

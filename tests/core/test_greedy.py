@@ -11,8 +11,8 @@ from repro.core.scheduling import (
     SchedulingPeriod,
     SchedulingProblem,
     average_coverage,
-    brute_force_optimal,
 )
+from repro.core.scheduling.reference import brute_force_optimal
 
 
 def random_problem(rng, *, num_instants=12, duration=120.0, users=3, max_budget=3):

@@ -1,4 +1,4 @@
-"""Tests for the min-cost flow solver."""
+"""Tests for the min-cost flow oracle and its assignment graph."""
 
 import itertools
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from repro.common.errors import RankingError
-from repro.core.ranking import MinCostFlow
+from repro.core.ranking.reference import MinCostFlow, assignment_via_flow
 
 
 class TestBasics:
@@ -58,29 +58,6 @@ class TestBasics:
             network.add_edge(0, 5, 1, 1.0)
         with pytest.raises(RankingError):
             network.solve(0, 0, 1)
-
-
-def assignment_via_flow(cost_matrix):
-    """Solve an assignment problem with our flow solver."""
-    count = cost_matrix.shape[0]
-    network = MinCostFlow(2 * count + 2)
-    source, sink = 0, 2 * count + 1
-    edges = {}
-    for left in range(count):
-        network.add_edge(source, 1 + left, 1, 0.0)
-        for right in range(count):
-            edges[(left, right)] = network.add_edge(
-                1 + left, 1 + count + right, 1, float(cost_matrix[left, right])
-            )
-    for right in range(count):
-        network.add_edge(1 + count + right, sink, 1, 0.0)
-    total = network.solve(source, sink, count)
-    matching = {
-        left: right
-        for (left, right), edge_id in edges.items()
-        if network.flow_on(edge_id) > 0
-    }
-    return total, matching
 
 
 class TestAssignmentOptimality:

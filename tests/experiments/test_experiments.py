@@ -16,6 +16,7 @@ from repro.experiments.ablations import (
     run_aggregation_ablation,
     run_backend_ablation,
     run_multikernel_ablation,
+    run_objective_ablation,
     run_online_ablation,
     run_sigma_ablation,
     run_spam_resistance_ablation,
@@ -137,6 +138,13 @@ class TestAblations:
         blended = by_name["blended kernels"]
         for point in points:
             assert blended.blended_value >= point.blended_value - 1e-6
+
+    def test_objective_each_greedy_wins_its_own_metric(self):
+        means = run_objective_ablation(users=20, runs=2)
+        assert means["pooled_by_pooled"] >= means["perusr_by_pooled"]
+        assert means["perusr_by_perusr"] >= means["pooled_by_perusr"] - 1e-6
+        # Users that ignore each other leave pooled coverage on the table.
+        assert means["perusr_by_pooled"] < means["pooled_by_pooled"] * 0.95
 
     def test_spam_resistance_minority_regime(self):
         points = run_spam_resistance_ablation(instances=10, seed=1)
