@@ -1,22 +1,22 @@
-"""Ablation — the vectorized scheduling backend vs the scalar reference.
+"""Ablation — the vectorized scheduling objective vs the scalar oracle.
 
-Both backends run the same exact greedy and produce byte-identical
+Greedy's one exact loop runs over both and produces byte-identical
 schedules; this bench pins the headline speedup of the numpy core on a
-1000-instant horizon, where the reference re-walks every instant's
-kernel window per pick (the paper-literal O(N²) loop) and the numpy
-objective answers each pick from its maintained gains array. The other
-ablation sweeps live in ``bench_ablation_sweeps.py``.
+1000-instant horizon, where the oracle re-walks every instant's kernel
+window per pick (the paper-literal O(N²) loop) and the numpy objective
+answers each pick from its maintained gains array. The other ablation
+sweeps live in ``bench_ablation_sweeps.py``.
 """
 
 from repro.experiments.ablations import run_backend_ablation
 
 
 def test_ablation_backend_1000_instants(benchmark):
-    """Numpy vs reference on a 1000-instant horizon.
+    """Numpy objective vs scalar oracle on a 1000-instant horizon.
 
-    The acceptance bar: the vectorized backend beats the scalar
-    reference by ≥10× at 1000 instants (it lands nearer 50–100×) and
-    produces the identical schedule.
+    The acceptance bar: greedy over the vectorized objective beats
+    greedy over the scalar oracle by ≥10× at 1000 instants (it lands
+    nearer 50–100×) and produces the identical schedule.
     """
     point = benchmark.pedantic(
         lambda: run_backend_ablation(

@@ -22,7 +22,7 @@ its documented parameters, prints its points, and asserts its claim:
 * ``aggregation`` — footrule aggregation stays within its 2× guarantee
   of the exact Kemeny optimum, and local-search refinement never hurts.
 
-The numpy-vs-reference backend gate stays in
+The objective-vs-oracle speedup gate stays in
 ``bench_ablation_lazy_greedy.py``, whose id is a ``BENCH_bench.json``
 key.
 """

@@ -7,16 +7,13 @@ users swept 10…50 (step 5), 10 runs per point, baseline = sense every
 toward 50–55 users.
 """
 
-import pytest
-
 from repro.experiments.fig14_scheduling import format_sweep, run_fig14a
 
 
-@pytest.mark.parametrize("backend", ["numpy", "reference"])
-def test_fig14a_coverage_vs_users(benchmark, request, backend):
+def test_fig14a_coverage_vs_users(benchmark, request):
     runs = request.config.getoption("--paper-runs")
     result = benchmark.pedantic(
-        lambda: run_fig14a(runs=runs, seed=0, backend=backend),
+        lambda: run_fig14a(runs=runs, seed=0),
         rounds=1,
         iterations=1,
     )
@@ -24,7 +21,7 @@ def test_fig14a_coverage_vs_users(benchmark, request, backend):
     print(
         format_sweep(
             result,
-            f"Fig. 14(a) — coverage vs users ({runs} runs/point, {backend})",
+            f"Fig. 14(a) — coverage vs users ({runs} runs/point)",
         )
     )
     for point in result.points:

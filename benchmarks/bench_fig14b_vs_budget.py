@@ -5,16 +5,13 @@ point. Expected shape: both curves rise with budget; greedy dominates by
 a wide margin throughout.
 """
 
-import pytest
-
 from repro.experiments.fig14_scheduling import format_sweep, run_fig14b
 
 
-@pytest.mark.parametrize("backend", ["numpy", "reference"])
-def test_fig14b_coverage_vs_budget(benchmark, request, backend):
+def test_fig14b_coverage_vs_budget(benchmark, request):
     runs = request.config.getoption("--paper-runs")
     result = benchmark.pedantic(
-        lambda: run_fig14b(runs=runs, seed=0, backend=backend),
+        lambda: run_fig14b(runs=runs, seed=0),
         rounds=1,
         iterations=1,
     )
@@ -22,7 +19,7 @@ def test_fig14b_coverage_vs_budget(benchmark, request, backend):
     print(
         format_sweep(
             result,
-            f"Fig. 14(b) — coverage vs budget ({runs} runs/point, {backend})",
+            f"Fig. 14(b) — coverage vs budget ({runs} runs/point)",
         )
     )
     for point in result.points:

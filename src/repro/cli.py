@@ -495,12 +495,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A ``--runs`` below 1 for a fig14 sweep exits 2 with one line on
+    stderr before anything runs.
+    """
     args = build_parser().parse_args(argv)
     if args.artefact == "all":
         names = ["fig6", "table1", "fig10", "table2", "fig14a", "fig14b"]
     else:
         names = [args.artefact]
+    if args.runs < 1 and any(name.startswith("fig14") for name in names):
+        print(
+            f"repro {args.artefact}: error: --runs must be at least 1, "
+            f"got {args.runs}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     for name in names:
         if len(names) > 1:
             print(f"\n{'=' * 20} {name} {'=' * 20}")

@@ -7,6 +7,7 @@ message format.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sized
 from typing import Any, TypeVar
 
@@ -22,9 +23,9 @@ def require(condition: bool, message: str) -> None:
 
 
 def require_positive(value: float, name: str) -> float:
-    """Require ``value > 0`` and return it."""
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value!r}")
+    """Require ``0 < value < inf`` (so not NaN either) and return it."""
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 

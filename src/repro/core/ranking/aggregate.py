@@ -69,7 +69,7 @@ def footrule_cost_matrix(
     accumulation order matches the scalar reference's ``total += …``
     loop (``footrule_cost_matrix_reference``) — the two are bitwise
     identical (pinned by the differential suite), like the scheduling
-    backends.
+    objective and its oracle.
     """
     _check_inputs(collection, weights)
     positions, items = _position_matrix(collection)

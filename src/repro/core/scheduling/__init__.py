@@ -29,8 +29,9 @@ from repro.core.scheduling.coverage import (
     ExponentialKernel,
     GaussianKernel,
     TriangularKernel,
+    validate_kernel_weights,
 )
-from repro.core.scheduling.evaluate import average_coverage, evaluate_instants
+from repro.core.scheduling.evaluate import average_coverage
 from repro.core.scheduling.greedy import (
     GREEDY_MODES,
     GreedyScheduler,
@@ -45,20 +46,12 @@ from repro.core.scheduling.multikernel import (
     MultiKernelObjective,
 )
 from repro.core.scheduling.objective import (
-    BACKENDS,
-    DEFAULT_BACKEND,
     CoverageObjective,
     KernelMatrices,
     clear_kernel_matrix_cache,
     coverage_of_instants,
     kernel_matrices,
     kernel_matrix_cache_bytes,
-    make_objective,
-)
-from repro.core.scheduling.reference import (
-    ReferenceCoverageObjective,
-    reference_coverage_of_instants,
-    validate_kernel_weights,
 )
 from repro.core.scheduling.peruser import PerUserGreedyScheduler, per_user_sum_value
 from repro.core.scheduling.problem import (
@@ -69,8 +62,6 @@ from repro.core.scheduling.problem import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
     "GREEDY_MODES",
     "BudgetPartitionMatroid",
     "CoverageKernel",
@@ -86,7 +77,6 @@ __all__ = [
     "MultiKernelObjective",
     "PerUserGreedyScheduler",
     "PeriodicBaselineScheduler",
-    "ReferenceCoverageObjective",
     "Schedule",
     "SchedulingPeriod",
     "SchedulingProblem",
@@ -95,13 +85,10 @@ __all__ = [
     "average_coverage",
     "clear_kernel_matrix_cache",
     "coverage_of_instants",
-    "evaluate_instants",
     "greedy_window",
     "kernel_matrices",
     "kernel_matrix_cache_bytes",
-    "make_objective",
     "per_user_sum_value",
-    "reference_coverage_of_instants",
     "stochastic_sample_size",
     "validate_kernel_weights",
 ]

@@ -16,21 +16,15 @@ from repro.core.scheduling.problem import Schedule, SchedulingProblem
 class PeriodicBaselineScheduler:
     """Sense every ``interval_s`` seconds from arrival, budget times."""
 
-    def __init__(
-        self,
-        interval_s: float = 10.0,
-        *,
-        clip_to_departure: bool = True,
-    ) -> None:
+    def __init__(self, interval_s: float = 10.0) -> None:
         self.interval_s = require_positive(interval_s, "interval_s")
-        self.clip_to_departure = clip_to_departure
 
     def solve(self, problem: SchedulingProblem) -> Schedule:
         """Build the periodic schedule and evaluate its pooled coverage."""
         period = problem.period
         assignments: dict[str, list[int]] = {}
         for user_index, user in enumerate(problem.users):
-            limit = min(user.departure, period.end) if self.clip_to_departure else period.end
+            limit = min(user.departure, period.end)
             indices: list[int] = []
             seen: set[int] = set()
             for shot in range(user.budget):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import Protocol, runtime_checkable
 
+from repro.common.errors import KernelValidationError
 from repro.common.validation import require_positive
 
 
@@ -38,10 +39,41 @@ class CoverageKernel(Protocol):
         """A hashable identity for the kernel-matrix cache.
 
         Two kernels with equal keys must map every distance to the same
-        probability; the vectorized objective keys its precomputed
-        |T|×|T| matrices on ``(cache_key, num_instants, spacing)``.
+        probability; the objective keys its precomputed kernel band on
+        ``(cache_key, num_instants, spacing)``.
         """
         ...
+
+
+def validate_kernel_weights(
+    weights, kernel: CoverageKernel, spacing: float
+) -> None:
+    """Reject kernel probabilities the survival state cannot represent.
+
+    ``weights[d]`` is the kernel's probability at distance ``d·spacing``.
+    The diagonal (d = 0) may be exactly 1 — a measurement fully covers
+    its own instant and the log-space state carries the resulting −inf
+    deliberately. Off the diagonal a probability of 1 would make
+    ``log1p(-p) = -inf`` too, silently zeroing every survival product it
+    touches, so the objective and its oracle both require p ∈ [0, 1)
+    there (and p ∈ [0, 1] at d = 0). NaN and out-of-range values raise
+    :class:`~repro.common.errors.KernelValidationError` naming the
+    kernel and the offending distance.
+    """
+    for distance_index, weight in enumerate(weights):
+        weight = float(weight)
+        in_range = (
+            0.0 <= weight <= 1.0
+            if distance_index == 0
+            else 0.0 <= weight < 1.0
+        )
+        if not in_range:  # NaN compares False, so it lands here too
+            raise KernelValidationError(
+                f"kernel {kernel!r} returned probability {weight!r} at "
+                f"distance {distance_index * spacing:g}s; coverage "
+                f"probabilities must lie in [0, 1) off the diagonal "
+                f"(and in [0, 1] at distance 0)"
+            )
 
 
 class GaussianKernel:

@@ -2,18 +2,8 @@
 
 from __future__ import annotations
 
-from repro.core.scheduling.coverage import CoverageKernel
 from repro.core.scheduling.objective import coverage_of_instants
-from repro.core.scheduling.problem import Schedule, SchedulingPeriod, SchedulingProblem
-
-
-def evaluate_instants(
-    period: SchedulingPeriod,
-    kernel: CoverageKernel,
-    instants: set[int] | list[int],
-) -> float:
-    """Objective value of a pooled instant set (re-exported convenience)."""
-    return coverage_of_instants(period, kernel, instants)
+from repro.core.scheduling.problem import Schedule, SchedulingProblem
 
 
 def average_coverage(schedule: Schedule) -> float:

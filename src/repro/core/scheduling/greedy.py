@@ -9,15 +9,16 @@ least half the optimum [paper ref 10].
 Two execution modes:
 
 * ``mode="exact"`` (default) — one masked argmax per pick over
-  ``objective.current_gains``. On the numpy backend that is the
-  objective's *maintained* gains array, so nothing is re-evaluated; on
-  the scalar reference backend it is a fresh sweep of every instant —
-  the paper-literal Algorithm 1 on the specification.
+  ``objective.current_gains``. On :class:`CoverageObjective` that is
+  the *maintained* gains array, so nothing is re-evaluated; an
+  objective without maintained gains (the scalar oracle, the blended
+  multi-kernel objective) answers with a fresh sweep of every instant.
 * ``mode="stochastic"`` — stochastic greedy (Mirzasoleiman et al.'s
   "lazier than lazy greedy", applied to sensor scheduling by Hashemi
   et al., arXiv:1709.08823): each pick draws
   ``s = ⌈(|T|/B)·ln(1/ε)⌉`` candidates uniformly from the feasible
-  instants with an injected seeded rng and takes the best sampled
+  instants with an injected seeded rng and scores them in one batched
+  :meth:`CoverageObjective.gains_at` call, taking the best sampled
   gain — O(s) gain reads per pick instead of O(|T|), keeping the
   ``(1 − 1/e − ε)``-of-optimal guarantee *in expectation*. Exact under
   a fixed seed (the scaling bench and the hypothesis suite pin both
@@ -28,21 +29,13 @@ Two execution modes:
   masked sweep, so the loop terminates exactly when exact greedy
   would and never stops early on an unlucky draw.
 
-The exact mode reads bitwise-identical gain values on both backends
-and breaks exact ties toward the lower instant index, so its schedules
-match bitwise across backends. The stochastic mode is exactly
-deterministic under a fixed seed *within* a backend, but its schedules
-are not guaranteed identical across backends: the numpy backend scores
-sampled candidates with one BLAS dot per window (accumulation order
-differs from the fold tree by ~1 ulp — see ``CoverageObjective.
-gains_at``) and breaks exact ties toward the first-drawn candidate,
-while the reference backend walks a sorted, deduplicated sample with
-fold-order gains.
-
-Both modes run on either coverage backend (``backend="numpy"`` — the
-vectorized default — or ``"reference"``, the scalar specification; see
-docs/SCHEDULING.md). The differential tests pin the two backends to
-identical exact schedules.
+The exact mode breaks exact ties toward the lower instant index, and
+:class:`CoverageObjective`'s gains are bitwise equal to the scalar
+oracle's (:mod:`repro.core.scheduling.reference`), so the differential
+tests can pin its schedules to the ones :meth:`GreedyScheduler._solve`
+computes over the oracle. The stochastic mode is exactly deterministic
+under a fixed seed and breaks exact ties toward the first-drawn
+candidate.
 
 :func:`greedy_window` is the same exact pick restricted to one
 presence window and one budget — the loop the online scheduler service
@@ -65,16 +58,9 @@ import numpy as np
 
 from repro.common.errors import SchedulingError
 from repro.core.scheduling.matroid import BudgetPartitionMatroid
-from repro.core.scheduling.objective import (
-    DEFAULT_BACKEND,
-    CoverageObjective,
-    ReferenceCoverageObjective,
-    make_objective,
-)
+from repro.core.scheduling.objective import CoverageObjective
 from repro.core.scheduling.problem import Schedule, SchedulingProblem
 from repro.obs import MetricsRegistry, get_metrics
-
-AnyCoverageObjective = CoverageObjective | ReferenceCoverageObjective
 
 #: The selectable greedy execution modes.
 GREEDY_MODES = ("exact", "stochastic")
@@ -123,17 +109,17 @@ def argmax_tied_low(values: np.ndarray) -> int:
     """Index of the maximum, breaking exact ties toward the lowest index.
 
     The explicit tie-break contract every scheduling loop uses: it makes
-    re-runs and the numpy/reference backends agree on which of several
-    equally good instants is picked. (This is what ``np.argmax`` does —
-    first occurrence — but the contract is load-bearing for the
-    differential tests, so it lives behind a name with a regression
-    test rather than an implementation detail.)
+    re-runs, and greedy over the objective and over the oracle, agree on
+    which of several equally good instants is picked. (This is what
+    ``np.argmax`` does — first occurrence — but the contract is
+    load-bearing for the differential tests, so it lives behind a name
+    with a regression test rather than an implementation detail.)
     """
     return int(np.asarray(values).argmax())
 
 
 def greedy_window(
-    objective: AnyCoverageObjective,
+    objective: CoverageObjective,
     lo: int,
     hi: int,
     budget: int,
@@ -188,7 +174,6 @@ class GreedyScheduler:
         self,
         *,
         min_gain: float = 1e-12,
-        backend: str = DEFAULT_BACKEND,
         metrics: MetricsRegistry | None = None,
         mode: str = "exact",
         sample_epsilon: float = 0.1,
@@ -205,7 +190,6 @@ class GreedyScheduler:
             )
         self.mode = mode
         self.min_gain = min_gain
-        self.backend = backend
         self.sample_epsilon = sample_epsilon
         self.seed = seed
         self.rng = rng
@@ -241,23 +225,24 @@ class GreedyScheduler:
     def solve(self, problem: SchedulingProblem) -> Schedule:
         """Compute a schedule for every user of ``problem``."""
         # The sampling loop only scores O((N/B)·log(1/ε)) candidates per
-        # pick via the batched ``gains_at``, so the numpy backend's
-        # per-add full-band gains maintenance would be pure overhead.
-        objective = make_objective(
+        # pick via the batched ``gains_at``, so the objective's per-add
+        # full-band gains maintenance would be pure overhead.
+        objective = CoverageObjective(
             problem.period,
             problem.kernel,
-            self.backend,
             maintain_gains=self.mode != "stochastic",
         )
         return self._solve(problem, objective)
 
     def _solve(
-        self, problem: SchedulingProblem, objective: AnyCoverageObjective
+        self, problem: SchedulingProblem, objective: CoverageObjective
     ) -> Schedule:
         """Run the configured loop over a caller-built ``objective``.
 
-        Any objective with the incremental interface works — the
-        multi-kernel scheduler passes its blended objective here.
+        Any objective with the incremental interface works in the exact
+        mode — the multi-kernel scheduler passes its blended objective
+        here, and the differential tests the scalar oracle. The
+        stochastic mode also needs ``gains_at``.
         """
         num_users = len(problem.users)
         remaining = np.array(
@@ -375,7 +360,7 @@ class GreedyScheduler:
     def _commit(
         self,
         problem: SchedulingProblem,
-        objective: AnyCoverageObjective,
+        objective: CoverageObjective,
         pick_state: _PickState,
         instant_index: int,
         user_index: int,
@@ -403,7 +388,7 @@ class GreedyScheduler:
     def _run_exact(
         self,
         problem: SchedulingProblem,
-        objective: AnyCoverageObjective,
+        objective: CoverageObjective,
         pick_state: _PickState,
         remaining: np.ndarray,
         available: np.ndarray,
@@ -411,9 +396,9 @@ class GreedyScheduler:
     ) -> int:
         """Masked argmax per pick; returns the number of gain evaluations.
 
-        A maintained gains array (numpy backend) is read in place and
-        counts one evaluation per pick; any other objective's
-        ``current_gains`` is a fresh sweep of every instant.
+        A maintained gains array is read in place and counts one
+        evaluation per pick; any other objective's ``current_gains`` is
+        a fresh sweep of every instant.
         """
         sweep_evaluations = (
             1
@@ -487,7 +472,7 @@ class GreedyScheduler:
     def _run_stochastic(
         self,
         problem: SchedulingProblem,
-        objective: AnyCoverageObjective,
+        objective: CoverageObjective,
         pick_state: _PickState,
         remaining: np.ndarray,
         available: np.ndarray,
@@ -500,10 +485,9 @@ class GreedyScheduler:
         the feasible instants (with replacement — the coupon-style bound
         ``P(sample misses the top set) ≤ (1 − k/N)^s`` holds verbatim,
         and an O(s) draw keeps the pick cost independent of the
-        horizon), score them in one batched ``gains_at`` call (numpy
-        backend) or one ``objective.gain`` call per distinct candidate
-        (reference), and commit the best sampled gain to the user with
-        the most remaining budget. Only when that single best candidate
+        horizon), score them in one batched ``gains_at`` call, and
+        commit the best sampled gain to the user with the most
+        remaining budget. Only when that single best candidate
         has no free user does the pick fall back to a best-first walk
         over the rest of the sample. A dry sample — nothing drawn
         clears ``min_gain`` or has a free user — falls back to one
@@ -513,12 +497,6 @@ class GreedyScheduler:
         value, so the ``(1 − 1/e − ε)`` expectation bound is untouched.
         """
         num_instants = problem.period.num_instants
-        # The numpy backend scores an arbitrary candidate set in one
-        # banded matvec (duplicates from the with-replacement draw are
-        # scored twice — cheaper than deduplicating); the reference
-        # backend pays a scalar ``gain()`` per candidate, so that path
-        # deduplicates first.
-        gains_at = getattr(objective, "gains_at", None)
         pooled: set[int] = set()
         evaluations = 0
         samples_drawn = 0
@@ -553,13 +531,9 @@ class GreedyScheduler:
             draws = draw_chunk[draw_row]
             draw_row += 1
             candidates = feasible_indices[draws]
-            if gains_at is not None:
-                gains = gains_at(candidates)
-            else:
-                # np.unique also sorts ascending, giving this path a
-                # lowest-index tie-break under argmax_tied_low.
-                candidates = np.unique(candidates)
-                gains = np.array([objective.gain(int(c)) for c in candidates])
+            # One banded matvec; duplicates from the with-replacement
+            # draw are scored twice — cheaper than deduplicating.
+            gains = objective.gains_at(candidates)
             samples_drawn += int(draws.size)
             evaluations += int(candidates.size)
             committed = False
@@ -612,8 +586,7 @@ class GreedyScheduler:
                         break
             if not committed:
                 fallbacks += 1
-                # One exact sweep (the numpy backend recomputes the
-                # whole band; the reference walks every instant).
+                # One exact sweep: the objective recomputes every gain.
                 masked = np.where(
                     feasible_mask, objective.current_gains, -np.inf
                 )

@@ -27,7 +27,7 @@ import numpy as np
 from repro.common.errors import ValidationError
 from repro.core.scheduling.coverage import CoverageKernel
 from repro.core.scheduling.greedy import GreedyScheduler
-from repro.core.scheduling.objective import make_objective
+from repro.core.scheduling.objective import CoverageObjective
 from repro.core.scheduling.problem import Schedule, SchedulingPeriod, SchedulingProblem
 from repro.obs import MetricsRegistry
 
@@ -61,7 +61,7 @@ class MultiKernelObjective:
         self.period = period
         self.features = list(features)
         self._objectives = [
-            make_objective(period, feature.kernel) for feature in features
+            CoverageObjective(period, feature.kernel) for feature in features
         ]
 
     @property

@@ -1,27 +1,26 @@
-"""The submodular coverage objective — vectorized numpy backend.
+"""The submodular coverage objective, vectorized with numpy.
 
 ``f(Ψ) = Σ_j p(t_j, Ψ)`` with ``p(t_j, Ψ) = 1 - Π_{t_i∈Ψ}(1 - p_ij)``
-(paper equations (1) and (4)). Two backends implement the same
-incremental interface:
+(paper equations (1) and (4)). :class:`CoverageObjective` is the one
+objective every scheduler builds. It precomputes the kernel band
+``p(d·Δ)`` for ``d ∈ [-w, w]`` once per (kernel, horizon) in a σ-keyed
+cache, and maintains two coverage states side by side. The *gain path*
+keeps the survival products ``s_j = Π_{i∈Ψ}(1 - p_ij)`` directly,
+updated by windowed elementwise multiplies — bitwise identical to the
+scalar oracle's products, which is what keeps the two objectives'
+exact-tie structure (and therefore their greedy schedules) in lockstep.
+The *value path* keeps ``ℓ_j = Σ_{i∈Ψ} log1p(-p_ij)`` so
+:meth:`CoverageObjective.value` evaluates ``Σ_j (1 - exp(ℓ_j))`` in
+log-space. Adding a measurement is two windowed vector updates plus a
+banded recompute of the *maintained marginal-gains array* over the (at
+most) ``4w+1`` instants whose gain changed — every operation O(window),
+none O(|T|). Reading a marginal gain is then O(1), which is what makes
+the greedy schedulers fast: they stop re-evaluating gains entirely.
 
-* ``"numpy"`` (this module, :class:`CoverageObjective`) — the hot path.
-  It precomputes the kernel band ``p(d·Δ)`` for ``d ∈ [-w, w]`` once
-  per (kernel, horizon) in a σ-keyed cache, and maintains two coverage
-  states side by side. The *gain path* keeps the survival
-  products ``s_j = Π_{i∈Ψ}(1 - p_ij)`` directly, updated by windowed
-  elementwise multiplies — bitwise identical to the scalar reference's
-  products, which is what keeps the two backends' exact-tie structure
-  (and therefore their greedy schedules) in lockstep. The *value path*
-  keeps ``ℓ_j = Σ_{i∈Ψ} log1p(-p_ij)`` so :meth:`CoverageObjective.value`
-  evaluates ``Σ_j (1 - exp(ℓ_j))`` in log-space. Adding a measurement
-  is two windowed vector updates plus a banded recompute of the
-  *maintained marginal-gains array* over the (at most) ``4w+1``
-  instants whose gain changed — every operation O(window), none O(|T|).
-  Reading a marginal gain is then O(1), which is what makes the greedy
-  schedulers fast: they stop re-evaluating gains entirely.
-* ``"reference"`` (:mod:`repro.core.scheduling.reference`) — the
-  scalar specification the numpy backend is differentially tested
-  against (values to 1e-9, identical greedy schedules).
+The oracle is the scalar specification in
+:mod:`repro.core.scheduling.reference`, a tests-only module the serving
+code never imports. The differential tests hold this objective to it:
+values to 1e-9, gains bitwise, identical greedy schedules.
 
 Memory model — the kernel band. The update rows are Toeplitz
 (``P[i, j] = p(|i - j|·Δ)``), and only the ``2w+1`` in-band entries of
@@ -44,11 +43,11 @@ mirror-symmetric survival profiles produce bitwise-equal mirrored
 gains; a slice-independent reduction tree makes translated copies of
 the same survival pattern produce bitwise-equal gains. These
 properties are what let the lowest-index argmax land on the same
-instant as the reference backend, which pairs its scalar accumulation
-the same way.
+instant as the oracle, which pairs its scalar accumulation the same
+way.
 
-Both backends truncate the kernel at its support window (p < 1e-9 ≡ 0),
-so they compute the same mathematical function and differ only in
+Both objectives truncate the kernel at its support window (p < 1e-9 ≡
+0), so they compute the same mathematical function and differ only in
 floating-point rounding. The log-space error bound: each ``log1p``/
 ``exp`` pair is accurate to ~2 ulp, the row-sum over |Ψ| picks adds
 |Ψ|·ulp of relative error to ℓ_j, so ``|s_j^numpy - s_j^ref| ≲
@@ -67,18 +66,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import SchedulingError
-from repro.core.scheduling.coverage import CoverageKernel
+from repro.core.scheduling.coverage import CoverageKernel, validate_kernel_weights
 from repro.core.scheduling.problem import SchedulingPeriod
-from repro.core.scheduling.reference import (
-    ReferenceCoverageObjective,
-    reference_coverage_of_instants,
-    validate_kernel_weights,
-)
 from repro.obs import get_metrics
-
-#: The selectable scheduling-core backends.
-BACKENDS = ("numpy", "reference")
-DEFAULT_BACKEND = "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +81,7 @@ class KernelMatrices:
     Only the mirrored kernel band is stored:
     ``complement_band[d + window] = 1 - p(|d|·Δ)`` for ``d ∈ [-w, w]``
     (the survival-product update values — the same ``1 - w_d`` floats
-    the scalar reference multiplies by, so the two backends' survival
+    the scalar oracle multiplies by, so the two objectives' survival
     products are bitwise identical) and ``log_complement_band =
     log1p(-p)`` (the log-space add values, −inf only at the centre
     where p may be 1). Frozen: objectives must treat the arrays as
@@ -250,7 +240,7 @@ def clear_kernel_matrix_cache() -> None:
 # vectorized objective
 # ----------------------------------------------------------------------
 class CoverageObjective:
-    """Incremental pooled-coverage objective, numpy backend.
+    """Incremental pooled-coverage objective (vectorized).
 
     The pooled (set) semantics match the paper's reformulation (4): a
     second measurement at an instant already in the set contributes
@@ -262,10 +252,9 @@ class CoverageObjective:
     :meth:`gain` is an O(1) array read. See the module docstring for
     why the band is *recomputed* in the initial sweep's exact operation
     order rather than delta-updated — the tie discipline the
-    cross-backend differential tests pin down depends on it.
+    differential tests pin down against the oracle depends on it.
     """
 
-    backend = "numpy"
     #: Gains are maintained incrementally, so a :attr:`current_gains`
     #: read costs the greedy loop nothing to re-evaluate.
     maintains_gains = True
@@ -298,8 +287,8 @@ class CoverageObjective:
         # the padding contributes exact 0.0 terms, which never perturb a
         # float sum. ``survival`` is a live view of the centre, and is
         # maintained *multiplicatively* — elementwise vector multiplies
-        # round exactly like the scalar reference's, so the two
-        # backends' survival products (and hence their exact-tie
+        # round exactly like the scalar oracle's, so the two
+        # objectives' survival products (and hence their exact-tie
         # structure) are bitwise identical given the same picks.
         self._padded_survival = np.zeros(num_instants + 2 * self.window)
         self._padded_survival[self.window : self.window + num_instants] = 1.0
@@ -353,12 +342,12 @@ class CoverageObjective:
         """Recompute the maintained gains over instants ``[lo, hi)``.
 
         ``gain(j) = w_0·s_j + fold_d[w_d·(s_{j-d} + s_{j+d})]`` — the
-        summation order is part of the backend contract (see
+        summation order is part of the oracle contract (see
         :func:`fold_tree_sum` in the reference module): the neighbour
         pair at each distance is added first, and the distance terms
         are folded with the tail-onto-head halving tree. Per element
-        this is the exact operation sequence of the scalar reference
-        ``gain``, so with bitwise-identical survival the two backends'
+        this is the exact operation sequence of the scalar oracle's
+        ``gain``, so with bitwise-identical survival the two objectives'
         gains are bitwise identical — including every exact tie, which
         is what the greedy lowest-index tie-break needs to produce
         identical schedules. The tree depends only on the window, never
@@ -410,8 +399,8 @@ class CoverageObjective:
 
         ``s_j = exp(ℓ_j)`` with ``ℓ_j = Σ_{i∈Ψ} log1p(-p_ij)`` — the
         accumulation whose error bound the module docstring derives.
-        The differential tests check it against the reference backend's
-        plain products to 1e-9.
+        The differential tests check it against the oracle's plain
+        products to 1e-9.
         """
         return float(
             self.period.num_instants - np.exp(self._log_survival).sum()
@@ -466,9 +455,9 @@ class CoverageObjective:
         fold-tree evaluation's per-call overhead would dominate the
         pick.
 
-        The dot accumulates in BLAS order, not the backend-contract
-        fold order, so values agree with the maintained array and the
-        scalar reference to a few ulp rather than bitwise. That is the
+        The dot accumulates in BLAS order, not the oracle-contract fold
+        order, so values agree with the maintained array and the scalar
+        oracle to a few ulp rather than bitwise. That is the
         deliberate trade: the exact greedy mode never calls this (its
         tie discipline is pinned by :meth:`_recompute_gains`), and the
         stochastic mode's guarantees — seed determinism and
@@ -501,8 +490,8 @@ class CoverageObjective:
         """Add an instant; returns its realized marginal gain.
 
         Two windowed vector updates — the survival products
-        ``s *= 1 - p`` (the gain path, bitwise-pinned to the reference
-        backend) and the log-space state ``ℓ += log1p(-p)`` (the value
+        ``s *= 1 - p`` (the gain path, bitwise-pinned to the oracle)
+        and the log-space state ``ℓ += log1p(-p)`` (the value
         path) — followed by the banded recompute of the maintained
         gains over :meth:`affected_range`. The update values come from
         the mirrored kernel band; instants outside the support window
@@ -547,59 +536,27 @@ class CoverageObjective:
         return lo, hi
 
 
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-def make_objective(
-    period: SchedulingPeriod,
-    kernel: CoverageKernel,
-    backend: str = DEFAULT_BACKEND,
-    *,
-    maintain_gains: bool = True,
-) -> CoverageObjective | ReferenceCoverageObjective:
-    """Construct the coverage objective for the requested backend.
-
-    ``maintain_gains=False`` turns off the numpy backend's per-add gains
-    maintenance (the stochastic sampling path); the scalar reference
-    recomputes gains on demand anyway, so it ignores the flag.
-    """
-    if backend == "numpy":
-        return CoverageObjective(period, kernel, maintain_gains=maintain_gains)
-    if backend == "reference":
-        return ReferenceCoverageObjective(period, kernel)
-    raise SchedulingError(
-        f"unknown scheduling backend {backend!r}; expected one of {BACKENDS}"
-    )
-
-
 def coverage_of_instants(
     period: SchedulingPeriod,
     kernel: CoverageKernel,
     instants: set[int] | list[int],
-    backend: str = DEFAULT_BACKEND,
 ) -> float:
     """One-shot objective value of a pooled instant set.
 
-    Instants are added in sorted order so both backends accumulate
-    rounding identically run-to-run.
+    Instants are added in sorted order so rounding accumulates
+    identically run-to-run.
     """
-    objective = make_objective(period, kernel, backend)
+    objective = CoverageObjective(period, kernel)
     for instant_index in sorted(set(instants)):
         objective.add(instant_index)
     return objective.value()
 
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
     "CoverageObjective",
     "KernelMatrices",
-    "ReferenceCoverageObjective",
     "clear_kernel_matrix_cache",
     "coverage_of_instants",
     "kernel_matrices",
     "kernel_matrix_cache_bytes",
-    "make_objective",
-    "reference_coverage_of_instants",
-    "validate_kernel_weights",
 ]

@@ -23,7 +23,7 @@ this module exists to quantify the difference (see
 from __future__ import annotations
 
 from repro.core.scheduling.greedy import greedy_window
-from repro.core.scheduling.objective import make_objective
+from repro.core.scheduling.objective import CoverageObjective
 from repro.core.scheduling.problem import Schedule, SchedulingProblem
 
 
@@ -32,7 +32,7 @@ def per_user_sum_value(schedule: Schedule) -> float:
     problem = schedule.problem
     total = 0.0
     for user in problem.users:
-        objective = make_objective(problem.period, problem.kernel)
+        objective = CoverageObjective(problem.period, problem.kernel)
         for instant in schedule.assignments.get(user.user_id, []):
             objective.add(instant)
         total += objective.value()
@@ -62,7 +62,7 @@ class PerUserGreedyScheduler:
         total = 0.0
         for user_index, user in enumerate(problem.users):
             lo, hi = problem.user_window(user_index)
-            objective = make_objective(problem.period, problem.kernel)
+            objective = CoverageObjective(problem.period, problem.kernel)
             picks = greedy_window(objective, lo, hi, user.budget, self.min_gain)
             assignments[user.user_id] = sorted(picks)
             total += objective.value()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,10 @@ class SchedulingPeriod:
     num_instants: int
 
     def __post_init__(self) -> None:
+        require(
+            math.isfinite(self.start) and math.isfinite(self.end),
+            "period start and end must be finite",
+        )
         require(self.end > self.start, "period end must be after start")
         require_positive(self.num_instants, "num_instants")
 

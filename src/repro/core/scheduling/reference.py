@@ -2,17 +2,20 @@
 
 This module is the *specification*: a deliberately plain, loop-by-loop
 transcription of the paper's equations (1) and (4) with no numpy in the
-hot path. The vectorized backend in
-:mod:`repro.core.scheduling.objective` is pinned to this code by the
-differential tests (``tests/core/test_differential_scheduling.py``):
-coverage values must agree to 1e-9 and greedy schedules must be
-identical. Keep this implementation boring — its only jobs are to be
-obviously correct and to stay importable as ``backend="reference"``.
+hot path. The vectorized :class:`~repro.core.scheduling.objective.
+CoverageObjective` is pinned to this code by the differential tests
+(``tests/core/test_differential_scheduling.py``): coverage values must
+agree to 1e-9, marginal gains bitwise, and greedy schedules must be
+identical. Keep this implementation boring — its only job is to be
+obviously correct. It is a test oracle: only tests, benchmarks and
+:func:`~repro.experiments.ablations.run_backend_ablation` import it,
+and they run greedy's exact loop over it through
+``GreedyScheduler._solve(problem, ReferenceCoverageObjective(...))``.
 
 Per instant ``j`` it maintains the survival product
 ``s_j = Π_{t_i∈Ψ}(1 - p_ij)`` directly (no log-space), truncating the
-kernel at its support window exactly like the vectorized backend so the
-two compute the same mathematical function.
+kernel at its support window exactly like the vectorized objective so
+the two compute the same mathematical function.
 
 Also here, for the tests only: :func:`brute_force_optimal`, the exact
 optimum by exhaustive search that the approximation-guarantee tests
@@ -26,8 +29,8 @@ import math
 
 import numpy as np
 
-from repro.common.errors import KernelValidationError, SchedulingError
-from repro.core.scheduling.coverage import CoverageKernel
+from repro.common.errors import SchedulingError
+from repro.core.scheduling.coverage import CoverageKernel, validate_kernel_weights
 from repro.core.scheduling.problem import (
     Schedule,
     SchedulingPeriod,
@@ -35,47 +38,16 @@ from repro.core.scheduling.problem import (
 )
 
 
-def validate_kernel_weights(
-    weights, kernel: CoverageKernel, spacing: float
-) -> None:
-    """Reject kernel probabilities the survival state cannot represent.
-
-    ``weights[d]`` is the kernel's probability at distance ``d·spacing``.
-    The diagonal (d = 0) may be exactly 1 — a measurement fully covers
-    its own instant and the log-space state carries the resulting −inf
-    deliberately. Off the diagonal a probability of 1 would make
-    ``log1p(-p) = -inf`` too, silently zeroing every survival product it
-    touches, so both backends require p ∈ [0, 1) there (and p ∈ [0, 1]
-    at d = 0). NaN and out-of-range values raise
-    :class:`~repro.common.errors.KernelValidationError` naming the
-    kernel and the offending distance.
-    """
-    for distance_index, weight in enumerate(weights):
-        weight = float(weight)
-        in_range = (
-            0.0 <= weight <= 1.0
-            if distance_index == 0
-            else 0.0 <= weight < 1.0
-        )
-        if not in_range:  # NaN compares False, so it lands here too
-            raise KernelValidationError(
-                f"kernel {kernel!r} returned probability {weight!r} at "
-                f"distance {distance_index * spacing:g}s; coverage "
-                f"probabilities must lie in [0, 1) off the diagonal "
-                f"(and in [0, 1] at distance 0)"
-            )
-
-
 def fold_tree_sum(terms: list[float]) -> float:
-    """Sum ``terms`` with the backend-contract reduction tree.
+    """Sum ``terms`` with the oracle-contract reduction tree.
 
     Folds the tail half onto the head half (``terms[i] += terms[i +
     rest]`` with ``rest = n - n//2``) until one value remains. The tree
-    depends only on ``len(terms)``, and both backends use it to reduce
-    the per-distance gain terms: the scalar reference folds a Python
-    list, the vectorized backend folds array rows — element for element
-    the same float additions in the same order, which makes the two
-    backends' marginal gains bitwise identical (the schedule-identity
+    depends only on ``len(terms)``, and both objectives use it to reduce
+    the per-distance gain terms: this oracle folds a Python list, the
+    vectorized objective folds array rows — element for element the
+    same float additions in the same order, which makes the two
+    objectives' marginal gains bitwise identical (the schedule-identity
     differential tests rest on this). Mutates ``terms``.
     """
     count = len(terms)
@@ -91,13 +63,11 @@ def fold_tree_sum(terms: list[float]) -> float:
 class ReferenceCoverageObjective:
     """Pure-Python incremental pooled-coverage objective.
 
-    Same interface as the vectorized
-    :class:`~repro.core.scheduling.objective.CoverageObjective`: the
-    greedy schedulers are written against this protocol and accept
-    either backend.
+    Same incremental interface as the vectorized
+    :class:`~repro.core.scheduling.objective.CoverageObjective`, so
+    greedy's loops run over it unchanged.
     """
 
-    backend = "reference"
     #: Gains are recomputed on demand: every :attr:`current_gains` read
     #: is a fresh sweep.
     maintains_gains = False
@@ -110,7 +80,7 @@ class ReferenceCoverageObjective:
         window = min(window, period.num_instants - 1)
         self.window = window
         # weights[d] = p(d · spacing), truncated at the support window —
-        # identical truncation to the vectorized kernel matrix.
+        # identical truncation to the vectorized kernel band.
         self.weights = [kernel.probability(d * spacing) for d in range(window + 1)]
         validate_kernel_weights(self.weights, kernel, spacing)
         self.survival = [1.0] * period.num_instants
@@ -149,8 +119,8 @@ class ReferenceCoverageObjective:
         makes mirror-symmetric survival profiles give bitwise-equal
         mirrored gains (float addition is commutative in rounding); the
         fixed fold tree makes this the exact per-element operation
-        sequence of the vectorized backend's maintained gains — the
-        properties the cross-backend schedule-identity tests lean on.
+        sequence of the vectorized objective's maintained gains — the
+        properties the schedule-identity tests lean on.
         """
         if instant_index in self._chosen:
             return 0.0

@@ -6,8 +6,9 @@ leaves implicit:
 * ``run_sigma_ablation`` — how the coverage-kernel width changes both
   algorithms' coverage (a small σ models fast-changing features;
   schedules must spread much more),
-* ``run_backend_ablation`` — the numpy core vs the scalar reference:
-  identical schedules, very different runtimes,
+* ``run_backend_ablation`` — greedy over the vectorized objective vs
+  greedy over the scalar oracle: identical schedules, very different
+  runtimes,
 * ``run_aggregation_ablation`` — footrule aggregation vs Borda
   count vs the exact (NP-hard) Kemeny optimum on random instances, plus
   the local-search refinement,
@@ -49,6 +50,7 @@ from repro.core.scheduling import (
     greedy_window,
     per_user_sum_value,
 )
+from repro.core.scheduling.reference import ReferenceCoverageObjective
 from repro.sim.arrivals import uniform_arrivals
 
 PERIOD_S = 10_800.0
@@ -99,7 +101,7 @@ def run_sigma_ablation(
 
 
 # ----------------------------------------------------------------------
-# numpy vs reference scheduling backend
+# vectorized objective vs scalar oracle
 # ----------------------------------------------------------------------
 @dataclass
 class BackendPoint:
@@ -125,15 +127,19 @@ def run_backend_ablation(
     seed: int = 0,
     rounds: int = 3,
 ) -> list[BackendPoint]:
-    """Time the numpy backend against the scalar reference; assert they agree.
+    """Time greedy over the objective against the oracle; assert they agree.
 
-    Both run the exact greedy: the reference re-walks every instant's
-    kernel window per pick (the paper-literal O(N²) loop), while the
-    numpy objective maintains its gains array and answers each pick
-    with one O(N) masked argmax — the cost the vectorization removes.
+    Both run greedy's one exact loop: over the scalar oracle
+    (``GreedyScheduler()._solve`` with a
+    :class:`~repro.core.scheduling.reference.ReferenceCoverageObjective`)
+    it re-walks every instant's kernel window per pick (the
+    paper-literal O(N²) loop), while ``GreedyScheduler().solve``'s
+    vectorized objective maintains its gains array and answers each
+    pick with one O(N) masked argmax — the cost the vectorization
+    removes.
 
-    Each backend is timed ``rounds`` times, interleaved, and the best
-    round is kept — shared machines stall either backend for tens of
+    Each side is timed ``rounds`` times, interleaved, and the best
+    round is kept — shared machines stall either side for tens of
     milliseconds at a time, and the minimum is the standard robust
     estimator for "how fast does this code actually run".
     """
@@ -151,10 +157,12 @@ def run_backend_ablation(
         reference = vectorized = None
         for _ in range(max(1, rounds)):
             start = time.perf_counter()
-            reference = GreedyScheduler(backend="reference").solve(problem)
+            reference = GreedyScheduler()._solve(
+                problem, ReferenceCoverageObjective(period, problem.kernel)
+            )
             reference_seconds = min(reference_seconds, time.perf_counter() - start)
             start = time.perf_counter()
-            vectorized = GreedyScheduler(backend="numpy").solve(problem)
+            vectorized = GreedyScheduler().solve(problem)
             numpy_seconds = min(numpy_seconds, time.perf_counter() - start)
         points.append(
             BackendPoint(

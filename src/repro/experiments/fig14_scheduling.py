@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.common.errors import ValidationError
 from repro.core.scheduling import (
-    DEFAULT_BACKEND,
     GaussianKernel,
     GreedyScheduler,
     PeriodicBaselineScheduler,
@@ -82,12 +82,14 @@ class SweepResult:
 
 
 def _one_point(
-    *, users_count: int, budget: int, runs: int, seed: int,
-    backend: str = DEFAULT_BACKEND,
+    *, users_count: int, budget: int, runs: int, seed: int
 ) -> SweepPoint:
+    if runs < 1:
+        # A point with no runs has no mean; numpy would print NaN.
+        raise ValidationError(f"runs must be at least 1, got {runs!r}")
     period = SchedulingPeriod(0.0, PERIOD_S, NUM_INSTANTS)
     kernel = GaussianKernel(sigma=SIGMA_S)
-    greedy = GreedyScheduler(backend=backend)
+    greedy = GreedyScheduler()
     baseline = PeriodicBaselineScheduler(interval_s=BASELINE_INTERVAL_S)
     greedy_values = []
     baseline_values = []
@@ -106,10 +108,8 @@ def _one_point(
     )
 
 
-def run_fig14a(
-    *, runs: int = DEFAULT_RUNS, seed: int = 0, backend: str = DEFAULT_BACKEND
-) -> SweepResult:
-    """Fig. 14(a): average coverage vs number of mobile users."""
+def run_fig14a(*, runs: int = DEFAULT_RUNS, seed: int = 0) -> SweepResult:
+    """Fig. 14(a): average coverage vs number of mobile users (``runs`` ≥ 1)."""
     result = SweepResult(x_label="number of mobile users")
     for users_count in USER_SWEEP:
         result.points.append(
@@ -118,16 +118,13 @@ def run_fig14a(
                 budget=FIXED_BUDGET,
                 runs=runs,
                 seed=seed,
-                backend=backend,
             )
         )
     return result
 
 
-def run_fig14b(
-    *, runs: int = DEFAULT_RUNS, seed: int = 0, backend: str = DEFAULT_BACKEND
-) -> SweepResult:
-    """Fig. 14(b): average coverage vs sensing budget."""
+def run_fig14b(*, runs: int = DEFAULT_RUNS, seed: int = 0) -> SweepResult:
+    """Fig. 14(b): average coverage vs sensing budget (``runs`` ≥ 1)."""
     result = SweepResult(x_label="budget")
     for budget in BUDGET_SWEEP:
         point = _one_point(
@@ -135,7 +132,6 @@ def run_fig14b(
             budget=budget,
             runs=runs,
             seed=seed,
-            backend=backend,
         )
         point.x = budget
         result.points.append(point)

@@ -15,6 +15,7 @@ configuration row.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError, ScriptError
@@ -49,6 +50,16 @@ class Application:
     location_tolerance_m: float = 500.0
 
     def __post_init__(self) -> None:
+        # The ``<=`` checks below let NaN and infinities through; those
+        # break the first PARTICIPATE's kernel or reject every phone.
+        for name in (
+            "period_start",
+            "period_end",
+            "coverage_sigma_s",
+            "location_tolerance_m",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.period_end <= self.period_start:
             raise ConfigurationError("application period must be non-empty")
         if self.num_instants <= 0:

@@ -49,6 +49,7 @@ from repro.core.ranking import (
     weighted_kemeny_distance,
 )
 from repro.db import Database, eq
+from repro.net.messages import Envelope, MessageType
 from repro.obs import MetricsRegistry, Tracer, get_metrics, get_tracer
 from repro.server.schemas import RANKING_VERSIONS
 
@@ -139,6 +140,47 @@ def profile_from_dict(data: Mapping[str, Any]) -> PreferenceProfile:
             raise RankingError(f"weight for {feature!r} must be an integer")
         preferences[str(feature)] = FeaturePreference(preferred, weight)
     return PreferenceProfile(name, preferences)
+
+
+def rank_query_reply(ranker: PersonalizableRanker, envelope: Envelope) -> Envelope:
+    """Answer one ``rank_query`` envelope: Algorithm 2 for its profiles.
+
+    Batch on purpose: all profiles in the request share one
+    ``feature_data`` scan and H matrix (``rank_many``), and repeat
+    queries over unchanged data come straight from the versioned
+    ranking cache. A malformed query or a :class:`RankingError` becomes
+    an ERROR reply; any other error propagates to the caller. A primary
+    and its read-replicas both answer through here, so they send equal
+    replies for equal data.
+    """
+    payload = envelope.payload
+    category = payload.get("category")
+    raw_profiles = payload.get("profiles")
+    if not isinstance(category, str) or not isinstance(raw_profiles, list):
+        return envelope.reply(MessageType.ERROR, {"reason": "malformed rank query"})
+    try:
+        profiles = [profile_from_dict(entry) for entry in raw_profiles]
+        if not profiles:
+            raise RankingError("rank query needs at least one profile")
+        reports = ranker.rank_many(category, profiles)
+    except RankingError as exc:
+        return envelope.reply(MessageType.ERROR, {"reason": str(exc)})
+    return envelope.reply(
+        MessageType.RANKING,
+        {
+            "category": category,
+            "data_version": ranker.data_version(category),
+            "rankings": [
+                {
+                    "profile": name,
+                    "places": list(report.ranking.items),
+                    "weighted_footrule": report.weighted_footrule,
+                    "weighted_kemeny": report.weighted_kemeny,
+                }
+                for name, report in reports.items()
+            ],
+        },
+    )
 
 
 @dataclass(frozen=True)

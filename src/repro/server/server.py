@@ -17,7 +17,6 @@ from repro.common.errors import (
     CodecError,
     ConfigurationError,
     ParticipationError,
-    RankingError,
     TransportError,
 )
 from repro.common.geo import LatLon
@@ -45,7 +44,7 @@ from repro.server.participation import ParticipationManager, ParticipationStatus
 from repro.server.ranker_service import (
     PersonalizableRanker,
     RankingCache,
-    profile_from_dict,
+    rank_query_reply,
 )
 from repro.server.schemas import create_all_tables
 from repro.server.scheduler_service import SensingSchedulerService
@@ -482,43 +481,8 @@ class SensingServer:
         return envelope.reply(MessageType.ACK, {"finished_tasks": finished})
 
     def _on_rank_query(self, envelope: Envelope) -> Envelope:
-        """Serve Algorithm 2 for one or many profiles of one category.
-
-        Batch on purpose: all profiles in the request share one
-        ``feature_data`` scan and H matrix (``rank_many``), and repeat
-        queries over unchanged data come straight from the versioned
-        ranking cache.
-        """
-        payload = envelope.payload
-        category = payload.get("category")
-        raw_profiles = payload.get("profiles")
-        if not isinstance(category, str) or not isinstance(raw_profiles, list):
-            return envelope.reply(
-                MessageType.ERROR, {"reason": "malformed rank query"}
-            )
-        try:
-            profiles = [profile_from_dict(entry) for entry in raw_profiles]
-            if not profiles:
-                raise RankingError("rank query needs at least one profile")
-            reports = self.ranker.rank_many(category, profiles)
-        except RankingError as exc:
-            return envelope.reply(MessageType.ERROR, {"reason": str(exc)})
-        return envelope.reply(
-            MessageType.RANKING,
-            {
-                "category": category,
-                "data_version": self.ranker.data_version(category),
-                "rankings": [
-                    {
-                        "profile": name,
-                        "places": list(report.ranking.items),
-                        "weighted_footrule": report.weighted_footrule,
-                        "weighted_kemeny": report.weighted_kemeny,
-                    }
-                    for name, report in reports.items()
-                ],
-            },
-        )
+        """Serve Algorithm 2 for one or many profiles of one category."""
+        return rank_query_reply(self.ranker, envelope)
 
     # ------------------------------------------------------------------
     # outbound

@@ -55,7 +55,6 @@ from repro.common.errors import (
     CodecError,
     ConfigurationError,
     DatabaseError,
-    RankingError,
 )
 from repro.db import Database, DurabilityConfig, eq
 from repro.db.replication import (
@@ -80,7 +79,7 @@ from repro.server.concurrency import (
 from repro.server.ranker_service import (
     PersonalizableRanker,
     RankingCache,
-    profile_from_dict,
+    rank_query_reply,
 )
 from repro.server.server import SensingServer
 
@@ -258,7 +257,7 @@ class ShardReplica:
             return HttpResponse(status=405)
         try:
             with self._rwlock.read():
-                reply = self._rank(envelope)
+                reply = rank_query_reply(self.ranker, envelope)
         except DatabaseError:
             # Not caught up enough to serve (e.g. the category's tables
             # have not been shipped yet): let the router fail over.
@@ -266,38 +265,6 @@ class ShardReplica:
             return HttpResponse(status=503, headers={"Retry-After": "0.05"})
         self._m_requests.inc(replica=self.host, status="200")
         return HttpResponse(status=200, body=reply.to_bytes())
-
-    def _rank(self, envelope: Envelope) -> Envelope:
-        payload = envelope.payload
-        category = payload.get("category")
-        raw_profiles = payload.get("profiles")
-        if not isinstance(category, str) or not isinstance(raw_profiles, list):
-            return envelope.reply(
-                MessageType.ERROR, {"reason": "malformed rank query"}
-            )
-        try:
-            profiles = [profile_from_dict(entry) for entry in raw_profiles]
-            if not profiles:
-                raise RankingError("rank query needs at least one profile")
-            reports = self.ranker.rank_many(category, profiles)
-        except RankingError as exc:
-            return envelope.reply(MessageType.ERROR, {"reason": str(exc)})
-        return envelope.reply(
-            MessageType.RANKING,
-            {
-                "category": category,
-                "data_version": self.ranker.data_version(category),
-                "rankings": [
-                    {
-                        "profile": name,
-                        "places": list(report.ranking.items),
-                        "weighted_footrule": report.weighted_footrule,
-                        "weighted_kemeny": report.weighted_kemeny,
-                    }
-                    for name, report in reports.items()
-                ],
-            },
-        )
 
     def close(self) -> None:
         """Unhook from the network and stop the worker pool (idempotent).

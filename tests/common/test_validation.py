@@ -25,7 +25,7 @@ class TestRequirePositive:
     def test_returns_value(self):
         assert require_positive(2.5, "x") == 2.5
 
-    @pytest.mark.parametrize("bad", [0, -1, -0.001])
+    @pytest.mark.parametrize("bad", [0, -1, -0.001, float("inf"), float("nan")])
     def test_rejects_non_positive(self, bad):
         with pytest.raises(ValidationError, match="x"):
             require_positive(bad, "x")

@@ -9,6 +9,14 @@ from repro.core.scheduling import ExponentialKernel, GaussianKernel, TriangularK
 KERNELS = [GaussianKernel(10.0), TriangularKernel(25.0), ExponentialKernel(8.0)]
 
 
+@pytest.mark.parametrize(
+    "kernel_class", [GaussianKernel, TriangularKernel, ExponentialKernel]
+)
+def test_infinite_parameter_rejected(kernel_class):
+    with pytest.raises(ValidationError, match="finite"):
+        kernel_class(float("inf"))
+
+
 class TestKernelContract:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_probability_one_at_zero(self, kernel):

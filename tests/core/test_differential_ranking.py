@@ -131,7 +131,8 @@ def weighted_ranking_collections(max_items: int = 6, max_rankings: int = 5):
 
 class TestVectorizedCostMatrixBitwise:
     """The vectorized footrule cost matrix is pinned *bitwise* to the
-    scalar reference loop — same contract as the scheduling backends."""
+    scalar reference loop — same contract as the scheduling objective
+    and its oracle."""
 
     @given(case=weighted_ranking_collections())
     @settings(max_examples=80, deadline=None)

@@ -9,25 +9,25 @@ from repro.core.scheduling import (
     Schedule,
     SchedulingPeriod,
     average_coverage,
-    evaluate_instants,
+    coverage_of_instants,
 )
 
 
 class TestEvaluateInstants:
     def test_empty_set_zero(self):
         period = SchedulingPeriod(0.0, 100.0, 10)
-        assert evaluate_instants(period, GaussianKernel(10.0), []) == 0.0
+        assert coverage_of_instants(period, GaussianKernel(10.0), []) == 0.0
 
     def test_duplicates_ignored(self):
         period = SchedulingPeriod(0.0, 100.0, 10)
         kernel = GaussianKernel(10.0)
-        assert evaluate_instants(period, kernel, [3, 3, 3]) == pytest.approx(
-            evaluate_instants(period, kernel, [3])
+        assert coverage_of_instants(period, kernel, [3, 3, 3]) == pytest.approx(
+            coverage_of_instants(period, kernel, [3])
         )
 
     def test_matches_schedule_bookkeeping(self, small_problem):
         schedule = GreedyScheduler().solve(small_problem)
-        recomputed = evaluate_instants(
+        recomputed = coverage_of_instants(
             small_problem.period,
             small_problem.kernel,
             schedule.pooled_instants,

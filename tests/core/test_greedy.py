@@ -12,7 +12,10 @@ from repro.core.scheduling import (
     SchedulingProblem,
     average_coverage,
 )
-from repro.core.scheduling.reference import brute_force_optimal
+from repro.core.scheduling.reference import (
+    ReferenceCoverageObjective,
+    brute_force_optimal,
+)
 
 
 def random_problem(rng, *, num_instants=12, duration=120.0, users=3, max_budget=3):
@@ -111,11 +114,20 @@ class TestMinGain:
 class TestTieBreaking:
     """The explicit lowest-index tie-break contract (regression tests).
 
-    Both backends must land on the same instant when marginal gains tie
-    exactly — otherwise cross-backend schedules diverge on the first
-    plateau (uniform gains at step 0 are the everyday case: every
-    instant of an empty schedule gains w_0).
+    Greedy over the objective and over the scalar oracle must land on
+    the same instant when marginal gains tie exactly — otherwise their
+    schedules diverge on the first plateau (uniform gains at step 0 are
+    the everyday case: every instant of an empty schedule gains w_0).
     """
+
+    @staticmethod
+    def both_objectives(problem):
+        """The objective's schedule, then the oracle's (greedy's exact loop)."""
+        oracle = ReferenceCoverageObjective(problem.period, problem.kernel)
+        return [
+            GreedyScheduler().solve(problem),
+            GreedyScheduler()._solve(problem, oracle),
+        ]
 
     def test_argmax_tied_low_picks_first_of_exact_ties(self):
         from repro.core.scheduling import argmax_tied_low
@@ -131,23 +143,19 @@ class TestTieBreaking:
         period = SchedulingPeriod(0.0, 1000.0, 10)
         users = [MobileUser("u", 0, 1000, 4)]
         problem = SchedulingProblem(period, users, GaussianKernel(sigma=1e-6))
-        for backend in ("numpy", "reference"):
-            schedule = GreedyScheduler(backend=backend).solve(problem)
-            assert schedule.assignments["u"] == [0, 1, 2, 3], backend
+        for schedule in self.both_objectives(problem):
+            assert schedule.assignments["u"] == [0, 1, 2, 3]
 
     def test_symmetric_problem_is_deterministic_across_variants(self):
         # Mirror-symmetric setup: gains tie in symmetric pairs at every
-        # step. Both backends and a re-run must agree.
+        # step. Objective, oracle and a re-run must agree.
         period = SchedulingPeriod(0.0, 600.0, 24)
         users = [
             MobileUser("a", 0, 600, 3),
             MobileUser("b", 0, 600, 3),
         ]
         problem = SchedulingProblem(period, users, GaussianKernel(sigma=60.0))
-        schedules = [
-            GreedyScheduler(backend=backend).solve(problem)
-            for backend in ("numpy", "reference")
-        ]
+        schedules = self.both_objectives(problem)
         schedules.append(GreedyScheduler().solve(problem))
         for other in schedules[1:]:
             assert other.assignments == schedules[0].assignments

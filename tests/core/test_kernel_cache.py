@@ -14,7 +14,7 @@ The cache regressions pin two production bugs:
 
 The validation regressions pin the ``log1p(-p)`` trap: a kernel
 returning p = 1 at nonzero distance used to silently write −inf into
-the survival state; both backends must now refuse it with a
+the survival state; the objective and its oracle must now refuse it with a
 :class:`~repro.common.errors.KernelValidationError` naming the kernel
 and the offending distance.
 """
@@ -30,7 +30,6 @@ from repro.common.errors import KernelValidationError
 from repro.core.scheduling import (
     CoverageObjective,
     GaussianKernel,
-    ReferenceCoverageObjective,
     SchedulingPeriod,
     TriangularKernel,
     clear_kernel_matrix_cache,
@@ -39,6 +38,7 @@ from repro.core.scheduling import (
     validate_kernel_weights,
 )
 from repro.core.scheduling import objective as objective_module
+from repro.core.scheduling.reference import ReferenceCoverageObjective
 from repro.obs import MetricsRegistry, use_metrics
 
 PERIOD = SchedulingPeriod(0.0, 600.0, 64)

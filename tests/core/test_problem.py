@@ -52,6 +52,13 @@ class TestSchedulingPeriod:
         with pytest.raises(ValidationError):
             SchedulingPeriod(0.0, 10.0, 0)
 
+    @pytest.mark.parametrize(
+        "start, end", [(float("-inf"), 10.0), (0.0, float("inf"))]
+    )
+    def test_non_finite_bounds_rejected(self, start, end):
+        with pytest.raises(ValidationError, match="finite"):
+            SchedulingPeriod(start, end, 5)
+
 
 class TestMobileUser:
     def test_valid(self):

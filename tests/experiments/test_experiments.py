@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ValidationError
 from repro.experiments import (
     TABLE1_EXPECTED,
     TABLE2_EXPECTED,
@@ -104,6 +105,12 @@ class TestFig14:
     def test_format(self):
         text = format_sweep(run_fig14a(runs=1, seed=0), "test")
         assert "mean improvement" in text
+
+    @pytest.mark.parametrize("run", [run_fig14a, run_fig14b])
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_fewer_than_one_run_rejected(self, run, runs):
+        with pytest.raises(ValidationError, match="runs"):
+            run(runs=runs)
 
 
 class TestAblations:

@@ -51,6 +51,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mean improvement" in out
 
+    @pytest.mark.parametrize("artefact", ["fig14a", "fig14b"])
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_fewer_than_one_run_exits_2_with_one_line(
+        self, artefact, runs, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([artefact, "--runs", runs])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith(f"repro {artefact}: error:")
+
 
 class _Captured(Exception):
     """Raised by a stubbed driver so a test can inspect its arguments."""

@@ -104,6 +104,23 @@ class TestApplicationManager:
         with pytest.raises(ConfigurationError):
             make_application(period_start=100.0, period_end=50.0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("period_start", float("nan")),
+            ("period_start", float("-inf")),
+            ("period_end", float("nan")),
+            ("period_end", float("inf")),
+            ("coverage_sigma_s", float("nan")),
+            ("coverage_sigma_s", float("inf")),
+            ("location_tolerance_m", float("nan")),
+            ("location_tolerance_m", float("inf")),
+        ],
+    )
+    def test_non_finite_setting_rejected(self, field, bad):
+        with pytest.raises(ConfigurationError, match=field):
+            make_application(**{field: bad})
+
 
 class TestParticipationManager:
     def setup_participant(self, backend):

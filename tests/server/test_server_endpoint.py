@@ -1,9 +1,12 @@
 """Tests for the SensingServer HTTP endpoint and visualization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.common.clock import ManualClock
+from repro.common.errors import ConfigurationError
 from repro.common.geo import LatLon
 from repro.core.features import FeaturePipeline, FeatureSpec, MeanExtractor
 from repro.db import DurabilityConfig
@@ -104,6 +107,19 @@ class TestParticipateEndpoint:
             Envelope(MessageType.PARTICIPATE, "phone-1", "server", {"nope": 1}),
         )
         assert reply.message_type is MessageType.ERROR
+
+    def test_non_finite_sigma_is_refused_before_any_participate(self):
+        """An infinite σ would overflow the first PARTICIPATE's kernel."""
+        server, *_ = make_server()
+        with pytest.raises(ConfigurationError, match="coverage_sigma_s"):
+            server.create_application(
+                dataclasses.replace(
+                    server.apps.get("app-1"),
+                    app_id="app-2",
+                    coverage_sigma_s=float("inf"),
+                )
+            )
+        assert server.apps.get("app-2") is None
 
     def test_garbage_body_is_400(self):
         _, network, *_ = make_server()

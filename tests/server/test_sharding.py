@@ -135,6 +135,47 @@ class TestReplica:
         finally:
             cluster.close()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"category": 7, "profiles": [PROFILE]},
+            {"category": "museums", "profiles": PROFILE},
+            {"category": "museums", "profiles": []},
+            {
+                "category": "museums",
+                "profiles": [
+                    {
+                        "name": "fractional",
+                        "preferences": {
+                            "noise_db": {"preferred": "min", "weight": 1.5}
+                        },
+                    }
+                ],
+            },
+        ],
+        ids=["category-not-str", "profiles-not-list", "no-profiles", "bad-weight"],
+    )
+    def test_replica_matches_primary_error_exactly(self, tmp_path, payload):
+        cluster, network = make_cluster(tmp_path)
+        try:
+            place_category(cluster, (0, 1, 2), "museums", pin_to="shard-0")
+            cluster.sync_replicas()
+            query = Envelope(
+                message_type=MessageType.RANK_QUERY,
+                sender="phone-1",
+                recipient="",
+                payload=payload,
+            )
+            primary_reply = Envelope.from_bytes(post(network, "shard-0", query).body)
+            replica_reply = Envelope.from_bytes(
+                post(network, "shard-0-r0", query).body
+            )
+            assert primary_reply.message_type is MessageType.ERROR
+            assert replica_reply.message_type is MessageType.ERROR
+            assert primary_reply.payload == replica_reply.payload
+        finally:
+            cluster.close()
+
     def test_staleness_is_bounded_and_versioned(self, tmp_path):
         cluster, network = make_cluster(tmp_path)
         try:
