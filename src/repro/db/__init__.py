@@ -9,12 +9,7 @@ clauses, ordering and limits, and snapshot transactions.
 """
 
 from repro.db.database import Database, Transaction
-from repro.db.persistence import (
-    dump_database,
-    load_database,
-    open_database,
-    save_database,
-)
+from repro.db.persistence import dump_database, load_database
 from repro.db.predicates import (
     Predicate,
     and_,
@@ -65,8 +60,6 @@ __all__ = [
     "lt",
     "ne",
     "not_",
-    "open_database",
     "open_durable_database",
     "or_",
-    "save_database",
 ]

@@ -1,26 +1,24 @@
-"""Dump and restore a database to/from JSON.
+"""The JSON codec for database state: dump and load, rows and cells.
 
 The sensing server's state (users, applications, tasks, raw blobs,
 readings, feature data) survives restarts in the real system because
-PostgreSQL is durable; this module gives the in-memory stand-in the same
-property: :func:`dump_database` serializes schemas, rows, auto-increment
-counters and index definitions to a JSON-compatible dict (blobs are
+PostgreSQL is durable. The in-memory stand-in gets there through
+:mod:`repro.db.wal`, and this module is the pure codec it writes with:
+:func:`dump_database` serializes schemas, rows, auto-increment counters
+and index definitions to a JSON-compatible dict (blobs are
 base64-encoded), and :func:`load_database` reconstructs an identical
-database.
+database. WAL records carry rows, cells and schemas in the same wire
+form (:func:`encode_row`, :func:`encode_cell`, :func:`schema_to_dict`).
 
-:func:`save_database` writes atomically (temp file + fsync +
-``os.replace``), so a crash mid-dump can never leave a truncated,
-unloadable file where a good one used to be — the write-ahead log
-(:mod:`repro.db.wal`) builds its checkpoints on the same primitive.
+Nothing here touches the file system: checkpoint files are written
+atomically, with crash hooks, by the WAL's durability manager and read
+back by :func:`repro.db.wal.read_checkpoint`.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
-import json
-import os
-from pathlib import Path
 from typing import Any
 
 from repro.common.errors import DatabaseError
@@ -31,7 +29,8 @@ from repro.obs import MetricsRegistry
 _FORMAT_VERSION = 1
 
 
-def _encode_cell(column: Column, value: Any) -> Any:
+def encode_cell(column: Column, value: Any) -> Any:
+    """One cell in JSON-compatible wire form (blobs base64'd)."""
     if value is None:
         return None
     if column.type is ColumnType.BLOB:
@@ -39,7 +38,8 @@ def _encode_cell(column: Column, value: Any) -> Any:
     return value
 
 
-def _decode_cell(column: Column, value: Any) -> Any:
+def decode_cell(column: Column, value: Any) -> Any:
+    """Invert :func:`encode_cell` back to a storable Python value."""
     if value is None:
         return None
     if column.type is ColumnType.BLOB:
@@ -59,7 +59,7 @@ def _decode_cell(column: Column, value: Any) -> Any:
 def encode_row(schema: Schema, row: dict[str, Any]) -> dict[str, Any]:
     """One stored row in JSON-compatible wire form (blobs base64'd)."""
     return {
-        column.name: _encode_cell(column, row[column.name])
+        column.name: encode_cell(column, row[column.name])
         for column in schema.columns
     }
 
@@ -67,7 +67,7 @@ def encode_row(schema: Schema, row: dict[str, Any]) -> dict[str, Any]:
 def decode_row(schema: Schema, row: dict[str, Any]) -> dict[str, Any]:
     """Invert :func:`encode_row` back to storable Python values."""
     return {
-        column.name: _decode_cell(column, row.get(column.name))
+        column.name: decode_cell(column, row.get(column.name))
         for column in schema.columns
     }
 
@@ -85,7 +85,7 @@ def schema_to_dict(schema: Schema) -> dict[str, Any]:
                 "nullable": column.nullable,
                 # Blob defaults (e.g. b"") need the same base64 treatment
                 # as blob cells to survive the JSON round trip.
-                "default": _encode_cell(column, column.default),
+                "default": encode_cell(column, column.default),
                 "auto_increment": column.auto_increment,
             }
             for column in schema.columns
@@ -105,7 +105,7 @@ def schema_from_dict(data: dict[str, Any]) -> Schema:
                 default=None,
                 auto_increment=column.get("auto_increment", False),
             )
-            default = _decode_cell(parsed, column.get("default"))
+            default = decode_cell(parsed, column.get("default"))
             if default is not None:
                 parsed = Column(
                     name=parsed.name,
@@ -123,21 +123,6 @@ def schema_from_dict(data: dict[str, Any]) -> Schema:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DatabaseError(f"malformed schema in dump: {exc!r}") from exc
-
-
-def encode_cell(column: Column, value: Any) -> Any:
-    """One cell in JSON-compatible wire form (blobs base64'd)."""
-    return _encode_cell(column, value)
-
-
-def decode_cell(column: Column, value: Any) -> Any:
-    """Invert :func:`encode_cell` back to a storable Python value."""
-    return _decode_cell(column, value)
-
-
-# Backwards-compatible aliases (pre-WAL internal names).
-_schema_to_dict = schema_to_dict
-_schema_from_dict = schema_from_dict
 
 
 def dump_database(database: Database) -> dict[str, Any]:
@@ -203,61 +188,3 @@ def load_database(
                 f"malformed table entry in dump: {exc!r}"
             ) from exc
     return database
-
-
-def atomic_write_json(path: str | Path, data: Any) -> int:
-    """Write ``data`` as JSON to ``path`` atomically; returns bytes written.
-
-    The payload lands in a same-directory temp file which is fsynced and
-    then ``os.replace``d over the target, so readers observe either the
-    old complete file or the new complete file — never a torn prefix.
-    The directory entry is fsynced too (best effort; not all platforms
-    allow opening directories).
-    """
-    target = Path(path)
-    payload = json.dumps(data).encode("utf-8")
-    tmp = target.with_name(f".{target.name}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-    except OSError as exc:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise DatabaseError(f"cannot write {target}: {exc}") from exc
-    fsync_directory(target.parent)
-    return len(payload)
-
-
-def fsync_directory(directory: Path) -> None:
-    """Flush a directory entry to disk (best effort)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def save_database(database: Database, path: str | Path) -> None:
-    """Write a database dump to ``path`` as JSON, atomically."""
-    atomic_write_json(path, dump_database(database))
-
-
-def open_database(
-    path: str | Path, *, metrics: MetricsRegistry | None = None
-) -> Database:
-    """Load a database previously written by :func:`save_database`."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DatabaseError(f"cannot open database dump {path}: {exc}") from exc
-    return load_database(data, metrics=metrics)

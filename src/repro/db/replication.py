@@ -3,9 +3,11 @@
 The write-ahead log (:mod:`repro.db.wal`) already *is* a replication
 log: an ordered stream of committed mutations with transaction markers,
 checkpoints at segment boundaries, and a torn-tail discipline that makes
-"acked" and "on disk" the same thing. This module reads that stream
-incrementally so read-replicas can follow a primary without sharing its
-:class:`~repro.db.database.Database` object:
+"acked" and "on disk" the same thing. This module keeps only a
+replica's bookkeeping on top of it; every read of the directory goes
+through the reader crash recovery uses (:func:`~repro.db.wal.read_committed`
+and :func:`~repro.db.wal.read_checkpoint`), so a replica can never keep a
+record recovery would discard, or miss one it would replay:
 
 * :class:`ReplicationCursor` — an immutable ``(segment seq, byte
   offset)`` bookmark into the primary's directory. Offsets always land
@@ -14,10 +16,10 @@ incrementally so read-replicas can follow a primary without sharing its
   returns the records plus the advanced cursor. When the cursor's
   segment has been pruned by checkpoint compaction, the batch instead
   carries the newest checkpoint ``snapshot`` and the replica rebuilds
-  from it (the normal bootstrap path for a replica joining late).
-* :func:`apply_records` / :func:`bootstrap_database` — the replica-side
-  apply loop, reusing the exact recovery replay code so a replica can
-  never interpret a record differently than crash recovery would.
+  from it with :func:`~repro.db.persistence.load_database` (the normal
+  bootstrap path for a replica joining late).
+* :func:`apply_records` — the replica-side apply loop, which is crash
+  recovery's own replay.
 
 Shipping is pull-based and file-level: the shipper never touches the
 primary's in-memory state, so it keeps working after the primary process
@@ -27,21 +29,20 @@ needs for its final catch-up read from the surviving directory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.common.errors import DatabaseError, RecoveryError
-from repro.db.database import Database
-from repro.db.persistence import load_database
 from repro.db.wal import (
-    _apply_record,
-    _resolve_transactions,
-    _scan_directory,
+    apply_records,
+    read_checkpoint,
+    read_committed,
     read_wal_file,
+    scan_directory,
 )
-from repro.obs import MetricsRegistry
+
+__all__ = ["ReplicationCursor", "ShippedBatch", "WalShipper", "apply_records"]
 
 
 @dataclass(frozen=True)
@@ -69,16 +70,13 @@ class ShippedBatch:
 
     When ``snapshot`` is set the replica's history no longer reaches the
     cursor (segments were pruned); it must rebuild its database from the
-    snapshot via :func:`bootstrap_database` *before* applying
-    ``records``, which then continue from the snapshot's segment.
+    snapshot via :func:`~repro.db.persistence.load_database` *before*
+    applying ``records``, which then continue from the snapshot's segment.
     """
 
     records: list[dict[str, Any]] = field(default_factory=list)
     cursor: ReplicationCursor = field(default_factory=ReplicationCursor)
     snapshot: dict[str, Any] | None = None
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class WalShipper:
@@ -96,24 +94,18 @@ class WalShipper:
 
         The fast path for a replica joining an established primary —
         e.g. the replacement replica re-seeded after a failover: load
-        the checkpoint via :func:`bootstrap_database` and ship only the
-        records past it, instead of replaying history from segment 1
-        (which may be pruned anyway). Returns ``(None, cursor-at-
-        start-of-history)`` when the directory has no checkpoint yet.
+        the checkpoint via :func:`~repro.db.persistence.load_database`
+        and ship only the records past it, instead of replaying history
+        from segment 1 (which may be pruned anyway). Returns ``(None,
+        cursor-at-start-of-history)`` when the directory has no
+        checkpoint yet, and raises :class:`RecoveryError` when the
+        newest one cannot be read.
         """
-        if not self.directory.is_dir():
-            return None, ReplicationCursor()
-        checkpoints, _wals = _scan_directory(self.directory)
+        checkpoints, _wals = scan_directory(self.directory)
         if not checkpoints:
             return None, ReplicationCursor()
         seq = max(checkpoints)
-        try:
-            snapshot = json.loads(checkpoints[seq].read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise RecoveryError(
-                f"{self.directory}: checkpoint {seq} unreadable: {exc!r}"
-            ) from exc
-        return snapshot, ReplicationCursor(seq=seq, offset=0)
+        return read_checkpoint(checkpoints[seq]), ReplicationCursor(seq=seq)
 
     def ship(self, cursor: ReplicationCursor) -> ShippedBatch:
         """Everything committed past ``cursor``, plus where to resume.
@@ -121,87 +113,30 @@ class WalShipper:
         Uncommitted transaction tails in the live (final) segment are
         held back — they are not acked, so a replica must never see
         them. The returned cursor re-reads from the transaction's start
-        next time in case its commit marker lands later.
+        next time in case its commit marker lands later. A gap, corrupt
+        history or a segment that cannot be read (it may have been
+        pruned since the scan) raises :class:`RecoveryError`.
         """
-        if not self.directory.is_dir():
-            return ShippedBatch(cursor=cursor)
-        checkpoints, wals = _scan_directory(self.directory)
+        checkpoints, wals = scan_directory(self.directory)
         if not wals:
             return ShippedBatch(cursor=cursor)
-        max_seq = max(wals)
-
-        batch = ShippedBatch(cursor=cursor)
-        start_seq = cursor.seq
-        if start_seq not in wals and start_seq <= max_seq:
+        snapshot = None
+        if cursor.seq not in wals and cursor.seq <= max(wals):
             # The cursor's segment was pruned by checkpoint compaction:
-            # bootstrap from the newest checkpoint at or before the tip.
-            usable = [seq for seq in checkpoints if seq >= start_seq]
+            # bootstrap from the newest checkpoint at or past it.
+            usable = [seq for seq in checkpoints if seq >= cursor.seq]
             if not usable:
                 raise RecoveryError(
-                    f"{self.directory}: WAL segment {start_seq} is gone and no "
+                    f"{self.directory}: WAL segment {cursor.seq} is gone and no "
                     "checkpoint covers it; replica cannot catch up"
                 )
-            snapshot_seq = max(usable)
-            try:
-                batch.snapshot = json.loads(
-                    checkpoints[snapshot_seq].read_text(encoding="utf-8")
-                )
-            except (OSError, json.JSONDecodeError) as exc:
-                raise RecoveryError(
-                    f"{self.directory}: checkpoint {snapshot_seq} unreadable: "
-                    f"{exc!r}"
-                ) from exc
-            cursor = ReplicationCursor(seq=snapshot_seq, offset=0)
-            start_seq = snapshot_seq
-
-        offset = cursor.offset
-        final_cursor = cursor
-        for seq in range(start_seq, max_seq + 1):
-            path = wals.get(seq)
-            if path is None:
-                raise RecoveryError(
-                    f"{self.directory}: missing WAL segment {seq} "
-                    f"(have up to {max_seq})"
-                )
-            final = seq == max_seq
-            try:
-                entries, clean_bytes, torn = read_wal_file(path)
-            except OSError as exc:
-                # A segment can vanish between the scan and the read if
-                # the primary checkpoints (prunes) concurrently; surface
-                # a typed error so callers retry from a fresh scan.
-                raise RecoveryError(f"{path.name}: unreadable: {exc!r}") from exc
-            if torn and not final:
-                raise RecoveryError(f"{path.name}: torn record in a non-final segment")
-            if offset:
-                entries = [entry for entry in entries if entry[1] >= offset]
-            records, keep_bytes, _incomplete = _resolve_transactions(
-                entries, clean_bytes, final_segment=final, path=path
-            )
-            batch.records.extend(records)
-            if final:
-                final_cursor = ReplicationCursor(seq=seq, offset=max(offset, keep_bytes))
-            offset = 0
-        batch.cursor = final_cursor
-        return batch
-
-
-def bootstrap_database(
-    snapshot: dict[str, Any], *, metrics: MetricsRegistry | None = None
-) -> Database:
-    """Build a fresh replica database from a shipped checkpoint dump."""
-    return load_database(snapshot, metrics=metrics)
-
-
-def apply_records(
-    database: Database, records: list[dict[str, Any]], *, source: str = "wal-ship"
-) -> int:
-    """Replay shipped records into a replica database; returns the count.
-
-    Uses the recovery replay (:func:`repro.db.wal._apply_record`) so
-    replicas and crash recovery can never diverge in interpretation.
-    """
-    label = Path(source)
-    for record in records:
-        _apply_record(database, record, label)
-    return len(records)
+            cursor = ReplicationCursor(seq=max(usable))
+            snapshot = read_checkpoint(checkpoints[cursor.seq])
+        history = read_committed(
+            self.directory, wals, cursor.seq, cursor.offset, read=read_wal_file
+        )
+        return ShippedBatch(
+            records=history.records,
+            cursor=ReplicationCursor(seq=history.seq, offset=history.offset),
+            snapshot=snapshot,
+        )

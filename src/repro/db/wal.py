@@ -22,9 +22,19 @@ back to the oldest kept checkpoint); a torn final record — the signature
 of a crash mid-append — is truncated away, as is the tail of a
 transaction whose commit marker never made it to disk.
 
-Checkpoints are written with the same temp-file + fsync + ``os.replace``
-dance as :func:`repro.db.persistence.save_database`, so a crash during
+Checkpoints are written with a temp-file + fsync + ``os.replace``
+dance (:meth:`DurabilityManager._write_snapshot`), so a crash during
 compaction can never destroy the previous checkpoint.
+
+This is the only module that reads a durability directory back. Crash
+recovery, WAL shipping (:mod:`repro.db.replication`) and re-attach use
+one piece per job — :func:`scan_directory` lists it,
+:func:`read_checkpoint` parses a checkpoint, :func:`read_committed` walks
+the segments and returns their committed prefix, one tail truncation
+cuts the final segment back to that prefix, and :func:`apply_records`
+replays records — so they can never disagree about what was committed,
+and all of them report a segment that cannot be read as
+:class:`~repro.common.errors.RecoveryError`.
 
 The :class:`DurabilityManager` also carries one-shot crash hooks
 (:meth:`~DurabilityManager.arm`) used by :mod:`repro.sim.faults` to kill
@@ -51,7 +61,7 @@ import os
 import struct
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Callable
 
@@ -61,7 +71,6 @@ from repro.db.persistence import (
     decode_cell,
     decode_row,
     dump_database,
-    fsync_directory,
     load_database,
     schema_from_dict,
 )
@@ -243,66 +252,58 @@ def _resolve_transactions(
     return applied, txn_start, 1
 
 
-def _apply_record(database: Database, record: dict[str, Any], path: Path) -> None:
-    try:
-        op = record["op"]
-        if op == "create_table":
-            database.create_table(schema_from_dict(record["schema"]))
-        elif op == "drop_table":
-            database.drop_table(record["table"])
-        elif op == "create_index":
-            database.table(record["table"]).create_index(record["column"])
-        elif op == "insert":
-            table = database.table(record["table"])
-            table.insert(decode_row(table.schema, record["row"]))
-        elif op == "update":
-            table = database.table(record["table"])
-            row = decode_row(table.schema, record["row"])
-            pk_name = table.schema.primary_key
-            pk = row.pop(pk_name)
-            table.update(eq(pk_name, pk), row)
-        elif op == "delete":
-            table = database.table(record["table"])
-            pk_name = table.schema.primary_key
-            pk = decode_cell(table.schema.column(pk_name), record["pk"])
-            table.delete(eq(pk_name, pk))
-        else:
-            raise RecoveryError(f"{path.name}: unknown WAL op {op!r}")
-    except RecoveryError:
-        raise
-    except (DatabaseError, KeyError, TypeError, ValueError) as exc:
-        raise RecoveryError(
-            f"{path.name}: cannot replay {record.get('op')!r} record: {exc!r}"
-        ) from exc
+def apply_records(
+    database: Database, records: list[dict[str, Any]], *, source: str = "wal-ship"
+) -> int:
+    """Replay committed WAL records into ``database``; returns the count.
 
-
-def _sanitize_segment_tail(path: Path) -> int:
-    """Truncate a segment to its committed prefix; returns bytes removed.
-
-    Applies the exact keep-bytes rule recovery uses for a *final*
-    segment — torn frames and transactions whose commit marker never
-    landed are cut off. Re-attach runs this on the generation it
-    inherits so that segment, which is about to stop being final, can
-    never trip the "torn record in a non-final segment" corruption
-    check in recovery or replication.
+    Crash recovery and read-replicas both replay through here, so they
+    can never interpret a record differently. A record that does not
+    fit the database raises :class:`RecoveryError` naming ``source``.
     """
-    entries, clean_bytes, _torn = read_wal_file(path)
-    _records, keep_bytes, _incomplete = _resolve_transactions(
-        entries, clean_bytes, final_segment=True, path=path
-    )
-    size = path.stat().st_size
-    if keep_bytes >= size:
-        return 0
-    with open(path, "r+b") as handle:
-        handle.truncate(keep_bytes)
-        handle.flush()
-        os.fsync(handle.fileno())
-    return size - keep_bytes
+    for record in records:
+        try:
+            op = record["op"]
+            if op == "create_table":
+                database.create_table(schema_from_dict(record["schema"]))
+            elif op == "drop_table":
+                database.drop_table(record["table"])
+            elif op == "create_index":
+                database.table(record["table"]).create_index(record["column"])
+            elif op == "insert":
+                table = database.table(record["table"])
+                table.insert(decode_row(table.schema, record["row"]))
+            elif op == "update":
+                table = database.table(record["table"])
+                row = decode_row(table.schema, record["row"])
+                pk_name = table.schema.primary_key
+                pk = row.pop(pk_name)
+                table.update(eq(pk_name, pk), row)
+            elif op == "delete":
+                table = database.table(record["table"])
+                pk_name = table.schema.primary_key
+                pk = decode_cell(table.schema.column(pk_name), record["pk"])
+                table.delete(eq(pk_name, pk))
+            else:
+                raise RecoveryError(f"{source}: unknown WAL op {op!r}")
+        except RecoveryError:
+            raise
+        except (DatabaseError, KeyError, TypeError, ValueError) as exc:
+            raise RecoveryError(
+                f"{source}: cannot replay {record.get('op')!r} record: {exc!r}"
+            ) from exc
+    return len(records)
 
 
-def _scan_directory(directory: Path) -> tuple[dict[int, Path], dict[int, Path]]:
+def scan_directory(directory: Path) -> tuple[dict[int, Path], dict[int, Path]]:
+    """Checkpoints and WAL segments in ``directory``, by sequence number.
+
+    A directory that does not exist holds neither.
+    """
     checkpoints: dict[int, Path] = {}
     wals: dict[int, Path] = {}
+    if not directory.is_dir():
+        return checkpoints, wals
     for entry in directory.iterdir():
         name = entry.name
         if name.startswith("checkpoint-") and name.endswith(".json"):
@@ -316,6 +317,110 @@ def _scan_directory(directory: Path) -> tuple[dict[int, Path], dict[int, Path]]:
             except ValueError:
                 continue
     return checkpoints, wals
+
+
+def read_checkpoint(path: Path) -> dict[str, Any]:
+    """The database dump a checkpoint file holds.
+
+    A file that cannot be read or is not JSON raises
+    :class:`RecoveryError`; whether the dump inside is well formed is
+    :func:`~repro.db.persistence.load_database`'s call.
+    """
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise RecoveryError(f"{path.name}: unreadable: {exc!r}") from exc
+
+
+@dataclass
+class CommittedHistory:
+    """The committed prefix of a run of WAL segments (:func:`read_committed`).
+
+    ``seq`` and ``offset`` mark where the prefix ends: the last segment
+    read and the byte length of its committed part. Past that point lies
+    only what was never acked — a torn frame, or a transaction whose
+    commit marker never landed (``incomplete`` counts those).
+    """
+
+    seq: int
+    offset: int
+    records: list[dict[str, Any]] = field(default_factory=list)
+    segments: int = 0
+    incomplete: int = 0
+
+
+def read_committed(
+    directory: Path,
+    wals: dict[int, Path],
+    seq: int,
+    offset: int = 0,
+    *,
+    read: Callable[[Path], Any] = read_wal_file,
+) -> CommittedHistory:
+    """Walk segments ``seq`` up to the newest, from byte ``offset`` of the first.
+
+    A segment missing from the run, ``seq`` itself included, is a gap; a
+    segment that cannot be read, a torn frame in any but the newest
+    segment, and a transaction left open before the newest segment's
+    tail are corruption. Each raises :class:`RecoveryError`. ``read`` parses one segment; the WAL
+    shipper passes its own module's :func:`read_wal_file`, so segment
+    reads made on a replica's behalf can be counted or stubbed apart
+    from recovery's.
+    """
+    history = CommittedHistory(seq=seq, offset=offset)
+    newest = max(wals)
+    for current in range(seq, max(seq, newest) + 1):
+        path = wals.get(current)
+        if path is None:
+            raise RecoveryError(
+                f"{directory}: missing WAL segment {current} (have up to {newest})"
+            )
+        final = current == newest
+        try:
+            entries, clean_bytes, torn = read(path)
+        except OSError as exc:
+            # Not a file, or pruned between the scan and this read by a
+            # concurrent checkpoint: a typed error callers can retry on.
+            raise RecoveryError(f"{path.name}: unreadable: {exc!r}") from exc
+        if torn and not final:
+            raise RecoveryError(f"{path.name}: torn record in a non-final segment")
+        if offset:
+            entries = [entry for entry in entries if entry[1] >= offset]
+        records, keep_bytes, incomplete = _resolve_transactions(
+            entries, clean_bytes, final_segment=final, path=path
+        )
+        history.records.extend(records)
+        history.seq, history.offset = current, max(offset, keep_bytes)
+        history.segments += 1
+        history.incomplete += incomplete
+        offset = 0
+    return history
+
+
+def _truncate_tail(path: Path, keep_bytes: int) -> int:
+    """Cut a segment back to its committed prefix; returns bytes removed."""
+    size = path.stat().st_size
+    if keep_bytes >= size:
+        return 0
+    with open(path, "r+b") as handle:
+        handle.truncate(keep_bytes)
+        handle.flush()
+        os.fsync(handle.fileno())
+    return size - keep_bytes
+
+
+def fsync_directory(directory: Path) -> None:
+    """Flush a directory entry to disk (best effort)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 class DurabilityManager:
@@ -509,7 +614,7 @@ class DurabilityManager:
         self._fire("checkpoint.post_replace")
 
     def _prune(self) -> None:
-        checkpoints, wals = _scan_directory(self.directory)
+        checkpoints, wals = scan_directory(self.directory)
         kept = sorted(checkpoints, reverse=True)[: self.config.keep_checkpoints]
         for seq, path in checkpoints.items():
             if seq not in kept:
@@ -581,23 +686,27 @@ def open_durable_database(
 
     Returns the live database — with a :class:`DurabilityManager`
     attached and accepting writes — and a :class:`RecoveryReport`
-    describing what recovery found.
+    describing what recovery found. Loads the newest checkpoint that
+    parses, replays the segments from its own on through
+    :func:`read_committed` and cuts the final segment back to its
+    committed prefix; a gap, corruption or an unreadable segment raises
+    :class:`RecoveryError`.
     """
     started = time.perf_counter()
     directory = Path(config.directory)
     directory.mkdir(parents=True, exist_ok=True)
     report = RecoveryReport()
-    checkpoints, wals = _scan_directory(directory)
+    checkpoints, wals = scan_directory(directory)
 
     database: Database | None = None
     for seq in sorted(checkpoints, reverse=True):
         try:
-            data = json.loads(checkpoints[seq].read_text(encoding="utf-8"))
-            database = load_database(data, metrics=metrics)
-            report.checkpoint_seq = seq
-            break
-        except (OSError, json.JSONDecodeError, DatabaseError):
+            database = load_database(read_checkpoint(checkpoints[seq]), metrics=metrics)
+        except DatabaseError:
             report.corrupt_checkpoints_skipped += 1
+            continue
+        report.checkpoint_seq = seq
+        break
     if database is None:
         if checkpoints and (not wals or min(wals) > 1):
             raise RecoveryError(
@@ -605,47 +714,19 @@ def open_durable_database(
                 "reach back to the beginning of history"
             )
         database = Database(name=name, metrics=metrics)
-        report.checkpoint_seq = 0
-    if wals and min(wals) > max(report.checkpoint_seq, 1):
-        raise RecoveryError(
-            f"{directory}: oldest WAL segment {min(wals)} is newer than "
-            f"checkpoint {report.checkpoint_seq}; history has a gap"
-        )
 
+    live_seq = max(report.checkpoint_seq, 1)
     if wals:
-        start_seq = report.checkpoint_seq if report.checkpoint_seq else min(wals)
-        max_seq = max(wals)
-        for seq in range(start_seq, max_seq + 1):
-            path = wals.get(seq)
-            if path is None:
-                raise RecoveryError(
-                    f"{directory}: missing WAL segment {seq} "
-                    f"(have up to {max_seq})"
-                )
-            final = seq == max_seq
-            entries, clean_bytes, torn = read_wal_file(path)
-            if torn and not final:
-                raise RecoveryError(
-                    f"{path.name}: torn record in a non-final segment"
-                )
-            records, keep_bytes, incomplete = _resolve_transactions(
-                entries, clean_bytes, final_segment=final, path=path
-            )
-            size = path.stat().st_size
-            if final and keep_bytes < size:
-                with open(path, "r+b") as handle:
-                    handle.truncate(keep_bytes)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                report.torn_tail_bytes_discarded += size - keep_bytes
-            report.incomplete_transactions_discarded += incomplete
-            for record in records:
-                _apply_record(database, record, path)
-            report.records_replayed += len(records)
-            report.wal_files_replayed += 1
-        live_seq = max_seq
-    else:
-        live_seq = max(report.checkpoint_seq, 1)
+        history = read_committed(directory, wals, live_seq)
+        report.torn_tail_bytes_discarded = _truncate_tail(
+            wals[history.seq], history.offset
+        )
+        report.incomplete_transactions_discarded = history.incomplete
+        report.records_replayed = apply_records(
+            database, history.records, source=directory.name
+        )
+        report.wal_files_replayed = history.segments
+        live_seq = history.seq
 
     manager = DurabilityManager(database, config, seq=live_seq, metrics=metrics)
     database.attach_durability(manager)
@@ -669,8 +750,6 @@ def attach_durability(
     directory: str | Path,
     *,
     fsync: bool = True,
-    checkpoint_every_records: int = 0,
-    keep_checkpoints: int = 2,
     metrics: MetricsRegistry | None = None,
 ) -> DurabilityManager:
     """Make an already-populated in-memory database durable in place.
@@ -683,9 +762,10 @@ def attach_durability(
 
     Steps, in crash-safe order:
 
-    1. sanitize the inherited final segment (truncate torn frames and
-       uncommitted transaction tails, exactly as recovery would) so it
-       can safely stop being the final segment;
+    1. sanitize the inherited final segment: walk it with
+       :func:`read_committed` and truncate it to its committed prefix,
+       exactly as recovery would, so it can safely stop being the final
+       segment (an unreadable segment raises :class:`RecoveryError`);
     2. open WAL segment ``G+1`` where ``G`` is the newest sequence
        number on disk (checkpoint or segment);
     3. write ``checkpoint-(G+1)`` atomically (temp + fsync +
@@ -702,17 +782,13 @@ def attach_durability(
         raise DatabaseError("database already has durability attached")
     if database._active_transaction is not None:
         raise DatabaseError("cannot attach durability during an active transaction")
-    config = DurabilityConfig(
-        directory=directory,
-        fsync=fsync,
-        checkpoint_every_records=checkpoint_every_records,
-        keep_checkpoints=keep_checkpoints,
-    )
+    config = DurabilityConfig(directory=directory, fsync=fsync)
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
-    checkpoints, wals = _scan_directory(target)
+    checkpoints, wals = scan_directory(target)
     if wals:
-        _sanitize_segment_tail(wals[max(wals)])
+        tail = read_committed(target, wals, max(wals))
+        _truncate_tail(wals[tail.seq], tail.offset)
     seq = max([*checkpoints, *wals], default=0) + 1
 
     manager = DurabilityManager(database, config, seq=seq, metrics=metrics)

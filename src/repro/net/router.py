@@ -40,7 +40,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.common.errors import CodecError, TransportError, ValidationError
-from repro.net.http import HttpRequest, HttpResponse
+from repro.net.http import HttpRequest, HttpResponse, busy_response, metrics_response
 from repro.net.messages import Envelope, MessageType
 from repro.net.resilience import ResilientClient
 from repro.net.transport import Network
@@ -245,10 +245,7 @@ class ShardRouter:
     def handle_request(self, request: HttpRequest) -> HttpResponse:
         """Route one request to the shard owning its key."""
         if request.method == "GET" and request.path == "/metrics":
-            from repro.obs import to_prometheus_text
-
-            body = to_prometheus_text(self.metrics).encode("utf-8")
-            return HttpResponse(status=200, body=body)
+            return metrics_response(self.metrics)
         try:
             envelope = Envelope.from_bytes(request.body)
         except CodecError:
@@ -318,7 +315,7 @@ class ShardRouter:
             # the phone's own resilient client backs off and re-sends —
             # the window a failover promotion needs to take over.
             self._m_rejected.inc()
-            return self._busy_response()
+            return busy_response(self.host)
 
     def _route_read(self, request: HttpRequest, category: str) -> HttpResponse:
         info = self.table.shard_for_category(category)
@@ -337,7 +334,7 @@ class ShardRouter:
                 if index < len(candidates) - 1:
                     self._m_read_failovers.inc()
         self._m_rejected.inc()
-        return self._busy_response()
+        return busy_response(self.host)
 
     def _route_fanout(self, request: HttpRequest) -> HttpResponse:
         """Apply a user-scoped mutation on every shard primary.
@@ -355,23 +352,10 @@ class ShardRouter:
                 response = self._forward(request, info.primary)
             except TransportError:
                 self._m_rejected.inc()
-                return self._busy_response()
+                return busy_response(self.host)
             if first is None:
                 first = response
         if first is None:
             self._m_rejected.inc()
-            return self._busy_response()
+            return busy_response(self.host)
         return first
-
-    def _busy_response(self) -> HttpResponse:
-        envelope = Envelope(
-            message_type=MessageType.BUSY,
-            sender=self.host,
-            recipient="",
-            payload={"retry_after_s": 0.05},
-        )
-        return HttpResponse(
-            status=503,
-            body=envelope.to_bytes(),
-            headers={"Retry-After": "0.05"},
-        )

@@ -4,9 +4,8 @@ A real SOR deployment serves thousands of phones at once, so the server
 cannot process envelopes one at a time. This module supplies the three
 pieces the concurrent request path is built from:
 
-* :class:`ConcurrencyConfig` — how many workers run handlers, how many
-  requests may wait for a worker, and what ``Retry-After`` hint a
-  rejected sender gets;
+* :class:`ConcurrencyConfig` — how many workers run handlers and how
+  many requests may wait for a worker;
 * :class:`ReadWriteLock` — a writer-preferring readers–writer lock.
   Rank queries (pure reads) share it; every mutating handler takes the
   exclusive side, which keeps the commit path single-writer so
@@ -14,7 +13,7 @@ pieces the concurrent request path is built from:
 * :class:`RequestExecutor` — a bounded admission queue feeding a fixed
   pool of daemon worker threads. ``submit`` never blocks: when the
   queue is full it returns ``None`` and the server answers with a typed
-  "busy" envelope (HTTP 503) that
+  "busy" envelope (HTTP 503, :func:`repro.net.http.busy_response`) that
   :class:`~repro.net.resilience.ResilientClient` retries with its usual
   jittered backoff. That is the system's backpressure: load the server
   cannot absorb is pushed back to the phones instead of growing an
@@ -44,21 +43,16 @@ class ConcurrencyConfig:
     ``queue_capacity`` bounds only the *waiting* requests; up to
     ``workers`` more are executing, so at most ``workers +
     queue_capacity`` requests are in the building at once.
-    ``busy_retry_after_s`` is advisory — it rides in the busy reply so a
-    client smarter than blind backoff could honour it.
     """
 
     workers: int = 8
     queue_capacity: int = 64
-    busy_retry_after_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValidationError("workers must be at least 1")
         if self.queue_capacity < 1:
             raise ValidationError("queue_capacity must be at least 1")
-        if self.busy_retry_after_s < 0:
-            raise ValidationError("busy_retry_after_s must be non-negative")
 
 
 class ReadWriteLock:

@@ -29,10 +29,10 @@ from repro.net import (
     HttpResponse,
     MessageType,
 )
+from repro.net.http import busy_response, metrics_response
 from repro.net.resilience import ResilientClient
 from repro.net.transport import Network
 from repro.obs import MetricsRegistry, Tracer, get_metrics, get_tracer
-from repro.obs.export import CONTENT_TYPE, to_prometheus_text
 from repro.server.app_manager import Application, ApplicationManager
 from repro.server.concurrency import (
     ConcurrencyConfig,
@@ -67,7 +67,6 @@ class SensingServer:
         client: ResilientClient | None = None,
         dedupe_capacity: int = 4096,
         ranking_cache: bool = True,
-        ranking_cache_capacity: int = 256,
         durability: DurabilityConfig | None = None,
         concurrency: ConcurrencyConfig | None = None,
         io_delay_s: float = 0.0,
@@ -91,9 +90,6 @@ class SensingServer:
             RequestExecutor(concurrency, name=host)
             if concurrency is not None
             else None
-        )
-        self._busy_retry_after_s = (
-            concurrency.busy_retry_after_s if concurrency is not None else 0.0
         )
         # Served replies are deduped through the durable `idempotency`
         # table (see _stored_response), bounded to this many entries.
@@ -135,7 +131,7 @@ class SensingServer:
         # ``ranking_cache=False`` is the ablation switch: the ranker then
         # runs the full Algorithm 2 pipeline on every request.
         self.ranking_cache = (
-            RankingCache(capacity=ranking_cache_capacity, metrics=self.metrics)
+            RankingCache(metrics=self.metrics)
             if ranking_cache
             else None
         )
@@ -216,14 +212,14 @@ class SensingServer:
         the admission queue is saturated.
         """
         if request.method == "GET" and request.path == "/metrics":
-            return self.metrics_response()
+            return metrics_response(self.metrics)
         if self._executor is None:
             return self._handle_one(request)
         pending = self._executor.submit(lambda: self._handle_one(request))
         if pending is None:
             self._m_busy.inc()
             self._m_requests.inc(type="busy", status="503")
-            return self._busy_response()
+            return busy_response(self.host)
         self._m_queue_depth.set(self._executor.queue_depth())
         return pending.result()
 
@@ -241,30 +237,10 @@ class SensingServer:
         self._m_requests.inc(type=message_type, status=str(response.status))
         return response
 
-    def _busy_response(self) -> HttpResponse:
-        envelope = Envelope(
-            message_type=MessageType.BUSY,
-            sender=self.host,
-            recipient="",
-            payload={"retry_after_s": self._busy_retry_after_s},
-        )
-        return HttpResponse(
-            status=503,
-            body=envelope.to_bytes(),
-            headers={"Retry-After": f"{self._busy_retry_after_s:g}"},
-        )
-
     def close(self) -> None:
         """Stop the worker pool (idempotent; no-op without one)."""
         if self._executor is not None:
             self._executor.close()
-
-    def metrics_response(self) -> HttpResponse:
-        """The ``GET /metrics`` Prometheus text exposition."""
-        body = to_prometheus_text(self.metrics).encode("utf-8")
-        return HttpResponse(
-            status=200, body=body, headers={"Content-Type": CONTENT_TYPE}
-        )
 
     def _dispatch(self, request: HttpRequest) -> tuple[HttpResponse, str]:
         """Decode and route one envelope; returns (response, type label).

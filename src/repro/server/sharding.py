@@ -56,15 +56,10 @@ from repro.common.errors import (
     ConfigurationError,
     DatabaseError,
 )
-from repro.db import Database, DurabilityConfig, eq
-from repro.db.replication import (
-    ReplicationCursor,
-    WalShipper,
-    apply_records,
-    bootstrap_database,
-)
+from repro.db import Database, DurabilityConfig, eq, load_database
+from repro.db.replication import ReplicationCursor, WalShipper, apply_records
 from repro.db.wal import attach_durability
-from repro.net.http import HttpRequest, HttpResponse
+from repro.net.http import HttpRequest, HttpResponse, busy_response
 from repro.net.messages import Envelope, MessageType
 from repro.net.resilience import ResilientClient
 from repro.net.router import RoutingTable, ShardInfo, ShardRouter
@@ -106,7 +101,6 @@ class ShardReplica:
         tracer: Tracer | None = None,
         concurrency: ConcurrencyConfig | None = None,
         io_delay_s: float = 0.0,
-        ranking_cache_capacity: int = 256,
         bootstrap: bool = False,
     ) -> None:
         self.host = host
@@ -126,7 +120,6 @@ class ShardReplica:
         # cursor concurrently (double-apply).
         self._sync_mutex = threading.Lock()
         self._closed = False
-        self._cache_capacity = ranking_cache_capacity
         self.database = Database(name=host, metrics=self.metrics)
         self._build_ranker()
         self._executor = (
@@ -167,7 +160,7 @@ class ShardReplica:
         if bootstrap:
             snapshot, cursor = self._shipper.bootstrap()
             if snapshot is not None:
-                self.database = bootstrap_database(snapshot, metrics=self.metrics)
+                self.database = load_database(snapshot, metrics=self.metrics)
                 self._build_ranker()
                 self._cursor = cursor
                 self._m_bootstraps.inc(replica=self.host)
@@ -178,9 +171,7 @@ class ShardReplica:
         network.register(host, self)
 
     def _build_ranker(self) -> None:
-        self.ranking_cache = RankingCache(
-            capacity=self._cache_capacity, metrics=self.metrics
-        )
+        self.ranking_cache = RankingCache(metrics=self.metrics)
         self.ranker = PersonalizableRanker(
             self.database,
             cache=self.ranking_cache,
@@ -213,9 +204,7 @@ class ShardReplica:
         self._m_lag_records.set(len(batch.records), replica=self.host)
         with self._rwlock.write():
             if batch.snapshot is not None:
-                self.database = bootstrap_database(
-                    batch.snapshot, metrics=self.metrics
-                )
+                self.database = load_database(batch.snapshot, metrics=self.metrics)
                 self._build_ranker()
                 self._m_bootstraps.inc(replica=self.host)
             if batch.records:
@@ -241,7 +230,7 @@ class ShardReplica:
         pending = self._executor.submit(lambda: self._handle_one(request))
         if pending is None:
             self._m_requests.inc(replica=self.host, status="503")
-            return HttpResponse(status=503, headers={"Retry-After": "0.05"})
+            return busy_response(self.host)
         return pending.result()
 
     def _handle_one(self, request: HttpRequest) -> HttpResponse:
@@ -262,7 +251,7 @@ class ShardReplica:
             # Not caught up enough to serve (e.g. the category's tables
             # have not been shipped yet): let the router fail over.
             self._m_requests.inc(replica=self.host, status="503")
-            return HttpResponse(status=503, headers={"Retry-After": "0.05"})
+            return busy_response(self.host)
         self._m_requests.inc(replica=self.host, status="200")
         return HttpResponse(status=200, body=reply.to_bytes())
 
@@ -324,10 +313,8 @@ class ShardCluster:
         concurrency: ConcurrencyConfig | None = None,
         replica_concurrency: ConcurrencyConfig | None = None,
         io_delay_s: float = 0.0,
-        replica_io_delay_s: float = 0.0,
         fsync: bool = False,
         router_client: ResilientClient | None = None,
-        vnodes: int = 64,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError("num_shards must be at least 1")
@@ -341,7 +328,6 @@ class ShardCluster:
         self.concurrency = concurrency
         self.replica_concurrency = replica_concurrency
         self.io_delay_s = io_delay_s
-        self.replica_io_delay_s = replica_io_delay_s
         self.fsync = fsync
         self.replicas_per_shard = replicas_per_shard
         self.shards: dict[str, Shard] = {}
@@ -380,7 +366,7 @@ class ShardCluster:
             "ownership moves during rebalancing, by kind",
             labels=("kind",),
         )
-        self.table = RoutingTable(vnodes=vnodes)
+        self.table = RoutingTable()
         for index in range(num_shards):
             self._build_shard(f"shard-{index}")
         self.router = ShardRouter(
@@ -433,7 +419,7 @@ class ShardCluster:
             metrics=self.metrics,
             tracer=self.tracer,
             concurrency=self.replica_concurrency,
-            io_delay_s=self.replica_io_delay_s,
+            io_delay_s=self.io_delay_s,
             bootstrap=bootstrap,
         )
 

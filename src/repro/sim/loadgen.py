@@ -374,7 +374,6 @@ def _start_cluster(
         concurrency=concurrency,
         replica_concurrency=concurrency,
         io_delay_s=spec.io_delay_s,
-        replica_io_delay_s=spec.io_delay_s,
         fsync=False,
         router_client=ResilientClient(
             network,

@@ -14,8 +14,6 @@ from repro.db import (
     dump_database,
     eq,
     load_database,
-    open_database,
-    save_database,
 )
 
 
@@ -80,22 +78,6 @@ class TestRoundtrip:
         dump = dump_database(populated_database())
         json.dumps(dump)  # must not raise
 
-    def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "db.json"
-        save_database(populated_database(), path)
-        restored = open_database(path)
-        assert restored.table("mixed").count() == 3
-
-    def test_open_missing_file_raises(self, tmp_path):
-        with pytest.raises(DatabaseError):
-            open_database(tmp_path / "missing.json")
-
-    def test_open_corrupt_file_raises(self, tmp_path):
-        path = tmp_path / "corrupt.json"
-        path.write_text("{not json")
-        with pytest.raises(DatabaseError):
-            open_database(path)
-
     def test_wrong_format_version_rejected(self):
         dump = dump_database(populated_database())
         dump["format"] = 99
@@ -149,32 +131,6 @@ class TestRoundtripExtras:
         assert set(restored.table("mixed").indexed_columns) == {"flag", "real"}
 
 
-class TestAtomicSave:
-    def test_failed_save_never_clobbers_the_old_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "db.json"
-        save_database(populated_database(), path)
-        before = path.read_bytes()
-
-        import repro.db.persistence as persistence
-
-        def exploding_replace(src, dst):
-            raise OSError("disk gone")
-
-        monkeypatch.setattr(persistence.os, "replace", exploding_replace)
-        with pytest.raises(DatabaseError):
-            save_database(Database(name="other"), path)
-        # The old complete file is still there, byte for byte, and the
-        # aborted attempt left no temp file behind.
-        assert path.read_bytes() == before
-        assert list(tmp_path.glob(".*.tmp")) == []
-        assert open_database(path).table("mixed").count() == 3
-
-    def test_save_leaves_no_temp_file_on_success(self, tmp_path):
-        path = tmp_path / "db.json"
-        save_database(populated_database(), path)
-        assert [entry.name for entry in tmp_path.iterdir()] == ["db.json"]
-
-
 class TestLoadNegatives:
     def test_non_dict_dump_rejected(self):
         with pytest.raises(DatabaseError, match="not an object"):
@@ -213,13 +169,6 @@ class TestLoadNegatives:
         dump["tables"][0]["schema"]["columns"][0]["type"] = "no-such-type"
         with pytest.raises(DatabaseError, match="schema"):
             load_database(dump)
-
-    def test_truncated_json_file_rejected(self, tmp_path):
-        path = tmp_path / "db.json"
-        save_database(populated_database(), path)
-        path.write_bytes(path.read_bytes()[:-20])  # torn write
-        with pytest.raises(DatabaseError):
-            open_database(path)
 
 
 @given(

@@ -9,13 +9,9 @@ from repro.db import (
     Database,
     DurabilityConfig,
     Schema,
+    load_database,
 )
-from repro.db.replication import (
-    ReplicationCursor,
-    WalShipper,
-    apply_records,
-    bootstrap_database,
-)
+from repro.db.replication import ReplicationCursor, WalShipper, apply_records
 from repro.db.wal import open_durable_database
 from repro.obs import MetricsRegistry
 
@@ -48,7 +44,7 @@ def make_users(db, count, start=0):
 def replica_of(batch, metrics=None):
     """Apply one shipped batch to a fresh (or bootstrapped) database."""
     if batch.snapshot is not None:
-        database = bootstrap_database(batch.snapshot, metrics=metrics)
+        database = load_database(batch.snapshot, metrics=metrics)
     else:
         database = Database(name="replica", metrics=metrics or MetricsRegistry())
     apply_records(database, batch.records)
@@ -194,7 +190,7 @@ class TestBootstrapCall:
         snapshot, cursor = shipper.bootstrap()
         assert snapshot is not None
         assert cursor == ReplicationCursor(seq=2, offset=0)
-        replica = bootstrap_database(snapshot, metrics=MetricsRegistry())
+        replica = load_database(snapshot, metrics=MetricsRegistry())
         assert replica.table("users").count() == 3
         apply_records(replica, shipper.ship(cursor).records)
         assert replica.table("users").select() == db.table("users").select()

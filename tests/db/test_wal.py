@@ -254,6 +254,21 @@ class TestCheckpoints:
         with pytest.raises(RecoveryError, match="gap|missing"):
             boot(tmp_path)
 
+    def test_checkpoint_past_the_newest_segment_raises(self, tmp_path):
+        db, _ = boot(tmp_path)
+        db.table("events").insert({"label": "a", "blob": None})
+        db.durability.checkpoint()
+        db.table("events").insert({"label": "b", "blob": None})
+        db.durability.checkpoint()
+        shutdown(db)
+        # Checkpoint 3 is the state at the start of wal-3. With wal-3 gone,
+        # what was committed after it is unknown, and writes appended to
+        # wal-2 would sit behind checkpoint 3 where no later boot replays
+        # them.
+        (tmp_path / "wal-00000003.log").unlink()
+        with pytest.raises(RecoveryError, match="missing WAL segment 3"):
+            boot(tmp_path)
+
     def test_checkpoint_during_transaction_is_refused(self, tmp_path):
         db, _ = boot(tmp_path)
         with db.transaction():
@@ -487,6 +502,47 @@ class TestReattach:
         )
         assert registry.counter("sor_db_wal_reattach_total").value() == 1
         manager.close()
+
+
+READERS = {
+    "boot": lambda path: open_durable_database(DurabilityConfig(directory=path)),
+    "reattach": lambda path: attach_durability(Database(name="promoted"), path),
+    "ship": lambda path: WalShipper(path).ship(ReplicationCursor()),
+}
+
+
+class TestUnreadableHistory:
+    """Every reader of the directory reports what it cannot read as
+    RecoveryError, never as a raw OSError."""
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_directory_in_place_of_a_segment_is_a_recovery_error(
+        self, tmp_path, reader
+    ):
+        db, _ = boot(tmp_path, fsync=False)
+        db.table("events").insert({"label": "a", "blob": None})
+        shutdown(db)
+        (tmp_path / "wal-00000002.log").mkdir()
+        with pytest.raises(RecoveryError, match="wal-00000002.log: unreadable"):
+            READERS[reader](tmp_path)
+
+    def test_undecodable_checkpoint_is_skipped_at_boot_and_typed_on_bootstrap(
+        self, tmp_path
+    ):
+        db, _ = boot(tmp_path, fsync=False)
+        db.table("events").insert({"label": "a", "blob": None})
+        db.durability.checkpoint()
+        db.table("events").insert({"label": "b", "blob": None})
+        db.durability.checkpoint()
+        shutdown(db)
+        (tmp_path / "checkpoint-00000003.json").write_bytes(b"\xff\xfe not utf-8")
+        with pytest.raises(RecoveryError, match="unreadable"):
+            WalShipper(tmp_path).bootstrap()
+        recovered, report = boot(tmp_path, fsync=False)
+        assert report.corrupt_checkpoints_skipped == 1
+        labels = sorted(row["label"] for row in recovered.table("events").select())
+        assert labels == ["a", "b"]
+        shutdown(recovered)
 
 
 class TestDirectoryFsync:

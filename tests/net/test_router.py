@@ -10,7 +10,7 @@ from repro.net.messages import Envelope, MessageType
 from repro.net.resilience import BreakerPolicy, ResilientClient, RetryPolicy
 from repro.net.router import HashRing, RoutingTable, ShardInfo, ShardRouter
 from repro.net.transport import Network
-from repro.obs import MetricsRegistry, NullTracer
+from repro.obs import CONTENT_TYPE, MetricsRegistry, NullTracer
 
 
 class TestHashRing:
@@ -314,4 +314,5 @@ class TestShardRouter:
             HttpRequest("GET", "router", "/metrics")
         )
         assert response.status == 200
+        assert response.headers["Content-Type"] == CONTENT_TYPE
         assert b"sor_shard_router_requests_total" in response.body

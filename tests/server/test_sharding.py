@@ -15,7 +15,7 @@ from repro.net.transport import Network
 from repro.obs import MetricsRegistry, NullTracer
 from repro.server.app_manager import Application
 from repro.server.ranker_service import bump_data_version
-from repro.server.sharding import ShardCluster
+from repro.server.sharding import ShardCluster, ShardReplica
 
 FEATURES = ("noise_db", "wifi_mbps")
 
@@ -207,6 +207,31 @@ class TestReplica:
             assert replica.pending() == 0
         finally:
             cluster.close()
+
+    def test_replica_that_cannot_serve_yet_answers_busy_envelope(self, tmp_path):
+        network = Network(
+            conditions=NetworkConditions(base_latency_s=0.0, jitter_s=0.0),
+            rng=np.random.default_rng(0),
+            metrics=MetricsRegistry(),
+        )
+        # No primary has written here yet, so the replica has no tables.
+        replica = ShardReplica(
+            "lonely-r0",
+            network,
+            tmp_path / "no-primary",
+            ManualClock(0.0),
+            metrics=MetricsRegistry(),
+            tracer=NullTracer(),
+        )
+        try:
+            response = post(network, "lonely-r0", rank_query("museums"))
+            assert response.status == 503
+            assert response.headers["Retry-After"] == "0.05"
+            reply = Envelope.from_bytes(response.body)
+            assert reply.message_type is MessageType.BUSY
+            assert reply.payload == {"retry_after_s": 0.05}
+        finally:
+            replica.close()
 
     def test_replica_is_read_only(self, tmp_path):
         cluster, network = make_cluster(tmp_path)
