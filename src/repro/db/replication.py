@@ -13,11 +13,14 @@ record recovery would discard, or miss one it would replay:
   offset)`` bookmark into the primary's directory. Offsets always land
   on transaction boundaries because uncommitted tails are held back.
 * :class:`WalShipper` — reads everything committed past a cursor and
-  returns the records plus the advanced cursor. When the cursor's
-  segment has been pruned by checkpoint compaction, the batch instead
-  carries the newest checkpoint ``snapshot`` and the replica rebuilds
-  from it with :func:`~repro.db.persistence.load_database` (the normal
-  bootstrap path for a replica joining late).
+  returns the records plus the advanced cursor. It seeks to the cursor
+  and parses only the bytes past it, so what a pass parses follows what
+  was written since the previous pass, not the length of the live
+  segment. When the cursor's segment has been pruned by checkpoint
+  compaction, the batch instead carries the newest checkpoint
+  ``snapshot`` and the replica rebuilds from it with
+  :func:`~repro.db.persistence.load_database` (the normal bootstrap
+  path for a replica joining late).
 * :func:`apply_records` — the replica-side apply loop, which is crash
   recovery's own replay.
 

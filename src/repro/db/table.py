@@ -257,6 +257,8 @@ class Table:
         """Count matching rows without copying them."""
         if self._observer is not None:
             self._observer("count")
+        if where is None:
+            return len(self._rows)
         return len(self._match(where))
 
     # ------------------------------------------------------------------

@@ -176,16 +176,21 @@ class WalWriter:
 
 
 def read_wal_file(
-    path: str | Path,
+    path: str | Path, base: int = 0
 ) -> tuple[list[tuple[dict[str, Any], int, int]], int, bool]:
-    """Parse a WAL segment.
+    """Parse a WAL segment from byte ``base`` on.
 
-    Returns ``(entries, clean_bytes, torn)`` where each entry is
-    ``(record, start_offset, end_offset)``, ``clean_bytes`` is the length
-    of the valid prefix, and ``torn`` reports whether trailing garbage
-    (short frame, CRC mismatch, bad JSON) was found after it.
+    ``base`` must sit on a frame boundary; the bytes before it are never
+    read. Returns ``(entries, clean_bytes, torn)`` where each entry is
+    ``(record, start_offset, end_offset)`` with offsets counted from the
+    start of the file, ``clean_bytes`` is the length of the valid run of
+    frames parsed from ``base`` (so ``base + clean_bytes`` is where it
+    ends), and ``torn`` reports whether trailing garbage (short frame,
+    CRC mismatch, bad JSON) was found after it.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as handle:
+        handle.seek(base)
+        data = handle.read()
     entries: list[tuple[dict[str, Any], int, int]] = []
     offset = 0
     while offset + _FRAME_HEADER.size <= len(data):
@@ -203,7 +208,7 @@ def read_wal_file(
             break
         if not isinstance(record, dict):
             break
-        entries.append((record, offset, end))
+        entries.append((record, base + offset, base + end))
         offset = end
     return entries, offset, offset < len(data)
 
@@ -355,17 +360,23 @@ def read_committed(
     seq: int,
     offset: int = 0,
     *,
-    read: Callable[[Path], Any] = read_wal_file,
+    read: Callable[[Path, int], Any] = read_wal_file,
 ) -> CommittedHistory:
     """Walk segments ``seq`` up to the newest, from byte ``offset`` of the first.
+
+    The first segment is read from ``offset`` on, which must be a
+    transaction boundary (a cursor this walk returned); the bytes before
+    it are never parsed. Later segments are read from their start.
 
     A segment missing from the run, ``seq`` itself included, is a gap; a
     segment that cannot be read, a torn frame in any but the newest
     segment, and a transaction left open before the newest segment's
-    tail are corruption. Each raises :class:`RecoveryError`. ``read`` parses one segment; the WAL
-    shipper passes its own module's :func:`read_wal_file`, so segment
-    reads made on a replica's behalf can be counted or stubbed apart
-    from recovery's.
+    tail are corruption. Each raises :class:`RecoveryError`.
+
+    ``read`` parses one segment from a byte offset; the WAL shipper
+    passes its own module's :func:`read_wal_file`, so segment reads made
+    on a replica's behalf can be counted or stubbed apart from
+    recovery's.
     """
     history = CommittedHistory(seq=seq, offset=offset)
     newest = max(wals)
@@ -377,20 +388,18 @@ def read_committed(
             )
         final = current == newest
         try:
-            entries, clean_bytes, torn = read(path)
+            entries, clean_bytes, torn = read(path, offset)
         except OSError as exc:
             # Not a file, or pruned between the scan and this read by a
             # concurrent checkpoint: a typed error callers can retry on.
             raise RecoveryError(f"{path.name}: unreadable: {exc!r}") from exc
         if torn and not final:
             raise RecoveryError(f"{path.name}: torn record in a non-final segment")
-        if offset:
-            entries = [entry for entry in entries if entry[1] >= offset]
         records, keep_bytes, incomplete = _resolve_transactions(
-            entries, clean_bytes, final_segment=final, path=path
+            entries, offset + clean_bytes, final_segment=final, path=path
         )
         history.records.extend(records)
-        history.seq, history.offset = current, max(offset, keep_bytes)
+        history.seq, history.offset = current, keep_bytes
         history.segments += 1
         history.incomplete += incomplete
         offset = 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.db.replication as replication_module
 from repro.common.errors import DatabaseError, RecoveryError
 from repro.db import (
     Column,
@@ -213,11 +214,66 @@ class TestShippingRaces:
         db, _ = boot(tmp_path)
         make_users(db, 3)
         db.durability.close()
-        import repro.db.replication as replication_module
 
-        def gone(path):
+        def gone(path, base=0):
             raise FileNotFoundError(f"{path} pruned concurrently")
 
         monkeypatch.setattr(replication_module, "read_wal_file", gone)
         with pytest.raises(RecoveryError, match="unreadable"):
             WalShipper(tmp_path).ship(ReplicationCursor())
+
+
+@pytest.fixture
+def parsed_bytes(monkeypatch):
+    """Bytes each ship parses: ``read_wal_file(...)[1]`` per segment read."""
+    parsed = []
+    original = replication_module.read_wal_file
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        parsed.append(result[1])
+        return result
+
+    monkeypatch.setattr(replication_module, "read_wal_file", counting)
+    return parsed
+
+
+class TestShipParsesOnlyNewBytes:
+    """A ship seeks to its cursor: what it parses follows new writes, not
+    the length of the segment it reads."""
+
+    def test_parsed_bytes_equal_the_cursor_advance(self, tmp_path, parsed_bytes):
+        db, _ = boot(tmp_path)
+        make_users(db, 1)
+        shipper = WalShipper(tmp_path)
+        cursor = shipper.ship(ReplicationCursor()).cursor
+        written = 1
+        for appended in (1, 10, 100, 1000):
+            make_users(db, appended, start=written)
+            written += appended
+            parsed_bytes.clear()
+            batch = shipper.ship(cursor)
+            assert len(batch.records) == appended
+            assert batch.cursor.seq == cursor.seq
+            assert sum(parsed_bytes) == batch.cursor.offset - cursor.offset
+            cursor = batch.cursor
+        db.durability.close()
+
+    def test_held_back_tail_is_parsed_from_the_cursor(self, tmp_path, parsed_bytes):
+        db, _ = boot(tmp_path)
+        make_users(db, 100)
+        shipper = WalShipper(tmp_path)
+        cursor = shipper.ship(ReplicationCursor()).cursor
+        ghost = {"user_id": 999, "name": "ghost"}
+        db.durability.simulate_partial_transaction(
+            [{"op": "insert", "table": "users", "row": ghost}]
+        )
+        tail = (tmp_path / "wal-00000001.log").stat().st_size - cursor.offset
+        parsed_bytes.clear()
+        batch = shipper.ship(cursor)
+        assert batch.records == [] and batch.cursor == cursor
+        assert sum(parsed_bytes) == tail
+        parsed_bytes.clear()
+        assert shipper.pending(cursor) == 0
+        assert sum(parsed_bytes) == tail
+        db.durability.close()

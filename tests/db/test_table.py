@@ -100,6 +100,15 @@ class TestSelect:
     def test_count(self):
         assert self.make_filled().count(gt("age", 24)) == 2
 
+    def test_count_without_predicate_is_observed(self):
+        seen = []
+        table = Table(make_table().schema, observer=seen.append)
+        table.insert_many([{"id": 1, "name": "ann"}, {"id": 2, "name": "bob"}])
+        table.delete(eq("id", 1))
+        seen.clear()
+        assert table.count() == 1
+        assert seen == ["count"]
+
     def test_results_are_copies(self):
         table = self.make_filled()
         table.select()[0]["name"] = "mutated"

@@ -13,7 +13,9 @@ holds:
 * a replica bootstrapped from the newest checkpoint, then shipped;
 * the follower, after one more ship.
 
-Shipping again from any cursor a reader ended on returns nothing.
+Shipping again from any cursor a reader ended on returns nothing, and
+each follower ship that stays in one segment parses exactly the bytes
+it advances the cursor by, however long that segment already is.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,8 +37,14 @@ from repro.db import (
     eq,
     load_database,
     open_durable_database,
+    replication,
 )
-from repro.db.replication import ReplicationCursor, WalShipper, apply_records
+from repro.db.replication import (
+    ReplicationCursor,
+    ShippedBatch,
+    WalShipper,
+    apply_records,
+)
 from repro.obs import MetricsRegistry
 
 SCHEMA = Schema(
@@ -94,14 +103,30 @@ def rows(database: Database) -> dict[str, list[dict]]:
 
 
 def follow(
-    shipper: WalShipper, database: Database, cursor: ReplicationCursor
+    batch: ShippedBatch, database: Database
 ) -> tuple[Database, ReplicationCursor]:
     """One replica sync: rebuild from a shipped snapshot, then apply."""
-    batch = shipper.ship(cursor)
     if batch.snapshot is not None:
         database = load_database(batch.snapshot, metrics=MetricsRegistry())
     apply_records(database, batch.records)
     return database, batch.cursor
+
+
+def counted_ship(
+    shipper: WalShipper, cursor: ReplicationCursor
+) -> tuple[ShippedBatch, int]:
+    """Ship from ``cursor``; also returns the WAL bytes the ship parsed."""
+    parsed = []
+    original = replication.read_wal_file
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        parsed.append(result[1])
+        return result
+
+    with mock.patch.object(replication, "read_wal_file", counting):
+        batch = shipper.ship(cursor)
+    return batch, sum(parsed)
 
 
 def fresh() -> Database:
@@ -148,9 +173,14 @@ def test_recovery_and_replicas_rebuild_the_live_rows(steps, checkpoint_every, wr
                 elif step[0] == "checkpoint":
                     live.durability.checkpoint()
                 else:
-                    follower, follower_cursor = follow(
-                        shipper, follower, follower_cursor
-                    )
+                    batch, parsed = counted_ship(shipper, follower_cursor)
+                    if (
+                        batch.snapshot is None
+                        and batch.cursor.seq == follower_cursor.seq
+                    ):
+                        advance = batch.cursor.offset - follower_cursor.offset
+                        assert parsed == advance
+                    follower, follower_cursor = follow(batch, follower)
             for kind in wreck:
                 live.durability.simulate_wreck(kind)
             expected = rows(live)
@@ -175,7 +205,7 @@ def test_recovery_and_replicas_rebuild_the_live_rows(steps, checkpoint_every, wr
                 (seeded, start),
                 (follower, follower_cursor),
             ):
-                replica, end = follow(shipper, database, cursor)
+                replica, end = follow(shipper.ship(cursor), database)
                 assert rows(replica) == expected
                 assert shipper.ship(end).records == []
         finally:
