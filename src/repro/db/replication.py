@@ -12,15 +12,21 @@ record recovery would discard, or miss one it would replay:
 * :class:`ReplicationCursor` — an immutable ``(segment seq, byte
   offset)`` bookmark into the primary's directory. Offsets always land
   on transaction boundaries because uncommitted tails are held back.
+  The default cursor ``(0, 0)`` sits before every segment: it is how
+  every replica joins.
 * :class:`WalShipper` — reads everything committed past a cursor and
   returns the records plus the advanced cursor. It seeks to the cursor
   and parses only the bytes past it, so what a pass parses follows what
   was written since the previous pass, not the length of the live
-  segment. When the cursor's segment has been pruned by checkpoint
-  compaction, the batch instead carries the newest checkpoint
-  ``snapshot`` and the replica rebuilds from it with
-  :func:`~repro.db.persistence.load_database` (the normal bootstrap
-  path for a replica joining late).
+  segment. When the cursor's segment is not on disk (a join, or a
+  segment pruned by checkpoint compaction), the batch instead carries
+  the newest checkpoint ``snapshot`` at or past the cursor and the
+  records after it; the replica rebuilds from it with
+  :func:`~repro.db.persistence.load_database`. A join that finds no
+  checkpoint replays history from segment 1. ``pending(cursor)`` is the
+  lag of that same batch: its records, plus one when a checkpoint
+  install is due, so a replica that needs a snapshot never reads as
+  caught up.
 * :func:`apply_records` — the replica-side apply loop, which is crash
   recovery's own replay.
 
@@ -53,16 +59,17 @@ class ReplicationCursor:
     """A bookmark into a primary's WAL: next byte to ship from.
 
     ``seq`` is the WAL segment sequence number, ``offset`` the byte
-    position inside it. The initial cursor ``(1, 0)`` points at the
-    beginning of history.
+    position inside it. The default cursor ``(0, 0)`` is a join: it sits
+    before every segment, so its first ship starts from the newest
+    checkpoint, or from segment 1 when there is none.
     """
 
-    seq: int = 1
+    seq: int = 0
     offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.seq < 1:
-            raise DatabaseError("replication cursor seq must be >= 1")
+        if self.seq < 0:
+            raise DatabaseError("replication cursor seq must be >= 0")
         if self.offset < 0:
             raise DatabaseError("replication cursor offset must be >= 0")
 
@@ -71,15 +78,22 @@ class ReplicationCursor:
 class ShippedBatch:
     """One pull's worth of replication: records and the advanced cursor.
 
-    When ``snapshot`` is set the replica's history no longer reaches the
-    cursor (segments were pruned); it must rebuild its database from the
-    snapshot via :func:`~repro.db.persistence.load_database` *before*
-    applying ``records``, which then continue from the snapshot's segment.
+    When ``snapshot`` is set the cursor's segment is not on disk (a join,
+    or history pruned past it); the replica must rebuild its database
+    from the snapshot via :func:`~repro.db.persistence.load_database`
+    *before* applying ``records``, which then continue from the
+    snapshot's segment.
     """
 
     records: list[dict[str, Any]] = field(default_factory=list)
     cursor: ReplicationCursor = field(default_factory=ReplicationCursor)
     snapshot: dict[str, Any] | None = None
+
+    @property
+    def lag(self) -> int:
+        """What applying this batch catches up on: its records, plus one
+        when a checkpoint install is due."""
+        return len(self.records) + (self.snapshot is not None)
 
 
 class WalShipper:
@@ -89,26 +103,9 @@ class WalShipper:
         self.directory = Path(directory)
 
     def pending(self, cursor: ReplicationCursor) -> int:
-        """How many committed records are waiting past ``cursor`` (lag)."""
-        return len(self.ship(cursor).records)
-
-    def bootstrap(self) -> tuple[dict[str, Any] | None, ReplicationCursor]:
-        """The newest checkpoint and the cursor to resume shipping from.
-
-        The fast path for a replica joining an established primary —
-        e.g. the replacement replica re-seeded after a failover: load
-        the checkpoint via :func:`~repro.db.persistence.load_database`
-        and ship only the records past it, instead of replaying history
-        from segment 1 (which may be pruned anyway). Returns ``(None,
-        cursor-at-start-of-history)`` when the directory has no
-        checkpoint yet, and raises :class:`RecoveryError` when the
-        newest one cannot be read.
-        """
-        checkpoints, _wals = scan_directory(self.directory)
-        if not checkpoints:
-            return None, ReplicationCursor()
-        seq = max(checkpoints)
-        return read_checkpoint(checkpoints[seq]), ReplicationCursor(seq=seq)
+        """How far a replica at ``cursor`` lags: the :attr:`ShippedBatch.lag`
+        of a ship from it."""
+        return self.ship(cursor).lag
 
     def ship(self, cursor: ReplicationCursor) -> ShippedBatch:
         """Everything committed past ``cursor``, plus where to resume.
@@ -116,17 +113,21 @@ class WalShipper:
         Uncommitted transaction tails in the live (final) segment are
         held back — they are not acked, so a replica must never see
         them. The returned cursor re-reads from the transaction's start
-        next time in case its commit marker lands later. A gap, corrupt
-        history or a segment that cannot be read (it may have been
-        pruned since the scan) raises :class:`RecoveryError`.
+        next time in case its commit marker lands later. A cursor whose
+        segment is not on disk (a join, or a pruned segment) gets the
+        newest checkpoint at or past it as ``snapshot``; a join that
+        finds none starts at segment 1. A gap, corrupt history, a
+        segment that cannot be read (it may have been pruned since the
+        scan) or pruned history no checkpoint covers raises
+        :class:`RecoveryError`.
         """
         checkpoints, wals = scan_directory(self.directory)
         if not wals:
             return ShippedBatch(cursor=cursor)
+        if cursor.seq == 0 and not checkpoints:
+            cursor = ReplicationCursor(seq=1)
         snapshot = None
         if cursor.seq not in wals and cursor.seq <= max(wals):
-            # The cursor's segment was pruned by checkpoint compaction:
-            # bootstrap from the newest checkpoint at or past it.
             usable = [seq for seq in checkpoints if seq >= cursor.seq]
             if not usable:
                 raise RecoveryError(

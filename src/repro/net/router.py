@@ -139,12 +139,6 @@ class RoutingTable:
             self.shards[info.shard_id] = info
             self._ring.add(info.shard_id)
 
-    def remove_shard(self, shard_id: str) -> None:
-        """Drop a shard from the table and the ring (no-op if absent)."""
-        with self._lock:
-            self.shards.pop(shard_id, None)
-            self._ring.remove(shard_id)
-
     def set_replicas(self, shard_id: str, replicas: tuple[str, ...]) -> None:
         """Replace a shard's replica list (promotion consumes one)."""
         with self._lock:
@@ -195,11 +189,6 @@ class RoutingTable:
                 if info.primary == host:
                     return info
         return None
-
-    def primaries(self) -> tuple[str, ...]:
-        """Every primary host, in shard-id order (fan-out targets)."""
-        with self._lock:
-            return tuple(info.primary for _, info in sorted(self.shards.items()))
 
 
 class ShardRouter:

@@ -8,9 +8,11 @@ makes *multiple* real. A :class:`ShardCluster` runs N shards, each one:
   doubles as its replication log;
 * zero or more **read-replicas** (:class:`ShardReplica`) — each with
   its *own* :class:`~repro.db.database.Database` rebuilt purely from
-  shipped WAL records (the primary's log starts with the ``create_table``
-  DDL, so a replica bootstraps from nothing). Replicas serve keyless
-  ``RANK_QUERY`` traffic from their own
+  what the primary's directory ships. Every replica joins the same way,
+  shipping from the join cursor: it installs the newest checkpoint, or
+  replays the log from segment 1 when there is none (the log starts
+  with the ``create_table`` DDL). Replicas serve keyless ``RANK_QUERY``
+  traffic from their own
   :class:`~repro.server.ranker_service.RankingCache`.
 
 Reads are **bounded-stale**: a replica lags its primary by whatever is
@@ -31,9 +33,9 @@ under the *same host name* — task-id prefixes, application ownership
 rows and idempotent replies all line up, and the promoted primary
 commits durably, so it survives being killed again. Promotion then
 **re-seeds** the shard (:meth:`ShardCluster.reseed`): a replacement
-replica bootstraps from the promotion checkpoint and rejoins the
-router's replica set, restoring read fan-out and the next failover's
-candidate pool.
+replica joins like every replica, which installs the promotion
+checkpoint, and rejoins the router's replica set, restoring read
+fan-out and the next failover's candidate pool.
 
 Rebalancing: adding a shard re-rings the category space;
 :meth:`ShardCluster.rebalance` moves each reassigned category's
@@ -78,16 +80,21 @@ from repro.server.ranker_service import (
 )
 from repro.server.server import SensingServer
 
+#: Seconds between the background replication pump's passes.
+REPLICATION_INTERVAL_S = 0.01
+
 
 class ShardReplica:
     """A read-replica: follows one primary's WAL, serves rank queries.
 
     The replica owns an independent database built exclusively from
-    shipped records, so it shares no mutable state with its primary —
-    killing the primary cannot corrupt a replica mid-read. ``sync()``
-    (the apply loop) takes the exclusive side of a readers–writer lock;
-    rank queries take the shared side, so queries never observe a
-    half-applied batch.
+    what its primary's directory ships, so it shares no mutable state
+    with its primary — killing the primary cannot corrupt a replica
+    mid-read. Its constructor's first ``sync()`` is its join: it ships
+    from the default :class:`~repro.db.replication.ReplicationCursor`.
+    ``sync()`` (the apply loop) takes the exclusive side of a
+    readers–writer lock; rank queries take the shared side, so queries
+    never observe a half-applied batch.
     """
 
     def __init__(
@@ -101,7 +108,6 @@ class ShardReplica:
         tracer: Tracer | None = None,
         concurrency: ConcurrencyConfig | None = None,
         io_delay_s: float = 0.0,
-        bootstrap: bool = False,
     ) -> None:
         self.host = host
         self.network = network
@@ -145,7 +151,8 @@ class ShardReplica:
         )
         self._m_lag_records = self.metrics.gauge(
             "sor_shard_replica_lag_records",
-            "committed primary records not yet applied, sampled at sync",
+            "committed primary records not yet applied, plus one for a "
+            "due checkpoint install, sampled at the start of each sync",
             labels=("replica",),
         )
         self._m_lag_seconds = self.metrics.gauge(
@@ -153,20 +160,9 @@ class ShardReplica:
             "clock seconds since the replica last synced its primary",
             labels=("replica",),
         )
-        # A re-seeded replica joins an established primary: start from
-        # the newest checkpoint instead of replaying (possibly pruned)
-        # history from segment 1.
-        self.bootstrap_records = 0
-        if bootstrap:
-            snapshot, cursor = self._shipper.bootstrap()
-            if snapshot is not None:
-                self.database = load_database(snapshot, metrics=self.metrics)
-                self._build_ranker()
-                self._cursor = cursor
-                self._m_bootstraps.inc(replica=self.host)
-        # Catch up before taking traffic: the primary's WAL already
-        # holds the schema DDL, so a freshly-built replica must never
-        # serve a query against an empty, table-less database.
+        # Join before taking traffic: the primary's directory already
+        # holds the schema, so a freshly-built replica must never serve
+        # a query against an empty, table-less database.
         self.bootstrap_records = self.sync()
         network.register(host, self)
 
@@ -181,13 +177,18 @@ class ShardReplica:
 
     # -- replication ---------------------------------------------------
     def pending(self) -> int:
-        """Committed primary records this replica has not yet applied."""
+        """How far this replica lags: committed records not yet applied,
+        plus one when a checkpoint install is due."""
         if self._closed:
             return 0
         return self._shipper.pending(self._cursor)
 
     def sync(self) -> int:
-        """Apply everything the primary has committed; returns the count.
+        """Apply everything the primary has committed; returns the
+        number of records applied.
+
+        Sets ``sor_shard_replica_lag_records`` to the lag this pass
+        found, so it reads 0 only once a pass finds nothing new.
 
         File-level: works identically whether the primary is alive or
         already killed, which is what promotion's final catch-up needs.
@@ -201,7 +202,7 @@ class ShardReplica:
 
     def _sync_locked(self) -> int:
         batch = self._shipper.ship(self._cursor)
-        self._m_lag_records.set(len(batch.records), replica=self.host)
+        self._m_lag_records.set(batch.lag, replica=self.host)
         with self._rwlock.write():
             if batch.snapshot is not None:
                 self.database = load_database(batch.snapshot, metrics=self.metrics)
@@ -215,12 +216,7 @@ class ShardReplica:
         self._last_sync = now
         if batch.records:
             self._m_applied.inc(len(batch.records), replica=self.host)
-        self._m_lag_records.set(0, replica=self.host)
         return len(batch.records)
-
-    def lag_seconds(self) -> float:
-        """Clock seconds since the last successful sync."""
-        return max(0.0, self.clock.now() - self._last_sync)
 
     # -- endpoint ------------------------------------------------------
     def handle_request(self, request: HttpRequest) -> HttpResponse:
@@ -282,10 +278,6 @@ class Shard:
     # never reuse a dead replica's host name (stale circuit-breaker
     # state and old idempotent replies key on the host).
     next_replica_index: int = 0
-
-    @property
-    def host(self) -> str:
-        return self.shard_id
 
 
 class ShardCluster:
@@ -408,7 +400,7 @@ class ShardCluster:
         )
         return shard
 
-    def _build_replica(self, shard: Shard, *, bootstrap: bool = False) -> ShardReplica:
+    def _build_replica(self, shard: Shard) -> ShardReplica:
         index = shard.next_replica_index
         shard.next_replica_index += 1
         return ShardReplica(
@@ -420,7 +412,6 @@ class ShardCluster:
             tracer=self.tracer,
             concurrency=self.replica_concurrency,
             io_delay_s=self.io_delay_s,
-            bootstrap=bootstrap,
         )
 
     def add_shard(self) -> Shard:
@@ -478,21 +469,22 @@ class ShardCluster:
         return applied
 
     def replica_lag_records(self) -> int:
-        """Total committed-but-unapplied records across the fleet."""
+        """Fleet-wide lag: every live replica's :meth:`ShardReplica.pending`."""
         return sum(
             replica.pending()
             for shard in list(self.shards.values())
             for replica in list(shard.replicas)
         )
 
-    def start_replication(self, interval_s: float = 0.02) -> None:
-        """Pump replication on a background thread until stopped."""
+    def start_replication(self) -> None:
+        """Pump replication every :data:`REPLICATION_INTERVAL_S` on a
+        background thread until stopped."""
         if self._repl_thread is not None:
             return
         self._repl_stop.clear()
 
         def pump() -> None:
-            while not self._repl_stop.wait(interval_s):
+            while not self._repl_stop.wait(REPLICATION_INTERVAL_S):
                 try:
                     self.sync_replicas()
                 except Exception:  # noqa: BLE001 - a dying primary mid-kill
@@ -539,14 +531,9 @@ class ShardCluster:
             manager.simulate_wreck("torn_tail")
         manager.close()
 
-    def promote(
-        self,
-        shard_id: str,
-        replica_host: str | None = None,
-        *,
-        reseed: bool = True,
-    ) -> SensingServer:
-        """Promote a replica to durable primary after the primary's death.
+    def promote(self, shard_id: str, *, reseed: bool = True) -> SensingServer:
+        """Promote the shard's first replica to durable primary after the
+        primary's death.
 
         The replica does one final catch-up read from the dead
         primary's surviving directory (acked == committed to WAL, so
@@ -570,16 +557,7 @@ class ShardCluster:
             )
         if not shard.replicas:
             raise ConfigurationError(f"shard {shard_id!r} has no replica to promote")
-        replica = None
-        if replica_host is not None:
-            for candidate in shard.replicas:
-                if candidate.host == replica_host:
-                    replica = candidate
-                    break
-            if replica is None:
-                raise ConfigurationError(f"unknown replica {replica_host!r}")
-        else:
-            replica = shard.replicas[0]
+        replica = shard.replicas[0]
         caught_up = replica.sync()  # final catch-up from the surviving log
         behind = replica.pending()
         if behind:
@@ -624,17 +602,17 @@ class ShardCluster:
     def reseed(self, shard_id: str) -> ShardReplica:
         """Spawn a replacement replica from the newest checkpoint.
 
-        The replica bootstraps via
-        :meth:`~repro.db.replication.WalShipper.bootstrap` — load the
-        promotion checkpoint, then ship only the records past it — and
-        registers with the network before this method re-points the
-        router's replica set, so the first routed read already finds a
-        caught-up endpoint. Safe to run while traffic is flowing; the
-        background pump picks the newcomer up on its next tick.
+        The replica joins like every replica — its first ship installs
+        the newest checkpoint (the promotion's) and the records past
+        it — and registers with the network before this method
+        re-points the router's replica set, so the first routed read
+        already finds a caught-up endpoint. Safe to run while traffic
+        is flowing; the background pump picks the newcomer up on its
+        next tick.
         """
         shard = self.shards[shard_id]
         started = time.perf_counter()
-        replica = self._build_replica(shard, bootstrap=True)
+        replica = self._build_replica(shard)
         shard.replicas.append(replica)
         self.table.set_replicas(
             shard_id, tuple(item.host for item in shard.replicas)

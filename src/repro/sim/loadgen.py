@@ -404,7 +404,7 @@ def _start_cluster(
     # Ship the seeded applications/features before taking traffic so
     # an early rank query never finds a replica without its category.
     cluster.sync_replicas()
-    cluster.start_replication(0.01)
+    cluster.start_replication()
     return cluster
 
 

@@ -13,7 +13,7 @@ from repro.db import (
     load_database,
 )
 from repro.db.replication import ReplicationCursor, WalShipper, apply_records
-from repro.db.wal import open_durable_database
+from repro.db.wal import attach_durability, open_durable_database
 from repro.obs import MetricsRegistry
 
 
@@ -54,10 +54,11 @@ def replica_of(batch, metrics=None):
 
 class TestCursor:
     def test_defaults_point_at_start_of_history(self):
+        # The join cursor sits before every segment.
         cursor = ReplicationCursor()
-        assert (cursor.seq, cursor.offset) == (1, 0)
+        assert (cursor.seq, cursor.offset) == (0, 0)
 
-    @pytest.mark.parametrize("kwargs", [{"seq": 0}, {"offset": -1}])
+    @pytest.mark.parametrize("kwargs", [{"seq": -1}, {"offset": -1}])
     def test_invalid_cursor_rejected(self, kwargs):
         with pytest.raises(DatabaseError):
             ReplicationCursor(**kwargs)
@@ -94,6 +95,12 @@ class TestShipping:
         assert shipper.pending(cursor) == 0
         make_users(db, 4, start=2)
         assert shipper.pending(cursor) == 4
+        db.durability.checkpoint()
+        db.durability.checkpoint()  # prunes the segment `cursor` points at
+        assert shipper.pending(cursor) == 1  # a due install counts one
+        make_users(db, 2, start=6)
+        assert shipper.pending(cursor) == 3
+        db.durability.close()
 
     def test_transactions_ship_atomically(self, tmp_path):
         db, _ = boot(tmp_path)
@@ -167,35 +174,54 @@ class TestBootstrap:
 
 
 class TestBootstrapCall:
-    """WalShipper.bootstrap(): the re-seed fast path."""
+    """Joining: ``ship(ReplicationCursor())`` installs the newest
+    checkpoint and the records past it, or replays history from
+    segment 1 when there is no checkpoint."""
 
     def test_no_checkpoint_starts_from_history(self, tmp_path):
         db, _ = boot(tmp_path)
         make_users(db, 3)
-        snapshot, cursor = WalShipper(tmp_path).bootstrap()
-        assert snapshot is None
-        assert cursor == ReplicationCursor(seq=1, offset=0)
+        batch = WalShipper(tmp_path).ship(ReplicationCursor())
+        assert batch.snapshot is None
+        assert batch.cursor.seq == 1
+        replica = replica_of(batch)
+        assert replica.table("users").select() == db.table("users").select()
         db.durability.close()
-
-    def test_missing_directory_starts_from_history(self, tmp_path):
-        snapshot, cursor = WalShipper(tmp_path / "nope").bootstrap()
-        assert snapshot is None
-        assert cursor == ReplicationCursor(seq=1, offset=0)
 
     def test_newest_checkpoint_plus_tail_matches_primary(self, tmp_path):
         db, _ = boot(tmp_path)
         make_users(db, 3)
         db.durability.checkpoint()
         make_users(db, 2, start=3)  # the tail past the checkpoint
-        shipper = WalShipper(tmp_path)
-        snapshot, cursor = shipper.bootstrap()
-        assert snapshot is not None
-        assert cursor == ReplicationCursor(seq=2, offset=0)
-        replica = load_database(snapshot, metrics=MetricsRegistry())
-        assert replica.table("users").count() == 3
-        apply_records(replica, shipper.ship(cursor).records)
+        batch = WalShipper(tmp_path).ship(ReplicationCursor())
+        assert batch.snapshot is not None
+        assert batch.cursor.seq == 2
+        assert len(batch.records) == 2
+        assert load_database(batch.snapshot).table("users").count() == 3
+        replica = replica_of(batch)
         assert replica.table("users").select() == db.table("users").select()
         db.durability.close()
+
+    def test_join_installs_a_checkpoint_at_segment_one(self, tmp_path):
+        """A directory whose history starts at checkpoint-1 (a database
+        made durable in place on an empty directory): shipping from
+        segment 1 alone would miss every row the checkpoint holds."""
+        db = Database(name="attached", metrics=MetricsRegistry())
+        make_users(db, 3)
+        manager = attach_durability(db, tmp_path, fsync=False)
+        assert (tmp_path / "checkpoint-00000001.json").exists()
+        assert (tmp_path / "wal-00000001.log").exists()
+        make_users(db, 1, start=3)
+        shipper = WalShipper(tmp_path)
+        batch = shipper.ship(ReplicationCursor())
+        assert batch.snapshot is not None
+        replica = replica_of(batch)
+        assert replica.table("users").select() == db.table("users").select()
+        # An idle replica never reinstalls its checkpoint.
+        again = shipper.ship(batch.cursor)
+        assert again.snapshot is None and again.records == []
+        assert shipper.pending(batch.cursor) == 0
+        manager.close()
 
     def test_unreadable_checkpoint_raises(self, tmp_path):
         db, _ = boot(tmp_path)
@@ -204,7 +230,7 @@ class TestBootstrapCall:
         db.durability.close()
         (tmp_path / "checkpoint-00000002.json").write_bytes(b"{broken")
         with pytest.raises(RecoveryError, match="unreadable"):
-            WalShipper(tmp_path).bootstrap()
+            WalShipper(tmp_path).ship(ReplicationCursor())
 
 
 class TestShippingRaces:

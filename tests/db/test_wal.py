@@ -431,7 +431,7 @@ class TestReattach:
         replica.table("events").insert({"label": "gen2", "blob": None})
         manager.close()
         follower = Database(name="follower")
-        batch = WalShipper(tmp_path).ship(ReplicationCursor())
+        batch = WalShipper(tmp_path).ship(ReplicationCursor(seq=1))
         apply_records(follower, batch.records)
         labels = sorted(r["label"] for r in follower.table("events").select())
         assert labels == ["gen2", "pre-0", "pre-1", "pre-2", "pre-3"]
@@ -537,7 +537,7 @@ class TestUnreadableHistory:
         shutdown(db)
         (tmp_path / "checkpoint-00000003.json").write_bytes(b"\xff\xfe not utf-8")
         with pytest.raises(RecoveryError, match="unreadable"):
-            WalShipper(tmp_path).bootstrap()
+            WalShipper(tmp_path).ship(ReplicationCursor())
         recovered, report = boot(tmp_path, fsync=False)
         assert report.corrupt_checkpoints_skipped == 1
         labels = sorted(row["label"] for row in recovered.table("events").select())

@@ -248,6 +248,54 @@ class TestReplica:
             cluster.close()
 
 
+def register_users(cluster, count):
+    for index in range(count):
+        cluster.register_user(f"user-{index}", f"User {index}", f"token-{index}")
+
+
+def users(database):
+    return sorted(database.table("users").select(), key=lambda row: row["user_id"])
+
+
+class TestReplicaLag:
+    """One definition of lag: the records a ship from the replica's
+    cursor finds, plus one when a checkpoint install is due."""
+
+    def test_due_checkpoint_install_counts_as_lag(self, tmp_path):
+        cluster, _ = make_cluster(tmp_path, num_shards=1)
+        try:
+            shard = cluster.shards["shard-0"]
+            replica = shard.replicas[0]
+            register_users(cluster, 5)
+            shard.primary.database.durability.checkpoint()
+            shard.primary.database.durability.checkpoint()
+            # The segment the replica's cursor points at is pruned, and
+            # the rows it has not shipped live only in the checkpoint.
+            assert replica.database.table("users").count() == 0
+            assert replica.pending() >= 1
+            assert cluster.replica_lag_records() >= 1
+            replica.sync()
+            assert replica.pending() == 0
+            assert cluster.replica_lag_records() == 0
+            assert users(replica.database) == users(shard.primary.database)
+        finally:
+            cluster.close()
+
+    def test_lag_gauge_holds_what_the_sync_found(self, tmp_path):
+        cluster, _ = make_cluster(tmp_path, num_shards=1)
+        try:
+            replica = cluster.shards["shard-0"].replicas[0]
+            gauge = cluster.metrics.get("sor_shard_replica_lag_records")
+            register_users(cluster, 5)
+            assert replica.pending() == 5
+            assert replica.sync() == 5
+            assert gauge.value(replica=replica.host) == 5
+            assert replica.sync() == 0
+            assert gauge.value(replica=replica.host) == 0
+        finally:
+            cluster.close()
+
+
 class TestPromotion:
     def test_promote_refuses_while_primary_lives(self, tmp_path):
         cluster, _ = make_cluster(tmp_path)
