@@ -4,7 +4,7 @@ Runs the same seeded loadgen workload (heavy on keyless rank queries,
 which the shard replicas serve) against three fleet sizes:
 
 1. **1 shard** — the single ``SensingServer`` deployed today, with its
-   worker pool deliberately bounded (``workers=1`` plus a simulated
+   admission gate deliberately bounded (``workers=1`` plus a simulated
    per-request I/O delay) so one server's capacity is well-defined;
 2. **mid fleet** (default 4 shards) — shown for the near-linear curve,
    not gated;

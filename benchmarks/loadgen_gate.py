@@ -9,8 +9,8 @@ Two passes over the same seeded workload generator:
    correctness half of the gate, fully deterministic under the seed);
 2. **speedup** — a smaller population with a heavier I/O delay, run
    through both the concurrent server and the single-threaded baseline;
-   gates the throughput ratio (the acceptance criterion: the worker
-   pool must sustain at least ``--min-speedup``× the sequential rate).
+   gates the throughput ratio (the acceptance criterion: the concurrent
+   server must sustain at least ``--min-speedup``× the sequential rate).
 
 Writes ``BENCH_loadgen.json`` in the canonical gate schema that
 ``compare_bench.py`` diffs against the committed baseline in

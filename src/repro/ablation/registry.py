@@ -90,7 +90,7 @@ SWITCHES: tuple[Switch, ...] = (
     ),
     Switch(
         name="concurrency",
-        description="worker pool behind the bounded admission queue "
+        description="concurrent callers behind the admission gate "
         "vs the single-threaded server",
         primary_metric="loadgen_seconds",
         behavior_preserving=True,

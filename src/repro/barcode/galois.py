@@ -37,11 +37,6 @@ def gf_add(a: int, b: int) -> int:
     return a ^ b
 
 
-def gf_sub(a: int, b: int) -> int:
-    """Subtraction equals addition in characteristic 2."""
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     """Multiply two field elements."""
     if a == 0 or b == 0:

@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=8,
-        help="server worker pool size for loadgen (default 8)",
+        help="requests the server runs at once for loadgen (default 8)",
     )
     parser.add_argument(
         "--queue-capacity",

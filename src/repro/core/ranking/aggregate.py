@@ -24,7 +24,6 @@ from scipy.optimize import linear_sum_assignment
 from repro.common.errors import RankingError
 from repro.core.ranking.distances import (
     require_valid_weights,
-    weighted_footrule_distance,
     weighted_kemeny_distance,
 )
 from repro.core.ranking.types import Ranking
@@ -168,12 +167,3 @@ def refine_by_adjacent_swaps(
                 improved = True
     return Ranking(current)
 
-
-def aggregation_quality(
-    ranking: Ranking, collection: Sequence[Ranking], weights: Sequence[float]
-) -> dict[str, float]:
-    """Both objective values of a candidate aggregation (for reports)."""
-    return {
-        "weighted_kemeny": weighted_kemeny_distance(ranking, collection, weights),
-        "weighted_footrule": weighted_footrule_distance(ranking, collection, weights),
-    }

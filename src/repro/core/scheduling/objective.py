@@ -108,7 +108,7 @@ _MATRIX_CACHE: OrderedDict[tuple, KernelMatrices] = OrderedDict()
 #: band at 10⁵ instants outweighs dozens of paper-scale entries.
 _MATRIX_CACHE_MAX_BYTES = 64 * 1024 * 1024
 #: Guards every read-modify-write of the LRU above — kernel_matrices is
-#: called from the server worker pool, and an unlocked OrderedDict
+#: called from concurrent server requests, and an unlocked OrderedDict
 #: corrupts under concurrent get/move_to_end/setitem/popitem.
 _MATRIX_CACHE_LOCK = threading.Lock()
 _matrix_cache_bytes = 0
@@ -159,7 +159,7 @@ def kernel_matrices(
     Keyed on ``(kernel.cache_key(), num_instants, spacing)``; kernels
     without a ``cache_key`` are built fresh every time (correct, just
     uncached). The cache is a byte-bounded LRU guarded by a lock — it
-    is shared by every scheduler thread in the server worker pool — and
+    is shared by every thread running a server request — and
     exports its size as ``sor_kernel_matrix_cache_bytes``. Entries
     larger than the cap are returned uncached rather than evicting the
     whole cache.

@@ -26,7 +26,8 @@ record recovery would discard, or miss one it would replay:
   checkpoint replays history from segment 1. ``pending(cursor)`` is the
   lag of that same batch: its records, plus one when a checkpoint
   install is due, so a replica that needs a snapshot never reads as
-  caught up.
+  caught up. It takes the same start as the ship but does not read the
+  checkpoint.
 * :func:`apply_records` — the replica-side apply loop, which is crash
   recovery's own replay.
 
@@ -104,8 +105,16 @@ class WalShipper:
 
     def pending(self, cursor: ReplicationCursor) -> int:
         """How far a replica at ``cursor`` lags: the :attr:`ShippedBatch.lag`
-        of a ship from it."""
-        return self.ship(cursor).lag
+        of a ship from it, counted without reading the checkpoint that a
+        due install would load."""
+        start = self._start(cursor)
+        if start is None:
+            return 0
+        cursor, checkpoint, wals = start
+        history = read_committed(
+            self.directory, wals, cursor.seq, cursor.offset, read=read_wal_file
+        )
+        return len(history.records) + (checkpoint is not None)
 
     def ship(self, cursor: ReplicationCursor) -> ShippedBatch:
         """Everything committed past ``cursor``, plus where to resume.
@@ -121,21 +130,11 @@ class WalShipper:
         scan) or pruned history no checkpoint covers raises
         :class:`RecoveryError`.
         """
-        checkpoints, wals = scan_directory(self.directory)
-        if not wals:
+        start = self._start(cursor)
+        if start is None:
             return ShippedBatch(cursor=cursor)
-        if cursor.seq == 0 and not checkpoints:
-            cursor = ReplicationCursor(seq=1)
-        snapshot = None
-        if cursor.seq not in wals and cursor.seq <= max(wals):
-            usable = [seq for seq in checkpoints if seq >= cursor.seq]
-            if not usable:
-                raise RecoveryError(
-                    f"{self.directory}: WAL segment {cursor.seq} is gone and no "
-                    "checkpoint covers it; replica cannot catch up"
-                )
-            cursor = ReplicationCursor(seq=max(usable))
-            snapshot = read_checkpoint(checkpoints[cursor.seq])
+        cursor, checkpoint, wals = start
+        snapshot = None if checkpoint is None else read_checkpoint(checkpoint)
         history = read_committed(
             self.directory, wals, cursor.seq, cursor.offset, read=read_wal_file
         )
@@ -144,3 +143,25 @@ class WalShipper:
             cursor=ReplicationCursor(seq=history.seq, offset=history.offset),
             snapshot=snapshot,
         )
+
+    def _start(
+        self, cursor: ReplicationCursor
+    ) -> tuple[ReplicationCursor, Path | None, dict[int, Path]] | None:
+        """Where a ship from ``cursor`` starts reading the log, the
+        checkpoint file it installs first (``None`` when no install is
+        due) and the segments on disk; ``None`` when there are none."""
+        checkpoints, wals = scan_directory(self.directory)
+        if not wals:
+            return None
+        if cursor.seq == 0 and not checkpoints:
+            cursor = ReplicationCursor(seq=1)
+        if cursor.seq in wals or cursor.seq > max(wals):
+            return cursor, None, wals
+        usable = [seq for seq in checkpoints if seq >= cursor.seq]
+        if not usable:
+            raise RecoveryError(
+                f"{self.directory}: WAL segment {cursor.seq} is gone and no "
+                "checkpoint covers it; replica cannot catch up"
+            )
+        seq = max(usable)
+        return ReplicationCursor(seq=seq), checkpoints[seq], wals

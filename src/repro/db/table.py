@@ -306,28 +306,10 @@ class Table:
     # snapshots (used by persistence dumps)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """Capture full table state for transaction rollback."""
+        """Capture full table state for a persistence dump."""
         return {
             "rows": copy.deepcopy(self._rows),
             "auto_counter": self._auto_counter,
             "indexed": tuple(self._indexes),
             "unique": copy.deepcopy(self._unique_values),
         }
-
-    def restore(self, snapshot: dict[str, Any]) -> None:
-        """Restore state captured by :meth:`snapshot`.
-
-        A rollback must leave no WAL trace, so the mutation listener is
-        suppressed while indexes are rebuilt.
-        """
-        listener = self.mutation_listener
-        self.mutation_listener = None
-        try:
-            self._rows = copy.deepcopy(snapshot["rows"])
-            self._auto_counter = snapshot["auto_counter"]
-            self._unique_values = copy.deepcopy(snapshot["unique"])
-            self._indexes = {}
-            for column in snapshot["indexed"]:
-                self.create_index(column)
-        finally:
-            self.mutation_listener = listener

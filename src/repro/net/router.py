@@ -58,8 +58,8 @@ class HashRing:
 
     Every node is hashed ``vnodes`` times onto a 64-bit circle; a key
     maps to the first vnode clockwise from its own hash. With enough
-    vnodes the keyspace split is near-uniform and removing a node
-    reassigns only that node's arcs.
+    vnodes the keyspace split is near-uniform, and adding a node moves
+    only the keys that land on its new arcs.
     """
 
     def __init__(self, nodes: tuple[str, ...] = (), *, vnodes: int = 64) -> None:
@@ -82,13 +82,6 @@ class HashRing:
         self._nodes.add(node)
         for index in range(self.vnodes):
             bisect.insort(self._ring, (_hash(f"{node}#{index}"), node))
-
-    def remove(self, node: str) -> None:
-        """Remove ``node``'s virtual nodes (no-op if absent)."""
-        if node not in self._nodes:
-            return
-        self._nodes.discard(node)
-        self._ring = [entry for entry in self._ring if entry[1] != node]
 
     def node_for(self, key: str) -> str:
         """The node owning ``key`` (first vnode clockwise of its hash)."""

@@ -12,7 +12,7 @@ Design rules, in rough order of importance:
   series whose ``inc`` is one float addition; callers on tight loops
   cache the child (or accumulate locally and report once per call).
 * **Thread-safe.** The concurrent server increments counters and
-  observes histograms from many worker threads at once; every child
+  observes histograms from many request threads at once; every child
   series guards its state with a lock (`x += y` on a Python float is a
   read-modify-write that loses updates under races), and exposition
   snapshots series under the same locks.
@@ -105,7 +105,7 @@ class Metric:
         """Yield ``(label_values, child)`` pairs in sorted label order.
 
         Snapshots the series map under the metric lock so exporters can
-        run while worker threads are still creating new label children.
+        run while request threads are still creating new label children.
         """
         with self._lock:
             items = list(self._series.items())

@@ -16,10 +16,11 @@ span (``error`` attribute) and re-raised.
 
 The clock is injectable (:class:`~repro.common.clock.Clock`), so tests
 drive span timing with :class:`~repro.common.clock.ManualClock`. One
-tracer may serve many OS threads at once (the concurrent server's
-worker pool opens a span per request): the active-span stack is
-thread-local, so parent/child nesting is tracked per thread, while the
-finished-span ring and the id counter are shared across all of them.
+tracer may serve many OS threads at once (the concurrent server runs
+each request on its caller's thread and opens a span there): the
+active-span stack is thread-local, so parent/child nesting is tracked
+per thread, while the finished-span ring and the id counter are shared
+across all of them.
 """
 
 from __future__ import annotations

@@ -171,10 +171,6 @@ class MobilePhone:
                     self._uploaded_tasks.add(task.task_id)
         return executed
 
-    def next_wakeup(self) -> float | None:
-        """When this phone next needs to run (for the event scheduler)."""
-        return self.task_manager.next_sensing_time()
-
     @property
     def acked_uploads(self) -> frozenset[str]:
         """Task ids whose SENSED_DATA upload the server acknowledged.

@@ -59,10 +59,6 @@ class TaskInstance:
         self._next_index = 0
 
     @property
-    def pending_times(self) -> list[float]:
-        return self.sensing_times[self._next_index :]
-
-    @property
     def is_done(self) -> bool:
         return self.status in (TaskStatus.FINISHED, TaskStatus.ERROR)
 

@@ -259,10 +259,6 @@ class Interpreter:
             raise ScriptRuntimeError("break outside of a loop") from None
         return None
 
-    def call_function(self, function: Any, arguments: list[Any]) -> Any:
-        """Call a Lua or native function with already-evaluated arguments."""
-        return self._call(function, arguments, line=0)
-
     # ------------------------------------------------------------------
     # statements
     # ------------------------------------------------------------------

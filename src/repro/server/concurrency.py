@@ -4,32 +4,33 @@ A real SOR deployment serves thousands of phones at once, so the server
 cannot process envelopes one at a time. This module supplies the three
 pieces the concurrent request path is built from:
 
-* :class:`ConcurrencyConfig` — how many workers run handlers and how
-  many requests may wait for a worker;
+* :class:`ConcurrencyConfig` — how many requests may run at once and
+  how many more may wait for a slot;
 * :class:`ReadWriteLock` — a writer-preferring readers–writer lock.
   Rank queries (pure reads) share it; every mutating handler takes the
   exclusive side, which keeps the commit path single-writer so
   write-ahead-log append order always matches in-memory apply order;
-* :class:`RequestExecutor` — a bounded admission queue feeding a fixed
-  pool of daemon worker threads. ``submit`` never blocks: when the
-  queue is full it returns ``None`` and the server answers with a typed
-  "busy" envelope (HTTP 503, :func:`repro.net.http.busy_response`) that
+* :class:`RequestExecutor` — an admission gate. Each admitted request
+  runs on the thread that submitted it, so a handler's spans nest under
+  its caller's. When the gate is full ``submit`` returns ``None`` at
+  once and the server answers with a typed "busy" envelope (HTTP 503,
+  :func:`repro.net.http.busy_response`) that
   :class:`~repro.net.resilience.ResilientClient` retries with its usual
   jittered backoff. That is the system's backpressure: load the server
   cannot absorb is pushed back to the phones instead of growing an
   unbounded queue.
 
-CPython's GIL means the pool does not parallelise pure computation; it
-parallelises the *waiting* — request/response I/O, WAL fsyncs — which
-is where a network server's wall-clock time actually goes. See
-``docs/CONCURRENCY.md`` for the full threading model.
+CPython's GIL means concurrent requests do not parallelise pure
+computation; they overlap the *waiting* — request/response I/O, WAL
+fsyncs — which is where a network server's wall-clock time actually
+goes. See ``docs/CONCURRENCY.md`` for the full threading model.
 """
 
 from __future__ import annotations
 
 import contextlib
-import queue
 import threading
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -38,10 +39,10 @@ from repro.common.errors import ValidationError
 
 @dataclass(frozen=True)
 class ConcurrencyConfig:
-    """Shape of the server's worker pool and admission queue.
+    """Shape of the server's admission gate.
 
-    ``queue_capacity`` bounds only the *waiting* requests; up to
-    ``workers`` more are executing, so at most ``workers +
+    ``workers`` bounds the requests running at once; ``queue_capacity``
+    bounds only the ones *waiting* for a slot, so at most ``workers +
     queue_capacity`` requests are in the building at once.
     """
 
@@ -114,105 +115,87 @@ class ReadWriteLock:
                 self._writer_done.notify_all()
 
 
-class _PendingResult:
-    """The caller's handle on one submitted request."""
+class _Outcome:
+    """A finished request: ``result()`` returns its value or re-raises."""
 
-    __slots__ = ("_done", "_value", "_error")
+    __slots__ = ("_value", "_error")
 
-    def __init__(self) -> None:
-        self._done = threading.Event()
-        self._value: Any = None
-        self._error: BaseException | None = None
-
-    def _finish(self, value: Any, error: BaseException | None) -> None:
+    def __init__(self, value: Any, error: Exception | None) -> None:
         self._value = value
         self._error = error
-        self._done.set()
 
     def result(self, timeout: float | None = None) -> Any:
-        """Block until the worker finished; re-raise what it raised."""
-        if not self._done.wait(timeout):
-            raise TimeoutError("request did not complete in time")
+        """The request's value, or re-raise what it raised.
+
+        The request has already run, so ``timeout`` never expires.
+        """
         if self._error is not None:
             raise self._error
         return self._value
 
 
 class RequestExecutor:
-    """A fixed worker pool behind a bounded, non-blocking admission queue.
+    """An admission gate that runs each request on the thread that submits it.
 
-    ``submit`` either admits the work (returning a
-    :class:`_PendingResult` the caller waits on) or refuses immediately
-    (returning ``None``) when ``queue_capacity`` requests are already
-    waiting. It never blocks the submitting thread, so backpressure is
-    explicit and instant rather than hidden in a growing queue.
+    At most ``workers`` admitted requests run at once, and at most
+    ``queue_capacity`` more wait for a slot. ``submit`` refuses any
+    other request at once with ``None``, so backpressure is explicit
+    and instant rather than hidden in a growing queue.
 
-    ``submit`` and ``close`` are mutually exclusive via ``_lifecycle``:
-    without that, a submitter could pass the ``_closed`` check, lose the
-    CPU, and enqueue its work *behind* the shutdown sentinels — the
-    workers exit first and the caller blocks forever on ``result()``.
-    With the lock, every admitted request precedes every sentinel in
-    queue order, so admitted work is always finished before the pool
-    exits and late submits fail fast with ``None``.
+    A freed slot goes to the first caller that claims it: a waiter the
+    release woke, or a caller that arrives while the slot is free, which
+    saves a thread switch under the GIL. So waiters are not served in
+    strict arrival order, but every release wakes one and yields the GIL
+    to it, and no waiter is left waiting once requests stop arriving.
     """
 
-    def __init__(self, config: ConcurrencyConfig, *, name: str = "sor") -> None:
+    def __init__(self, config: ConcurrencyConfig) -> None:
         self.config = config
-        self._queue: "queue.Queue[tuple[Callable[[], Any], _PendingResult] | None]"
-        self._queue = queue.Queue(maxsize=config.queue_capacity)
+        self._lock = threading.Lock()
+        self._slot_free = threading.Condition(self._lock)
+        self._idle = threading.Condition(self._lock)  # close() waits on it
+        self._running = 0
+        self._waiting = 0
         self._closed = False
-        self._lifecycle = threading.Lock()
-        self._threads = [
-            threading.Thread(
-                target=self._work, name=f"{name}-worker-{index}", daemon=True
-            )
-            for index in range(config.workers)
-        ]
-        for thread in self._threads:
-            thread.start()
 
-    def _work(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:  # shutdown sentinel
-                return
-            fn, pending = item
-            try:
-                pending._finish(fn(), None)
-            except BaseException as exc:  # noqa: BLE001 - relayed to caller
-                pending._finish(None, exc)
-
-    def submit(self, fn: Callable[[], Any]) -> _PendingResult | None:
-        """Admit ``fn`` for execution, or return ``None`` when full/closed."""
-        pending = _PendingResult()
-        with self._lifecycle:
+    def submit(self, fn: Callable[[], Any]) -> _Outcome | None:
+        """Run ``fn`` here once a slot is free and return its outcome, or
+        return ``None`` at once when the gate is full or closed."""
+        workers = self.config.workers
+        with self._lock:
             if self._closed:
                 return None
-            try:
-                self._queue.put_nowait((fn, pending))
-            except queue.Full:
-                return None
-        return pending
+            if self._running >= workers:
+                if self._waiting >= self.config.queue_capacity:
+                    return None
+                self._waiting += 1
+                while self._running >= workers:
+                    self._slot_free.wait()
+                self._waiting -= 1
+            self._running += 1
+        try:
+            return _Outcome(fn(), None)
+        except Exception as exc:  # noqa: BLE001 - re-raised by result()
+            return _Outcome(None, exc)
+        finally:
+            with self._lock:
+                self._running -= 1
+                woke = self._waiting > 0
+                if woke:
+                    self._slot_free.notify()
+                elif not self._running:
+                    self._idle.notify_all()
+            if woke:
+                time.sleep(0)  # hand the GIL to the waiter just woken
 
     def queue_depth(self) -> int:
-        """Requests admitted but not yet picked up by a worker."""
-        return self._queue.qsize()
+        """Admitted requests still waiting for a slot."""
+        return self._waiting
 
     def close(self) -> None:
-        """Stop accepting work and join the workers (drains the queue).
-
-        ``_closed`` flips under ``_lifecycle``, so no submit can slip a
-        work item in behind the sentinels; everything admitted before
-        the flip sits ahead of them in FIFO order and is finished by a
-        worker before it sees its sentinel and exits.
-        """
-        with self._lifecycle:
-            if self._closed:
-                return
+        """Refuse new requests, and return once every admitted one has
+        finished (idempotent)."""
+        with self._lock:
             self._closed = True
-        # Sentinel puts may block on a full queue; that is fine — the
-        # workers are still draining it, and no new work can arrive.
-        for _ in self._threads:
-            self._queue.put(None)
-        for thread in self._threads:
-            thread.join()
+            while self._running or self._waiting:
+                self._idle.wait()

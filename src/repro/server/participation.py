@@ -17,7 +17,7 @@ import itertools
 from repro.common.clock import Clock
 from repro.common.errors import ParticipationError
 from repro.common.geo import LatLon, haversine_m
-from repro.db import Database, and_, eq
+from repro.db import Database, eq
 from repro.server.app_manager import Application, ApplicationManager
 from repro.server.user_manager import UserInfoManager
 
@@ -138,12 +138,6 @@ class ParticipationManager:
     def tasks_for_app(self, app_id: str) -> list[dict]:
         """Every task of ``app_id``."""
         return self.database.table("tasks").select(eq("app_id", app_id))
-
-    def active_tasks_for_app(self, app_id: str) -> list[dict]:
-        """Tasks of ``app_id`` currently RUNNING."""
-        return self.database.table("tasks").select(
-            and_(eq("app_id", app_id), eq("status", ParticipationStatus.RUNNING.value))
-        )
 
     def record_schedule(self, task_id: str, times: list[float]) -> None:
         """Store a task's sensing times and mark it RUNNING."""

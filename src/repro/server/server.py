@@ -77,8 +77,8 @@ class SensingServer:
         self.gcm = gcm
         self.client = client
         # Simulated per-request I/O (socket read/write, WAL fsync): a
-        # real wall-clock sleep taken *outside* any lock, so a worker
-        # pool overlaps it while a single-threaded server serializes it.
+        # real wall-clock sleep taken *outside* any lock, so concurrent
+        # callers overlap it while a single-threaded server serializes it.
         if io_delay_s < 0:
             raise ConfigurationError("io_delay_s must be non-negative")
         self.io_delay_s = io_delay_s
@@ -87,9 +87,7 @@ class SensingServer:
         # keeps the WAL-feeding commit path single-writer.
         self._rwlock = ReadWriteLock()
         self._executor = (
-            RequestExecutor(concurrency, name=host)
-            if concurrency is not None
-            else None
+            RequestExecutor(concurrency) if concurrency is not None else None
         )
         # Served replies are deduped through the durable `idempotency`
         # table (see _stored_response), bounded to this many entries.
@@ -176,7 +174,7 @@ class SensingServer:
         )
         self._m_queue_depth = self.metrics.gauge(
             "sor_server_admission_queue_depth",
-            "requests admitted but not yet picked up by a worker",
+            "admitted requests waiting for a slot, sampled as each one starts",
         )
         network.register(host, self)
 
@@ -203,32 +201,33 @@ class SensingServer:
     def handle_request(self, request: HttpRequest) -> HttpResponse:
         """Serve one HTTP request (the server-side Message Handler).
 
-        With a worker pool configured, the request is admitted to the
-        bounded queue and handled on a worker thread; when the queue is
-        full the server answers immediately with HTTP 503 carrying a
-        :data:`MessageType.BUSY` envelope — the backpressure signal the
-        resilient client retries with jittered backoff. ``GET /metrics``
-        is always served inline: observability must stay readable while
-        the admission queue is saturated.
+        Every request runs on the caller's thread. With ``concurrency=``
+        set it first passes the admission gate, which may hold it until
+        a slot is free; when the gate is full the server answers
+        immediately with HTTP 503 carrying a :data:`MessageType.BUSY`
+        envelope — the backpressure signal the resilient client retries
+        with jittered backoff. ``GET /metrics`` bypasses the gate:
+        observability must stay readable while it is saturated.
         """
         if request.method == "GET" and request.path == "/metrics":
             return metrics_response(self.metrics)
         if self._executor is None:
             return self._handle_one(request)
-        pending = self._executor.submit(lambda: self._handle_one(request))
-        if pending is None:
+        outcome = self._executor.submit(lambda: self._handle_one(request))
+        if outcome is None:
             self._m_busy.inc()
             self._m_requests.inc(type="busy", status="503")
             return busy_response(self.host)
-        self._m_queue_depth.set(self._executor.queue_depth())
-        return pending.result()
+        return outcome.result()
 
     def _handle_one(self, request: HttpRequest) -> HttpResponse:
-        """Handle one admitted request (runs on a worker thread, if any)."""
-        if self.io_delay_s:
-            # The request's socket/disk time; deliberately outside every
-            # lock so concurrent workers overlap it.
-            time.sleep(self.io_delay_s)
+        """Handle one admitted request on the caller's thread."""
+        if self._executor is not None:
+            self._m_queue_depth.set(self._executor.queue_depth())
+        # The request's socket/disk time, outside every lock so concurrent
+        # callers overlap it. Even at 0 the sleep releases the GIL once per
+        # request, which keeps WAL writers out of a GIL convoy (CONCURRENCY.md).
+        time.sleep(self.io_delay_s)
         with self.tracer.span("server.handle_request", host=self.host) as span:
             with self._m_request_timer.time():
                 response, message_type = self._dispatch(request)
@@ -238,7 +237,8 @@ class SensingServer:
         return response
 
     def close(self) -> None:
-        """Stop the worker pool (idempotent; no-op without one)."""
+        """Close the admission gate and wait for the requests it admitted
+        (idempotent; no-op without one)."""
         if self._executor is not None:
             self._executor.close()
 

@@ -129,9 +129,7 @@ class ShardReplica:
         self.database = Database(name=host, metrics=self.metrics)
         self._build_ranker()
         self._executor = (
-            RequestExecutor(concurrency, name=host)
-            if concurrency is not None
-            else None
+            RequestExecutor(concurrency) if concurrency is not None else None
         )
         self._last_sync = clock.now()
         self._m_requests = self.metrics.counter(
@@ -184,11 +182,12 @@ class ShardReplica:
         return self._shipper.pending(self._cursor)
 
     def sync(self) -> int:
-        """Apply everything the primary has committed; returns the
-        number of records applied.
+        """Apply everything the primary has committed; returns the lag
+        this pass caught up on, the count :meth:`pending` reported: the
+        records applied, plus one when it installed a checkpoint.
 
-        Sets ``sor_shard_replica_lag_records`` to the lag this pass
-        found, so it reads 0 only once a pass finds nothing new.
+        Sets ``sor_shard_replica_lag_records`` to that lag, so it reads
+        0 only once a pass finds nothing new.
 
         File-level: works identically whether the primary is alive or
         already killed, which is what promotion's final catch-up needs.
@@ -216,22 +215,21 @@ class ShardReplica:
         self._last_sync = now
         if batch.records:
             self._m_applied.inc(len(batch.records), replica=self.host)
-        return len(batch.records)
+        return batch.lag
 
     # -- endpoint ------------------------------------------------------
     def handle_request(self, request: HttpRequest) -> HttpResponse:
         """Serve one request (RANK_QUERY only; replicas are read-only)."""
         if self._executor is None:
             return self._handle_one(request)
-        pending = self._executor.submit(lambda: self._handle_one(request))
-        if pending is None:
+        outcome = self._executor.submit(lambda: self._handle_one(request))
+        if outcome is None:
             self._m_requests.inc(replica=self.host, status="503")
             return busy_response(self.host)
-        return pending.result()
+        return outcome.result()
 
     def _handle_one(self, request: HttpRequest) -> HttpResponse:
-        if self.io_delay_s:
-            time.sleep(self.io_delay_s)
+        time.sleep(self.io_delay_s)  # even at 0: one GIL release per request
         try:
             envelope = Envelope.from_bytes(request.body)
         except CodecError:
@@ -252,7 +250,8 @@ class ShardReplica:
         return HttpResponse(status=200, body=reply.to_bytes())
 
     def close(self) -> None:
-        """Unhook from the network and stop the worker pool (idempotent).
+        """Unhook from the network and close the admission gate, waiting
+        for the requests it admitted (idempotent).
 
         Waits for any in-flight ``sync()`` pass to finish, so after
         ``close()`` returns the database is frozen — safe to hand to a
@@ -339,8 +338,9 @@ class ShardCluster:
         )
         self._m_reseed_lag = self.metrics.gauge(
             "sor_shard_reseed_lag_records",
-            "records the latest re-seeded replica applied past its "
-            "bootstrap checkpoint before taking traffic",
+            "lag the latest re-seeded replica's join caught up on before "
+            "taking traffic: records applied, plus one for the installed "
+            "checkpoint",
             labels=("shard",),
         )
         self._m_reseed_seconds = self.metrics.histogram(
@@ -350,7 +350,8 @@ class ShardCluster:
         )
         self._m_catchup = self.metrics.counter(
             "sor_shard_promote_catchup_records_total",
-            "records applied by promotion's final file-level catch-up, by shard",
+            "lag promotion's final file-level catch-up caught up on, by "
+            "shard: records applied, plus one per installed checkpoint",
             labels=("shard",),
         )
         self._m_moves = self.metrics.counter(
@@ -456,17 +457,18 @@ class ShardCluster:
 
     # -- replication ---------------------------------------------------
     def sync_replicas(self) -> int:
-        """One replication pump over every live replica; total applied.
+        """One replication pump over every live replica; returns the
+        total lag the passes caught up on (see :meth:`ShardReplica.sync`).
 
         Iterates over list copies: promotion and re-seeding mutate the
         replica lists from other threads while the pump runs, and a
         just-closed replica's ``sync()`` is a safe no-op.
         """
-        applied = 0
+        caught_up = 0
         for shard in list(self.shards.values()):
             for replica in list(shard.replicas):
-                applied += replica.sync()
-        return applied
+                caught_up += replica.sync()
+        return caught_up
 
     def replica_lag_records(self) -> int:
         """Fleet-wide lag: every live replica's :meth:`ShardReplica.pending`."""
@@ -508,9 +510,10 @@ class ShardCluster:
         """Hard-kill a shard's primary (``kill -9`` semantics).
 
         The server is unregistered first and then drained
-        (``server.close()`` joins the worker pool), so every request
-        that was acked has its commit record on disk before the
-        durability handles close — exactly the kill -9 contract.
+        (``server.close()`` waits for every request its gate admitted),
+        so every request that was acked has its commit record on disk
+        before the durability handles close — exactly the kill -9
+        contract.
 
         ``wreck=True`` leaves the nastiest crash-consistent directory a
         real kill can: the process dies *inside checkpoint compaction*

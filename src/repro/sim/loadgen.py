@@ -21,15 +21,16 @@ on — the point is to saturate the server, not to replay a timeline.
 
 Two modes make the concurrency win measurable:
 
-* ``concurrent`` — the server runs its worker pool behind the bounded
-  admission queue (busy rejections are retried by the drivers'
-  resilient clients, exactly like real phones);
-* ``sequential`` — no pool, one driver thread: the pre-concurrency
+* ``concurrent`` — the server admits the driver threads' requests
+  through its admission gate and runs each on its driver's thread
+  (busy rejections are retried by the drivers' resilient clients,
+  exactly like real phones);
+* ``sequential`` — no gate, one driver thread: the pre-concurrency
   server, as a baseline.
 
 With a non-zero ``io_delay_s`` (each request's simulated socket/disk
-time) the pool overlaps the waiting that a single-threaded server
-serializes; :func:`run_comparison` reports the speedup.
+time) concurrent requests overlap the waiting that a single-threaded
+server serializes; :func:`run_comparison` reports the speedup.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class LoadgenSpec:
     seed: int = 0
     mode: str = "concurrent"  # or "sequential"
     clients: int = 8  # driver threads (forced to 1 in sequential mode)
-    workers: int = 8  # server worker pool size (concurrent mode)
+    workers: int = 8  # requests the server runs at once (concurrent mode)
     queue_capacity: int = 64
     io_delay_s: float = 0.0  # simulated per-request socket/disk seconds
     period_s: float = 10800.0  # the paper's 3-hour sensing period
@@ -677,7 +678,7 @@ def run_comparison(spec: LoadgenSpec) -> tuple[LoadgenReport, LoadgenReport, flo
     """Run ``spec`` concurrent and sequential; return both + the speedup.
 
     The speedup is sustained req/s concurrent over sequential. It only
-    means something with ``io_delay_s > 0``: the pool's win is
+    means something with ``io_delay_s > 0``: concurrency's win is
     overlapping per-request I/O waits, which a zero-I/O workload does
     not have (the GIL serializes pure computation either way).
     """

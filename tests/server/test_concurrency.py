@@ -1,4 +1,5 @@
-"""The concurrent request path: locks, pool, backpressure, correctness.
+"""The concurrent request path: locks, admission gate, backpressure,
+correctness.
 
 The properties CI's load-smoke job depends on:
 
@@ -8,8 +9,10 @@ The properties CI's load-smoke job depends on:
   concurrent participation;
 * concurrent replays of one idempotent envelope run the handler exactly
   once and every caller gets the identical stored reply;
-* a full admission queue answers HTTP 503 with a typed BUSY envelope,
+* a full admission gate answers HTTP 503 with a typed BUSY envelope,
   and the resilient client turns that into backoff-and-retry;
+* each admitted request runs on its caller's thread, so the server
+  starts no thread and its spans nest under the caller's;
 * a WAL written under concurrent load recovers cleanly;
 * rank queries (shared lock) run concurrently with writers (exclusive
   lock) without torn reads or errors.
@@ -31,7 +34,7 @@ from repro.db.wal import open_durable_database
 from repro.net import Envelope, HttpRequest, MessageType, NetworkConditions
 from repro.net.resilience import BreakerPolicy, ResilientClient, RetryPolicy
 from repro.net.transport import Network
-from repro.obs import MetricsRegistry, NullTracer
+from repro.obs import MetricsRegistry, NullTracer, Tracer
 from repro.server.app_manager import Application
 from repro.server.concurrency import (
     ConcurrencyConfig,
@@ -50,6 +53,7 @@ def make_server(
     io_delay_s: float = 0.0,
     users: int = 64,
     durability: DurabilityConfig | None = None,
+    tracer: Tracer | None = None,
 ) -> SensingServer:
     metrics = MetricsRegistry()
     network = Network(
@@ -61,7 +65,7 @@ def make_server(
         network,
         ManualClock(0.0),
         metrics=metrics,
-        tracer=NullTracer(),
+        tracer=tracer if tracer is not None else NullTracer(),
         concurrency=concurrency,
         io_delay_s=io_delay_s,
         durability=durability,
@@ -230,14 +234,17 @@ class TestRequestExecutor:
         finally:
             executor.close()
 
-    def test_rejects_when_queue_full(self) -> None:
+    def test_rejects_when_queue_full(self, submit_from_thread) -> None:
         executor = RequestExecutor(ConcurrencyConfig(workers=1, queue_capacity=1))
         release = threading.Event()
         try:
-            blocker = executor.submit(lambda: release.wait(timeout=10.0))
+            # Callers run their own requests, so helper threads hold the
+            # slot and the waiting place.
+            blocker = submit_from_thread(
+                executor, lambda: release.wait(timeout=10.0)
+            )
             assert blocker is not None
-            time.sleep(0.05)  # let the worker pick the blocker up
-            queued = executor.submit(lambda: "queued")
+            queued = submit_from_thread(executor, lambda: "queued")
             assert queued is not None
             rejected = [executor.submit(lambda: None) for _ in range(4)]
             assert rejected == [None, None, None, None]
@@ -253,10 +260,174 @@ class TestRequestExecutor:
         executor.close()
         assert executor.submit(lambda: 1) is None
 
+    def test_bounds_hold_under_threads(self) -> None:
+        workers, capacity, extra = 3, 4, 5
+        executor = RequestExecutor(
+            ConcurrencyConfig(workers=workers, queue_capacity=capacity)
+        )
+        release = threading.Event()
+        lock = threading.Lock()
+        running = peak = finished = 0
+        outcomes: list = []
+        finished_at_close: list[int] = []
+
+        def hold() -> str:
+            nonlocal running, peak, finished
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            release.wait(timeout=10.0)
+            with lock:
+                running -= 1
+                finished += 1
+            return "held"
+
+        start = threading.Barrier(workers + capacity + extra, timeout=5.0)
+
+        def call() -> None:
+            start.wait()
+            outcome = executor.submit(hold)
+            with lock:
+                outcomes.append(outcome)
+
+        def close() -> None:
+            executor.close()
+            finished_at_close.append(finished)
+
+        callers = [
+            threading.Thread(target=call) for _ in range(workers + capacity + extra)
+        ]
+        closer = threading.Thread(target=close)
+        for caller in callers:
+            caller.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and not (
+                len(outcomes) == extra
+                and running == workers
+                and executor.queue_depth() == capacity
+            ):
+                time.sleep(0.001)
+            # Only the refused callers have returned; the rest run or wait.
+            assert outcomes == [None] * extra
+            assert running == workers
+            assert executor.queue_depth() == capacity
+            closer.start()
+            closer.join(timeout=0.1)
+            assert closer.is_alive()  # the admitted callers hold it open
+            release.set()
+            closer.join(timeout=5.0)
+            assert not closer.is_alive()
+        finally:
+            release.set()
+            for caller in callers:
+                caller.join(timeout=5.0)
+        assert finished_at_close == [workers + capacity]
+        assert peak == workers
+        admitted = [outcome for outcome in outcomes if outcome is not None]
+        assert [outcome.result() for outcome in admitted] == ["held"] * (
+            workers + capacity
+        )
+        assert executor.submit(lambda: 1) is None
+
+    def test_bounds_hold_under_contention(self) -> None:
+        executor = RequestExecutor(ConcurrencyConfig(workers=2, queue_capacity=3))
+        lock = threading.Lock()
+        running = peak = 0
+        served: list[int] = []
+        refused: list[int] = []
+
+        def work(index: int) -> int:
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            time.sleep(0)  # hand the GIL to another caller mid-request
+            with lock:
+                running -= 1
+            return index
+
+        def caller(first: int) -> None:
+            for index in range(first, first + 100):
+                outcome = executor.submit(lambda index=index: work(index))
+                if outcome is None:
+                    refused.append(index)
+                else:
+                    served.append(outcome.result())
+
+        callers = [threading.Thread(target=caller, args=(100 * n,)) for n in range(8)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in callers)
+        assert peak <= 2
+        assert sorted(served + refused) == list(range(800))
+        # A lost update to the gate's counts would leave it looking busy.
+        assert executor.queue_depth() == 0
+        closer = threading.Thread(target=executor.close)
+        closer.start()
+        closer.join(timeout=5.0)
+        assert not closer.is_alive()
+
 
 # ----------------------------------------------------------------------
 # server behaviour under concurrent traffic
 # ----------------------------------------------------------------------
+def test_concurrent_server_starts_no_thread() -> None:
+    before = set(threading.enumerate())
+    server = make_server(concurrency=ConcurrencyConfig(), users=1)
+    try:
+        assert set(threading.enumerate()) - before == set()
+    finally:
+        server.close()
+
+
+def test_admitted_handler_runs_on_the_calling_thread() -> None:
+    server = make_server(
+        concurrency=ConcurrencyConfig(workers=2, queue_capacity=2), users=2
+    )
+    dispatch = server._dispatch
+    handlers: list[int] = []
+    callers: list[int] = []
+
+    def recording(request: HttpRequest):
+        handlers.append(threading.get_ident())
+        return dispatch(request)
+
+    def call(index: int) -> None:
+        callers.append(threading.get_ident())
+        post(server, participate_envelope(index))
+
+    server._dispatch = recording  # type: ignore[method-assign]
+    try:
+        call(0)
+        helper = threading.Thread(target=call, args=(1,))
+        helper.start()
+        helper.join(timeout=5.0)
+        assert len(set(callers)) == 2
+        assert handlers == callers
+    finally:
+        server.close()
+
+
+def test_server_span_parents_to_the_client_span() -> None:
+    tracer = Tracer()
+    server = make_server(concurrency=ConcurrencyConfig(), users=1, tracer=tracer)
+    try:
+        client = ResilientClient(
+            server.network, metrics=MetricsRegistry(), tracer=tracer
+        )
+        client.send(
+            HttpRequest("POST", HOST, "/sor", participate_envelope(0).to_bytes())
+        )
+        spans = {record.name: record for record in tracer.finished()}
+        send = spans["net.resilient_send"]
+        assert spans["server.handle_request"].parent_id == send.span_id
+    finally:
+        server.close()
+
+
 def test_no_lost_updates_and_unique_task_ids() -> None:
     phones = 48
     clients = 6
@@ -344,7 +515,7 @@ def test_concurrent_idempotent_replays_run_handler_once() -> None:
         server.close()
 
 
-def test_full_admission_queue_answers_busy_envelope() -> None:
+def test_full_admission_queue_answers_busy_envelope(submit_from_thread) -> None:
     server = make_server(
         concurrency=ConcurrencyConfig(workers=1, queue_capacity=1),
         users=8,
@@ -352,18 +523,13 @@ def test_full_admission_queue_answers_busy_envelope() -> None:
     try:
         executor = server._executor
         assert executor is not None
-        # Deterministically saturate the pool: park the only worker on a
-        # blocker, then occupy the single queue slot.
+        # Deterministically saturate the gate from helper threads: one
+        # caller holds the only slot on a blocker, a second waits in
+        # the single queue place.
         release = threading.Event()
-        hold = executor.submit(lambda: release.wait(timeout=10.0))
+        hold = submit_from_thread(executor, lambda: release.wait(timeout=10.0))
         assert hold is not None
-        fill = None
-        deadline = time.monotonic() + 5.0
-        while fill is None and time.monotonic() < deadline:
-            fill = executor.submit(lambda: None)  # accepted once the
-            # worker has taken the blocker off the queue
-            if fill is None:
-                time.sleep(0.001)
+        fill = submit_from_thread(executor, lambda: None)
         assert fill is not None
 
         response = server.network.send(
@@ -379,7 +545,7 @@ def test_full_admission_queue_answers_busy_envelope() -> None:
             == 1
         )
 
-        # Drain the pool: the same request is now admitted and succeeds.
+        # Drain the gate: the same request is now admitted and succeeds.
         release.set()
         fill.result(timeout=5.0)
         ok = server.network.send(
@@ -436,7 +602,7 @@ def test_resilient_client_retries_busy_to_success() -> None:
         server.close()
 
 
-def test_plain_send_surfaces_busy_as_error() -> None:
+def test_plain_send_surfaces_busy_as_error(submit_from_thread) -> None:
     """Without the resilient wrapper a 503 is the caller's problem."""
     server = make_server(
         concurrency=ConcurrencyConfig(workers=1, queue_capacity=1),
@@ -450,10 +616,9 @@ def test_plain_send_surfaces_busy_as_error() -> None:
             metrics=MetricsRegistry(),
             tracer=NullTracer(),
         )
-        hold = server._executor.submit(lambda: time.sleep(0.3))  # type: ignore[union-attr]
+        hold = submit_from_thread(server._executor, lambda: time.sleep(0.3))
         assert hold is not None
-        time.sleep(0.05)
-        fill = server._executor.submit(lambda: None)  # type: ignore[union-attr]
+        fill = submit_from_thread(server._executor, lambda: None)
         assert fill is not None
         with pytest.raises(TransportError, match="at capacity") as excinfo:
             client.send(

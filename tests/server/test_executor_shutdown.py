@@ -1,11 +1,11 @@
-"""Regression tests for the RequestExecutor submit/close race.
+"""Tests for the RequestExecutor submit/close interleaving.
 
-Before ``_lifecycle`` existed, a submitter could pass the ``_closed``
-check, lose the CPU to ``close()``, and enqueue its work behind the
-shutdown sentinels — the workers exited first and the caller blocked
-forever on ``result()``. These tests hammer that interleaving: every
-admitted request (submit returned a handle) must complete, and every
-late submit must fail fast with ``None``.
+``close()`` refuses new requests and returns only once every request
+the gate admitted has finished: the ones running on their callers'
+threads and the ones still waiting for a slot. These tests hammer
+submits racing a close: every admitted request (submit returned a
+handle) must complete, and every late submit must fail fast with
+``None``.
 """
 
 import threading
@@ -48,8 +48,8 @@ class TestSubmitCloseRace:
                 thread.start()
             for thread in threads:
                 thread.join()
-            # Admitted work always lands ahead of the sentinels, so every
-            # handle resolves; a hang here is the original bug.
+            # close() waited for every admitted request, so every
+            # handle resolves.
             for handle in admitted:
                 handle.result(timeout=5.0)
 
@@ -58,7 +58,7 @@ class TestSubmitCloseRace:
         executor.close()
         assert executor.submit(lambda: 1) is None
 
-    def test_close_drains_a_full_queue(self):
+    def test_close_drains_a_full_queue(self, submit_from_thread):
         executor = make_executor(workers=1, capacity=4)
         gate = threading.Event()
         started = threading.Event()
@@ -68,9 +68,14 @@ class TestSubmitCloseRace:
             gate.wait()
             return "held"
 
-        first = executor.submit(occupy)  # occupies the only worker
+        # Callers run their own requests, so helper threads hold the
+        # slot and fill the queue.
+        first = submit_from_thread(executor, occupy)  # occupies the only slot
         assert started.wait(timeout=1.0)  # ...before the backlog fills the queue
-        backlog = [executor.submit(lambda index=index: index) for index in range(4)]
+        backlog = [
+            submit_from_thread(executor, lambda index=index: index)
+            for index in range(4)
+        ]
         assert all(handle is not None for handle in backlog)
         closer = threading.Thread(target=executor.close)
         closer.start()
@@ -83,7 +88,7 @@ class TestSubmitCloseRace:
     def test_close_is_idempotent(self):
         executor = make_executor()
         executor.close()
-        executor.close()  # second call must not deadlock on sentinels
+        executor.close()  # second call must return at once
 
     def test_worker_exception_is_relayed_not_swallowed(self):
         executor = make_executor()

@@ -1,8 +1,11 @@
 """Tests for repro.server.sharding: replicas, promotion, rebalancing."""
 
+import threading
+
 import numpy as np
 import pytest
 
+import repro.db.replication as replication
 from repro.common.clock import ManualClock
 from repro.common.errors import ConfigurationError
 from repro.common.geo import LatLon
@@ -11,9 +14,11 @@ from repro.db import eq
 from repro.net import NetworkConditions
 from repro.net.http import HttpRequest
 from repro.net.messages import Envelope, MessageType
+from repro.net.resilience import ResilientClient
 from repro.net.transport import Network
-from repro.obs import MetricsRegistry, NullTracer
+from repro.obs import MetricsRegistry, NullTracer, Tracer
 from repro.server.app_manager import Application
+from repro.server.concurrency import ConcurrencyConfig
 from repro.server.ranker_service import bump_data_version
 from repro.server.sharding import ShardCluster, ShardReplica
 
@@ -28,13 +33,16 @@ PROFILE = {
 }
 
 
-def make_cluster(tmp_path, *, num_shards=2, replicas=1):
+def make_cluster(tmp_path, *, num_shards=2, replicas=1, concurrency=None, tracer=None):
+    """A cluster; ``concurrency`` gates primaries and replicas alike, and
+    ``tracer`` is shared by every server and the router's client."""
     metrics = MetricsRegistry()
     network = Network(
         conditions=NetworkConditions(base_latency_s=0.0, jitter_s=0.0),
         rng=np.random.default_rng(0),
         metrics=metrics,
     )
+    tracer = tracer if tracer is not None else NullTracer()
     cluster = ShardCluster(
         network,
         ManualClock(0.0),
@@ -42,8 +50,11 @@ def make_cluster(tmp_path, *, num_shards=2, replicas=1):
         num_shards=num_shards,
         replicas_per_shard=replicas,
         metrics=metrics,
-        tracer=NullTracer(),
+        tracer=tracer,
+        concurrency=concurrency,
+        replica_concurrency=concurrency,
         fsync=False,
+        router_client=ResilientClient(network, metrics=metrics, tracer=tracer),
     )
     return cluster, network
 
@@ -292,6 +303,82 @@ class TestReplicaLag:
             assert gauge.value(replica=replica.host) == 5
             assert replica.sync() == 0
             assert gauge.value(replica=replica.host) == 0
+        finally:
+            cluster.close()
+
+
+    def test_pending_reads_no_checkpoint(self, tmp_path, monkeypatch):
+        cluster, _ = make_cluster(tmp_path, num_shards=1)
+        try:
+            shard = cluster.shards["shard-0"]
+            replica = shard.replicas[0]
+            register_users(cluster, 5)
+            shard.primary.database.durability.checkpoint()
+            shard.primary.database.durability.checkpoint()
+            reads = []
+            read_checkpoint = replication.read_checkpoint
+
+            def counted(path):
+                reads.append(path)
+                return read_checkpoint(path)
+
+            monkeypatch.setattr(replication, "read_checkpoint", counted)
+            # An install is due, yet counting it loads no checkpoint.
+            lags = [replica.pending() for _ in range(3)]
+            lags.append(cluster.replica_lag_records())
+            assert reads == []
+            expected = replica._shipper.ship(replica._cursor).lag
+            assert len(reads) == 1  # the ship itself still loads it
+            assert expected >= 1
+            assert lags == [expected] * 4
+        finally:
+            cluster.close()
+
+    def test_sync_returns_what_pending_reported(self, tmp_path):
+        cluster, _ = make_cluster(tmp_path, num_shards=1)
+        try:
+            shard = cluster.shards["shard-0"]
+            replica = shard.replicas[0]
+            register_users(cluster, 5)
+            shard.primary.database.durability.checkpoint()
+            shard.primary.database.durability.checkpoint()
+            pending = replica.pending()
+            assert pending >= 1
+            # The pass installs the checkpoint holding all 5 rows.
+            assert replica.sync() == pending
+            assert users(replica.database) == users(shard.primary.database)
+        finally:
+            cluster.close()
+
+
+class TestCallerThreads:
+    """Primaries and replicas run each request on its caller's thread."""
+
+    def test_concurrent_cluster_starts_no_thread(self, tmp_path):
+        before = set(threading.enumerate())
+        cluster, _ = make_cluster(tmp_path, concurrency=ConcurrencyConfig())
+        try:
+            assert set(threading.enumerate()) - before == set()
+        finally:
+            cluster.close()
+
+    def test_replica_span_parents_to_the_router_client_span(self, tmp_path):
+        tracer = Tracer()
+        cluster, network = make_cluster(
+            tmp_path, concurrency=ConcurrencyConfig(), tracer=tracer
+        )
+        try:
+            place_category(cluster, (0, 1), "museums", pin_to="shard-0")
+            cluster.sync_replicas()
+            tracer.reset()
+            response = post(network, cluster.router_host, rank_query("museums"))
+            assert response.status == 200
+            spans = {record.span_id: record for record in tracer.finished()}
+            (rank,) = [span for span in spans.values() if span.name == "ranker.rank_many"]
+            send = spans[rank.parent_id]
+            assert send.name == "net.resilient_send"
+            assert send.attributes["host"] == "shard-0-r0"
+            assert spans[send.parent_id].name == "router.route"
         finally:
             cluster.close()
 
