@@ -23,8 +23,7 @@ turn them into constructor keywords, and
 keywords reach their constructors.
 
 Timings are best-of-``repeat`` after one untimed warmup (the standard
-robust estimator on shared machines; the warmup also charges the global
-kernel-matrix cache outside the timed window). Everything else —
+robust estimator on shared machines). Everything else —
 schedules, rankings, delivered-row counts, workload digests — is exact
 under the pinned seed, which is what makes the importance *ranking*
 reproducible and the behavior-preservation digests comparable.

@@ -45,14 +45,7 @@ from repro.core.scheduling.multikernel import (
     MultiKernelGreedyScheduler,
     MultiKernelObjective,
 )
-from repro.core.scheduling.objective import (
-    CoverageObjective,
-    KernelMatrices,
-    clear_kernel_matrix_cache,
-    coverage_of_instants,
-    kernel_matrices,
-    kernel_matrix_cache_bytes,
-)
+from repro.core.scheduling.objective import CoverageObjective, coverage_of_instants
 from repro.core.scheduling.peruser import PerUserGreedyScheduler, per_user_sum_value
 from repro.core.scheduling.problem import (
     MobileUser,
@@ -70,7 +63,6 @@ __all__ = [
     "FeatureKernel",
     "GaussianKernel",
     "GreedyScheduler",
-    "KernelMatrices",
     "Matroid",
     "MobileUser",
     "MultiKernelGreedyScheduler",
@@ -83,11 +75,8 @@ __all__ = [
     "TriangularKernel",
     "argmax_tied_low",
     "average_coverage",
-    "clear_kernel_matrix_cache",
     "coverage_of_instants",
     "greedy_window",
-    "kernel_matrices",
-    "kernel_matrix_cache_bytes",
     "per_user_sum_value",
     "stochastic_sample_size",
     "validate_kernel_weights",

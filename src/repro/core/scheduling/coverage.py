@@ -20,7 +20,12 @@ from repro.common.validation import require_positive
 
 @runtime_checkable
 class CoverageKernel(Protocol):
-    """Maps a time distance (seconds, ≥ 0) to a coverage probability."""
+    """Maps a time distance (seconds, ≥ 0) to a coverage probability.
+
+    An objective reads a kernel once, when it is built: it samples
+    ``probability`` at each multiple of the instant spacing inside
+    ``support`` into its own kernel band.
+    """
 
     def probability(self, distance: float) -> float:
         """Coverage probability at ``distance``; must be 1 at 0 and non-increasing."""
@@ -29,18 +34,9 @@ class CoverageKernel(Protocol):
     def support(self) -> float:
         """A distance beyond which the probability is negligible (< 1e-9).
 
-        Used to bound the sparse window the objective maintains; kernels
+        Used to bound the kernel band each objective builds; kernels
         with unbounded support return the distance where they fall below
         1e-9.
-        """
-        ...
-
-    def cache_key(self) -> tuple:
-        """A hashable identity for the kernel-matrix cache.
-
-        Two kernels with equal keys must map every distance to the same
-        probability; the objective keys its precomputed kernel band on
-        ``(cache_key, num_instants, spacing)``.
         """
         ...
 
@@ -91,10 +87,6 @@ class GaussianKernel:
         """Distance beyond which the probability drops under 1e-9."""
         return self.sigma * math.sqrt(2.0 * math.log(1e9))
 
-    def cache_key(self) -> tuple:
-        """σ-keyed identity for the kernel-matrix cache."""
-        return ("gaussian", self.sigma)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GaussianKernel(sigma={self.sigma})"
 
@@ -113,10 +105,6 @@ class TriangularKernel:
         """The kernel width (exact support)."""
         return self.width
 
-    def cache_key(self) -> tuple:
-        """Width-keyed identity for the kernel-matrix cache."""
-        return ("triangular", self.width)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TriangularKernel(width={self.width})"
 
@@ -134,10 +122,6 @@ class ExponentialKernel:
     def support(self) -> float:
         """Distance beyond which the probability drops under 1e-9."""
         return self.scale * math.log(1e9)
-
-    def cache_key(self) -> tuple:
-        """Scale-keyed identity for the kernel-matrix cache."""
-        return ("exponential", self.scale)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ExponentialKernel(scale={self.scale})"

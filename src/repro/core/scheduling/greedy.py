@@ -25,9 +25,13 @@ Two execution modes:
   determinism and value-within-ε), but NOT schedule-identical to the
   exact mode — use it when the horizon is too long for a dense sweep
   per pick (≳10⁴ instants; see docs/SCHEDULING.md). A dry sample
-  (every sampled gain below ``min_gain``) falls back to one exact
-  masked sweep, so the loop terminates exactly when exact greedy
-  would and never stops early on an unlucky draw.
+  (no sampled instant both clears ``min_gain`` and has a free user)
+  falls back to one exact pick, so the loop terminates exactly when
+  exact greedy would and never stops early on an unlucky draw.
+
+Every pick, in either mode, goes through one commit walk: try the
+instant with the best gain, and if no user can take it, walk a stable
+best-first order until a gain falls below ``min_gain``.
 
 The exact mode breaks exact ties toward the lower instant index, and
 :class:`CoverageObjective`'s gains are bitwise equal to the scalar
@@ -52,7 +56,6 @@ being abused").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +68,7 @@ from repro.obs import MetricsRegistry, get_metrics
 #: The selectable greedy execution modes.
 GREEDY_MODES = ("exact", "stochastic")
 
-#: Sentinel key for infeasible users in the `_pick_user` argmin.
+#: Sentinel key for infeasible users in the user-selection argmin.
 _INFEASIBLE_KEY = np.iinfo(np.int64).max
 
 
@@ -88,21 +91,6 @@ def stochastic_sample_size(
         (num_candidates / total_budget) * math.log(1.0 / epsilon)
     )
     return int(max(1, min(num_candidates, size)))
-
-
-@dataclass
-class _PickState:
-    """Per-solve user-selection state, maintained by ``_commit``.
-
-    ``window_mask[j, k]`` — instant ``j`` lies in user ``k``'s presence
-    window (static); ``user_key[k] = arrival_rank[k] - remaining[k]·U``
-    (the integer encoding of the (-remaining, arrival, index) selection
-    key); ``budget_ok[k]`` — user ``k`` still has budget.
-    """
-
-    window_mask: np.ndarray
-    user_key: np.ndarray
-    budget_ok: np.ndarray
 
 
 def argmax_tied_low(values: np.ndarray) -> int:
@@ -150,6 +138,134 @@ def greedy_window(
         objective.add(lo + best)
         picks.append(lo + best)
     return picks
+
+
+class _GreedyState:
+    """One solve's user-selection state and its one commit walk.
+
+    ``window_mask[j, k]`` — instant ``j`` lies in user ``k``'s presence
+    window (static); ``user_key[k] = arrival_rank[k] - remaining[k]·U``
+    (the integer encoding of the (-remaining, arrival, index) selection
+    key); ``budget_ok[k]`` — user ``k`` still has budget;
+    ``available[j]`` — how many users could still take instant ``j``.
+    ``feasible_mask`` is ``available > 0``; it is rebuilt, and
+    ``exhausted`` counts one more, each time a user's budget runs out.
+    """
+
+    def __init__(
+        self,
+        problem: SchedulingProblem,
+        objective: CoverageObjective,
+        min_gain: float,
+    ) -> None:
+        self.objective = objective
+        self.min_gain = min_gain
+        num_users = len(problem.users)
+        num_instants = problem.period.num_instants
+        self.remaining = np.array(
+            [user.budget for user in problem.users], dtype=np.int64
+        )
+        self.bounds = [problem.user_window(index) for index in range(num_users)]
+        # Encode the user-selection key (-remaining, arrival, index) into
+        # one integer per user: arrival_rank orders (arrival, index)
+        # pairs, and remaining shifts by num_users per unit, so an
+        # argmin over ``arrival_rank - remaining * num_users`` picks the
+        # same user as the lexicographic minimum. _assign maintains it
+        # (+num_users per pick), and window membership is precomputed
+        # per instant, leaving _user_for a mask, a where and an argmin.
+        arrivals = np.array([user.arrival for user in problem.users])
+        arrival_order = np.lexsort((np.arange(num_users), arrivals))
+        arrival_rank = np.empty(num_users, dtype=np.int64)
+        arrival_rank[arrival_order] = np.arange(num_users)
+        self.user_key = arrival_rank - self.remaining * num_users
+        self.budget_ok = self.remaining > 0
+        self.window_mask = np.zeros((num_instants, num_users), dtype=bool)
+        self.available = np.zeros(num_instants, dtype=np.int64)
+        for user_index, (lo, hi) in enumerate(self.bounds):
+            self.window_mask[lo:hi, user_index] = True
+            if self.budget_ok[user_index]:
+                self.available[lo:hi] += 1
+        self.feasible_mask = self.available > 0
+        self.exhausted = 0
+        self.assigned: list[set[int]] = [set() for _ in range(num_users)]
+        self.pooled: set[int] = set()
+
+    def pick_exact(self) -> bool:
+        """One exact pick: the masked argmax of every gain, then the walk."""
+        masked = np.where(self.feasible_mask, self.objective.current_gains, -np.inf)
+        return self.walk(masked, argmax_tied_low(masked))
+
+    def walk(
+        self,
+        gains: np.ndarray,
+        best: int,
+        candidates: np.ndarray | None = None,
+    ) -> bool:
+        """Commit the best instant a user can take; False if none clears ``min_gain``.
+
+        ``best`` is the position of the first maximum of ``gains``, and
+        ``candidates`` maps positions to instants (a stochastic sample;
+        without it, positions are instants). The best instant is tried
+        first. Only when no user can take it does the walk go through
+        every position best-first: the stable argsort keeps exact ties
+        in ascending position, extending the lowest-index tie-break.
+        """
+        if gains[best] < self.min_gain:
+            return False
+        instant = best if candidates is None else int(candidates[best])
+        user_index = self._user_for(instant)
+        if user_index is None:
+            for position in np.argsort(-gains, kind="stable"):
+                if gains[position] < self.min_gain:
+                    return False
+                instant = int(
+                    position if candidates is None else candidates[position]
+                )
+                user_index = self._user_for(instant)
+                if user_index is not None:
+                    break
+            else:
+                return False
+        self._assign(instant, user_index)
+        return True
+
+    def _user_for(self, instant_index: int) -> int | None:
+        """The feasible user with the most remaining budget, or None.
+
+        Feasible: window contains the instant, budget remaining, instant
+        not already assigned to them. Ties break toward earlier arrival
+        then user order — min of the key (-remaining, arrival, index),
+        encoded as the single maintained integer ``user_key``
+        (``arrival_rank < U``, so any budget difference dominates any
+        rank difference) and resolved with one argmin.
+        """
+        feasible = self.window_mask[instant_index] & self.budget_ok
+        if instant_index in self.pooled:
+            # Only instants already in the pooled set can be held by a
+            # user; checking membership per feasible user is the rare
+            # path (re-picking an already-chosen instant).
+            for user_index in np.flatnonzero(feasible):
+                if instant_index in self.assigned[user_index]:
+                    feasible[user_index] = False
+        key = np.where(feasible, self.user_key, _INFEASIBLE_KEY)
+        winner = int(np.argmin(key))
+        if not feasible[winner]:
+            return None
+        return winner
+
+    def _assign(self, instant_index: int, user_index: int) -> None:
+        """Give ``instant_index`` to ``user_index`` and add it to the objective."""
+        self.objective.add(instant_index)
+        self.assigned[user_index].add(instant_index)
+        self.pooled.add(instant_index)
+        self.remaining[user_index] -= 1
+        self.user_key[user_index] += self.budget_ok.shape[0]
+        if self.remaining[user_index] == 0:
+            self.budget_ok[user_index] = False
+            lo, hi = self.bounds[user_index]
+            self.available[lo:hi] -= 1
+            self.feasible_mask = self.available > 0
+            self.exhausted += 1
 
 
 class GreedyScheduler:
@@ -244,73 +360,36 @@ class GreedyScheduler:
         here, and the differential tests the scalar oracle. The
         stochastic mode also needs ``gains_at``.
         """
-        num_users = len(problem.users)
-        remaining = np.array(
-            [user.budget for user in problem.users], dtype=np.int64
-        )
-        # Per-user window bounds and arrivals as arrays: _pick_user is a
-        # handful of vector ops instead of a Python loop over users.
-        user_lo = np.empty(num_users, dtype=np.int64)
-        user_hi = np.empty(num_users, dtype=np.int64)
-        for user_index in range(num_users):
-            user_lo[user_index], user_hi[user_index] = problem.user_window(
-                user_index
-            )
-        # Encode the user-selection key (-remaining, arrival, index) into
-        # one integer per user: arrival_rank orders (arrival, index)
-        # pairs, and remaining shifts by num_users per unit, so an
-        # argmin over ``arrival_rank - remaining * num_users`` picks the
-        # same user as the lexicographic minimum. The key array is
-        # maintained incrementally by _commit (+num_users per pick), and
-        # window membership is precomputed per instant, leaving
-        # _pick_user a mask, a where and an argmin.
-        arrivals = np.array([user.arrival for user in problem.users])
-        arrival_order = np.lexsort((np.arange(num_users), arrivals))
-        arrival_rank = np.empty(num_users, dtype=np.int64)
-        arrival_rank[arrival_order] = np.arange(num_users)
-        window_mask = np.zeros(
-            (problem.period.num_instants, num_users), dtype=bool
-        )
-        for user_index in range(num_users):
-            window_mask[user_lo[user_index] : user_hi[user_index], user_index] = True
-        pick_state = _PickState(
-            window_mask=window_mask,
-            user_key=arrival_rank - remaining * num_users,
-            budget_ok=remaining > 0,
-        )
-        # available[j] = number of users that could still take instant j.
-        available = np.zeros(problem.period.num_instants, dtype=np.int64)
-        for user_index in range(num_users):
-            if remaining[user_index] > 0:
-                available[user_lo[user_index] : user_hi[user_index]] += 1
-        assigned: dict[int, set[int]] = {
-            user_index: set() for user_index in range(num_users)
-        }
+        state = _GreedyState(problem, objective, self.min_gain)
+        num_instants = problem.period.num_instants
         if self.mode == "stochastic":
             rng = (
                 self.rng
                 if self.rng is not None
                 else np.random.default_rng(self.seed)
             )
-            evaluations = self._run_stochastic(
-                problem, objective, pick_state, remaining, available, assigned,
-                rng,
-            )
+            evaluations = self._run_stochastic(state, num_instants, rng)
         else:
-            evaluations = self._run_exact(
-                problem, objective, pick_state, remaining, available, assigned
+            # A maintained gains array is read in place and counts one
+            # evaluation per pick; any other objective's
+            # ``current_gains`` is a fresh sweep of every instant.
+            sweep = (
+                1 if getattr(objective, "maintains_gains", False) else num_instants
             )
+            evaluations = sweep
+            while state.pick_exact():
+                evaluations += sweep
         schedule = Schedule(
             problem=problem,
             assignments={
                 problem.users[user_index].user_id: sorted(instants)
-                for user_index, instants in assigned.items()
+                for user_index, instants in enumerate(state.assigned)
             },
             objective_value=objective.value(),
         )
         schedule.validate()
         self._m_evaluations.inc(evaluations, strategy=self.mode)
-        self._m_selected.inc(sum(len(instants) for instants in assigned.values()))
+        self._m_selected.inc(sum(len(instants) for instants in state.assigned))
         self._m_coverage.set(schedule.average_coverage)
         return schedule
 
@@ -325,158 +404,12 @@ class GreedyScheduler:
         )
 
     # ------------------------------------------------------------------
-    # user selection
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _pick_user(
-        pick_state: _PickState,
-        instant_index: int,
-        assigned: dict[int, set[int]],
-        pooled: set[int],
-    ) -> int | None:
-        """The feasible user with the most remaining budget, or None.
-
-        Feasible: window contains the instant, budget remaining, instant
-        not already assigned to them. Ties break toward earlier arrival
-        then user order — min of the key (-remaining, arrival, index),
-        encoded as the single maintained integer ``user_key``
-        (``arrival_rank < U``, so any budget difference dominates any
-        rank difference) and resolved with one argmin.
-        """
-        feasible = pick_state.window_mask[instant_index] & pick_state.budget_ok
-        if instant_index in pooled:
-            # Only instants already in the pooled set can be held by a
-            # user; checking membership per feasible user is the rare
-            # path (re-picking an already-chosen instant).
-            for user_index in np.flatnonzero(feasible):
-                if instant_index in assigned[int(user_index)]:
-                    feasible[user_index] = False
-        key = np.where(feasible, pick_state.user_key, _INFEASIBLE_KEY)
-        winner = int(np.argmin(key))
-        if not feasible[winner]:
-            return None
-        return winner
-
-    def _commit(
-        self,
-        problem: SchedulingProblem,
-        objective: CoverageObjective,
-        pick_state: _PickState,
-        instant_index: int,
-        user_index: int,
-        remaining: np.ndarray,
-        available: np.ndarray,
-        assigned: dict[int, set[int]],
-        pooled: set[int],
-    ) -> bool:
-        """Commit a pick; True iff ``available`` changed (user exhausted)."""
-        objective.add(instant_index)
-        assigned[user_index].add(instant_index)
-        pooled.add(instant_index)
-        remaining[user_index] -= 1
-        pick_state.user_key[user_index] += pick_state.budget_ok.shape[0]
-        if remaining[user_index] == 0:
-            pick_state.budget_ok[user_index] = False
-            lo, hi = problem.user_window(user_index)
-            available[lo:hi] -= 1
-            return True
-        return False
-
-    # ------------------------------------------------------------------
-    # exact loop
-    # ------------------------------------------------------------------
-    def _run_exact(
-        self,
-        problem: SchedulingProblem,
-        objective: CoverageObjective,
-        pick_state: _PickState,
-        remaining: np.ndarray,
-        available: np.ndarray,
-        assigned: dict[int, set[int]],
-    ) -> int:
-        """Masked argmax per pick; returns the number of gain evaluations.
-
-        A maintained gains array is read in place and counts one
-        evaluation per pick; any other objective's ``current_gains`` is
-        a fresh sweep of every instant.
-        """
-        sweep_evaluations = (
-            1
-            if getattr(objective, "maintains_gains", False)
-            else problem.period.num_instants
-        )
-        evaluations = 0
-        pooled: set[int] = set()
-        # ``available`` only changes when a user's budget empties
-        # (_commit reports it), so the feasibility mask is refreshed on
-        # that signal instead of being recomputed every pick.
-        feasible_mask = available > 0
-        while True:
-            gains = objective.current_gains
-            evaluations += sweep_evaluations
-            masked = np.where(feasible_mask, gains, -np.inf)
-            best = argmax_tied_low(masked)
-            if masked[best] < self.min_gain:
-                return evaluations
-            user_index = self._pick_user(pick_state, best, assigned, pooled)
-            if user_index is not None:
-                if self._commit(
-                    problem,
-                    objective,
-                    pick_state,
-                    best,
-                    user_index,
-                    remaining,
-                    available,
-                    assigned,
-                    pooled,
-                ):
-                    feasible_mask = available > 0
-                continue
-            # The top instant's holders are exhausted — walk candidates
-            # best-first until one has a user that can actually take it.
-            # The stable argsort keeps exact ties in ascending-index
-            # order, extending the same lowest-index tie-break to the
-            # fallback candidates.
-            order = np.argsort(-masked, kind="stable")
-            committed = False
-            for candidate in order:
-                if not feasible_mask[candidate]:
-                    break  # -inf region reached; nothing feasible left
-                if masked[candidate] < self.min_gain:
-                    return evaluations
-                user_index = self._pick_user(
-                    pick_state, int(candidate), assigned, pooled
-                )
-                if user_index is not None:
-                    if self._commit(
-                        problem,
-                        objective,
-                        pick_state,
-                        int(candidate),
-                        user_index,
-                        remaining,
-                        available,
-                        assigned,
-                        pooled,
-                    ):
-                        feasible_mask = available > 0
-                    committed = True
-                    break
-            if not committed:
-                return evaluations
-
-    # ------------------------------------------------------------------
     # stochastic-sampling loop
     # ------------------------------------------------------------------
     def _run_stochastic(
         self,
-        problem: SchedulingProblem,
-        objective: CoverageObjective,
-        pick_state: _PickState,
-        remaining: np.ndarray,
-        available: np.ndarray,
-        assigned: dict[int, set[int]],
+        state: _GreedyState,
+        num_instants: int,
         rng: np.random.Generator,
     ) -> int:
         """Stochastic-greedy loop; returns the number of gain evaluations.
@@ -485,28 +418,26 @@ class GreedyScheduler:
         the feasible instants (with replacement — the coupon-style bound
         ``P(sample misses the top set) ≤ (1 − k/N)^s`` holds verbatim,
         and an O(s) draw keeps the pick cost independent of the
-        horizon), score them in one batched ``gains_at`` call, and
-        commit the best sampled gain to the user with the most
-        remaining budget. Only when that single best candidate
-        has no free user does the pick fall back to a best-first walk
-        over the rest of the sample. A dry sample — nothing drawn
-        clears ``min_gain`` or has a free user — falls back to one
-        exact masked sweep: stop if the true best is below ``min_gain``
-        (exact greedy would stop here too), else commit it. The
-        fallback preserves termination and can only raise the achieved
-        value, so the ``(1 − 1/e − ε)`` expectation bound is untouched.
+        horizon), score them in one batched ``gains_at`` call, and hand
+        the sample to the commit walk, which gives the best sampled
+        instant to the user with the most remaining budget. A dry
+        sample — nothing drawn clears ``min_gain`` and has a free user
+        — falls back to one exact pick: stop if the true best is below
+        ``min_gain`` (exact greedy would stop here too), else commit
+        it. The fallback preserves termination and can only raise the
+        achieved value, so the ``(1 − 1/e − ε)`` expectation bound is
+        untouched. Evaluations are the samples drawn plus one full
+        sweep per fallback.
         """
-        num_instants = problem.period.num_instants
-        pooled: set[int] = set()
-        evaluations = 0
         samples_drawn = 0
         fallbacks = 0
-        budget_left = int(remaining.sum())
+        budget_left = int(state.remaining.sum())
         sample_size = stochastic_sample_size(
             num_instants, budget_left, self.sample_epsilon
         )
-        feasible_mask = available > 0
-        feasible_indices = np.flatnonzero(feasible_mask)
+        objective = state.objective
+        exhausted = state.exhausted
+        feasible_indices = np.flatnonzero(state.feasible_mask)
         # Draws are taken in chunks of up to 32 picks: one
         # ``rng.integers`` call per chunk instead of per pick (the
         # generator's per-call overhead is comparable to the whole rest
@@ -535,94 +466,18 @@ class GreedyScheduler:
             # draw are scored twice — cheaper than deduplicating.
             gains = objective.gains_at(candidates)
             samples_drawn += int(draws.size)
-            evaluations += int(candidates.size)
-            committed = False
-            refresh = False
             # argmax_tied_low inlined (first occurrence = first drawn).
-            best = int(gains.argmax())
-            if gains[best] >= self.min_gain:
-                user_index = self._pick_user(
-                    pick_state, int(candidates[best]), assigned, pooled
-                )
-                if user_index is not None:
-                    refresh = self._commit(
-                        problem,
-                        objective,
-                        pick_state,
-                        int(candidates[best]),
-                        user_index,
-                        remaining,
-                        available,
-                        assigned,
-                        pooled,
-                    )
-                    budget_left -= 1
-                    committed = True
-                else:
-                    # Rare: the sampled best has no free user — walk the
-                    # rest of the sample best-first before giving up.
-                    for position in np.argsort(-gains, kind="stable"):
-                        if gains[position] < self.min_gain:
-                            break
-                        candidate = int(candidates[position])
-                        user_index = self._pick_user(
-                            pick_state, candidate, assigned, pooled
-                        )
-                        if user_index is None:
-                            continue
-                        refresh = self._commit(
-                            problem,
-                            objective,
-                            pick_state,
-                            candidate,
-                            user_index,
-                            remaining,
-                            available,
-                            assigned,
-                            pooled,
-                        )
-                        budget_left -= 1
-                        committed = True
-                        break
-            if not committed:
+            if not state.walk(gains, int(gains.argmax()), candidates):
                 fallbacks += 1
-                # One exact sweep: the objective recomputes every gain.
-                masked = np.where(
-                    feasible_mask, objective.current_gains, -np.inf
-                )
-                evaluations += num_instants
-                for candidate in np.argsort(-masked, kind="stable"):
-                    if (
-                        not feasible_mask[candidate]
-                        or masked[candidate] < self.min_gain
-                    ):
-                        break
-                    user_index = self._pick_user(
-                        pick_state, int(candidate), assigned, pooled
-                    )
-                    if user_index is not None:
-                        refresh = self._commit(
-                            problem,
-                            objective,
-                            pick_state,
-                            int(candidate),
-                            user_index,
-                            remaining,
-                            available,
-                            assigned,
-                            pooled,
-                        )
-                        budget_left -= 1
-                        committed = True
-                        break
-                if not committed:
+                if not state.pick_exact():
                     break  # nothing feasible clears min_gain anywhere
-            if refresh:
-                feasible_mask = available > 0
-                feasible_indices = np.flatnonzero(feasible_mask)
+            budget_left -= 1
+            if state.exhausted != exhausted:
+                exhausted = state.exhausted
+                feasible_indices = np.flatnonzero(state.feasible_mask)
                 draw_chunk = None
         if samples_drawn:
             self._m_samples.inc(samples_drawn)
         if fallbacks:
             self._m_fallbacks.inc(fallbacks)
-        return evaluations
+        return samples_drawn + fallbacks * num_instants

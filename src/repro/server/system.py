@@ -301,7 +301,7 @@ class SORSystem:
         )
         walker = None
         if place.trail is not None:
-            mode = "loop" if _trail_is_loop(place) else "ping_pong"
+            mode = "loop" if place.trail.is_loop else "ping_pong"
             walker = TrailWalker(
                 place.trail,
                 pace_m_per_s=pace_m_per_s,
@@ -484,15 +484,3 @@ class SORSystem:
     def feature_values(self, category: str) -> dict[str, dict[str, float]]:
         """Feature data currently in the database for a category."""
         return self.server.ranker.feature_values(category)
-
-
-def _trail_is_loop(place: PlaceProfile) -> bool:
-    assert place.trail is not None
-    import math
-
-    first = place.trail.points[0]
-    last = place.trail.points[-1]
-    return (
-        math.hypot(last.east_m - first.east_m, last.north_m - first.north_m)
-        < place.trail.length_m * 0.05
-    )

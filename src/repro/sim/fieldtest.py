@@ -173,7 +173,7 @@ def run_field_test(
         clock = ManualClock(start=config.start_s)
         walker = None
         if place.trail is not None:
-            mode = "loop" if place.trail.length_m > 0 and _is_loop(place) else "ping_pong"
+            mode = "loop" if place.trail.is_loop else "ping_pong"
             # Stagger hikers along the trail so traces differ.
             walker = TrailWalker(
                 place.trail,
@@ -220,15 +220,4 @@ def run_field_test(
         bursts_by_sensor=bursts_by_sensor,
         energy_by_phone_mj=energy_by_phone,
         schedule_average_coverage=schedule.average_coverage,
-    )
-
-
-def _is_loop(place: PlaceProfile) -> bool:
-    """Whether a trail closes on itself (first and last points nearby)."""
-    assert place.trail is not None
-    first = place.trail.points[0]
-    last = place.trail.points[-1]
-    return (
-        math.hypot(last.east_m - first.east_m, last.north_m - first.north_m)
-        < place.trail.length_m * 0.05
     )

@@ -49,6 +49,15 @@ class TrailPath:
     def length_m(self) -> float:
         return self._cumulative[-1]
 
+    @property
+    def is_loop(self) -> bool:
+        """Whether the trail closes on itself: its ends lie within 5 % of its length."""
+        first, last = self.points[0], self.points[-1]
+        return (
+            math.hypot(last.east_m - first.east_m, last.north_m - first.north_m)
+            < self.length_m * 0.05
+        )
+
     def position_at(self, distance_m: float) -> GpsFix:
         """The point ``distance_m`` along the trail (clamped to its ends)."""
         distance = min(max(distance_m, 0.0), self.length_m)

@@ -13,8 +13,9 @@ horizon-free per-pick cost, and promises exactly two things instead:
   in practice lands within a percent or two of the exact value.
 
 Plus the invariants every mode owes: budgets are never exceeded,
-schedules validate, ``min_gain`` terminates the loop, and a dry sample
-falls back to one exact sweep rather than stalling.
+schedules validate, ``min_gain`` terminates the loop, a sample whose
+best instant no user can take walks the rest of the sample, and a dry
+sample falls back to one exact sweep rather than stalling.
 """
 
 from __future__ import annotations
@@ -250,3 +251,40 @@ class TestFallbackAndMetrics:
             ).value()
             >= 1
         )
+
+    @pytest.mark.parametrize(
+        ("seed", "expected_fallbacks"), [(1, 0), (0, 1)], ids=["walk", "walk-then-fallback"]
+    )
+    def test_sample_walk_skips_a_best_instant_with_no_free_user(
+        self, seed, expected_fallbacks
+    ):
+        """The sample walk: the best sampled instant has no free user.
+
+        Two full-period users with a budget of 3 over 3 instants run
+        to a basis at ``min_gain=0``: each instant is picked twice, and
+        a pooled instant both users hold still gains 0.0, so the best
+        of a sample is often an instant no user can take. The pick then
+        walks the rest of the sample best-first. Under seed 1 the one
+        walk finds a free user; under seed 0 one of two walks finds
+        none, and that pick falls back to an exact sweep.
+        """
+        period = SchedulingPeriod(0.0, 100.0, 3)
+        users = [
+            MobileUser(user_id=f"u{index}", arrival=0.0, departure=100.0, budget=3)
+            for index in range(2)
+        ]
+        problem = SchedulingProblem(period, users, GaussianKernel(sigma=20.0))
+        registry = MetricsRegistry()
+        schedule = GreedyScheduler(
+            mode="stochastic", seed=seed, min_gain=0.0, metrics=registry
+        ).solve(problem)
+        schedule.validate()
+        assert schedule.assignments == {"u0": [0, 1, 2], "u1": [0, 1, 2]}
+        samples = registry.counter("sor_greedy_stochastic_samples_total").value()
+        fallbacks = registry.counter(
+            "sor_greedy_stochastic_fallbacks_total"
+        ).value()
+        assert fallbacks == expected_fallbacks
+        assert registry.counter(
+            "sor_greedy_evaluations_total", labels=("strategy",)
+        ).value(strategy="stochastic") == samples + fallbacks * 3

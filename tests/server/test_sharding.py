@@ -383,6 +383,50 @@ class TestCallerThreads:
             cluster.close()
 
 
+class TestRouterDefaultClient:
+    """Without ``router_client``, the router's hop reports to the cluster."""
+
+    def test_default_client_uses_the_cluster_registry_and_tracer(self, tmp_path):
+        metrics = MetricsRegistry()
+        tracer = Tracer()
+        network = Network(
+            conditions=NetworkConditions(base_latency_s=0.0, jitter_s=0.0),
+            rng=np.random.default_rng(0),
+            metrics=metrics,
+        )
+        cluster = ShardCluster(
+            network,
+            ManualClock(0.0),
+            tmp_path,
+            num_shards=1,
+            metrics=metrics,
+            tracer=tracer,
+            fsync=False,
+        )
+        try:
+            place_category(cluster, (0, 1), "museums")
+            cluster.sync_replicas()
+            tracer.reset()
+            for _ in range(3):
+                response = post(network, cluster.router_host, rank_query("museums"))
+                assert response.status == 200
+            exported = network.send(
+                HttpRequest("GET", cluster.router_host, "/metrics")
+            ).body.decode()
+            assert "sor_net_resilient_sends_total" in exported
+            spans = {record.span_id: record for record in tracer.finished()}
+            sends = [span for span in spans.values() if span.name == "net.resilient_send"]
+            assert len(sends) == 3
+            for send in sends:
+                assert spans[send.parent_id].name == "router.route"
+            ranks = [span for span in spans.values() if span.name == "ranker.rank_many"]
+            assert len(ranks) == 3
+            for rank in ranks:
+                assert spans[rank.parent_id].name == "net.resilient_send"
+        finally:
+            cluster.close()
+
+
 class TestPromotion:
     def test_promote_refuses_while_primary_lives(self, tmp_path):
         cluster, _ = make_cluster(tmp_path)

@@ -65,6 +65,23 @@ class TestTrailPath:
         )
         first, last = trail.points[0], trail.points[-1]
         assert math.hypot(last.east_m - first.east_m, last.north_m - first.north_m) < 5.0
+        assert trail.is_loop
+
+    def test_is_loop_needs_ends_within_five_percent_of_length(self):
+        assert not straight_trail(100.0).is_loop
+        # Out 50 m and back to 6 m from the start: 6 m ≥ 5 % of 94 m.
+        out_and_near = TrailPath(
+            ORIGIN,
+            [TrailPoint(0, 0, 0), TrailPoint(50, 0, 0), TrailPoint(6, 0, 0)],
+        )
+        assert not out_and_near.is_loop
+        # Back to 2 m from the start: 2 m < 5 % of 98 m.
+        out_and_back = TrailPath(
+            ORIGIN,
+            [TrailPoint(0, 0, 0), TrailPoint(50, 0, 0), TrailPoint(2, 0, 0)],
+        )
+        assert out_and_back.is_loop
+        assert not TrailPath(ORIGIN, [TrailPoint(0, 0, 0), TrailPoint(0, 0, 0)]).is_loop
 
     def test_build_wiggle_increases_path_curvatureiness(self):
         flat = TrailPath.build(
