@@ -39,7 +39,6 @@ from repro.core.scheduling.greedy import (
     greedy_window,
     stochastic_sample_size,
 )
-from repro.core.scheduling.matroid import BudgetPartitionMatroid, Matroid
 from repro.core.scheduling.multikernel import (
     FeatureKernel,
     MultiKernelGreedyScheduler,
@@ -56,14 +55,12 @@ from repro.core.scheduling.problem import (
 
 __all__ = [
     "GREEDY_MODES",
-    "BudgetPartitionMatroid",
     "CoverageKernel",
     "CoverageObjective",
     "ExponentialKernel",
     "FeatureKernel",
     "GaussianKernel",
     "GreedyScheduler",
-    "Matroid",
     "MobileUser",
     "MultiKernelGreedyScheduler",
     "MultiKernelObjective",

@@ -60,7 +60,6 @@ import math
 import numpy as np
 
 from repro.common.errors import SchedulingError
-from repro.core.scheduling.matroid import BudgetPartitionMatroid
 from repro.core.scheduling.objective import CoverageObjective
 from repro.core.scheduling.problem import Schedule, SchedulingProblem
 from repro.obs import MetricsRegistry, get_metrics
@@ -392,16 +391,6 @@ class GreedyScheduler:
         self._m_selected.inc(sum(len(instants) for instants in state.assigned))
         self._m_coverage.set(schedule.average_coverage)
         return schedule
-
-    def matroid_for(self, problem: SchedulingProblem) -> BudgetPartitionMatroid:
-        """The partition matroid over (user, instant) pairs for ``problem``."""
-        return BudgetPartitionMatroid(
-            capacities={
-                user_index: user.budget
-                for user_index, user in enumerate(problem.users)
-            },
-            part_of=lambda element: element[0],
-        )
 
     # ------------------------------------------------------------------
     # stochastic-sampling loop

@@ -8,8 +8,8 @@ target place), and the Lua scripts defining the corresponding data
 acquisition procedure."
 
 The feature pipeline (how raw readings become feature values) is a
-Python object and lives in an in-memory registry next to the persisted
-configuration row.
+Python object; it lives on the in-memory :class:`Application`, next to
+the persisted configuration row.
 """
 
 from __future__ import annotations
@@ -74,23 +74,19 @@ class ApplicationManager:
     """Registers applications and answers lookups.
 
     Configuration rows are durable; the in-memory registry is rebuilt
-    from them at construction, scoped to ``owner`` (the server host that
-    registered each application) so that servers sharing one database
-    never adopt each other's applications after a restart.
+    from every one of them at construction, because each database
+    belongs to exactly one server.
     """
 
-    def __init__(self, database: Database, *, owner: str = "") -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.owner = owner
-        self._pipelines: dict[str, FeaturePipeline] = {}
         self._apps: dict[str, Application] = {}
         self._hydrate()
 
     def _hydrate(self) -> None:
         if not self.database.has_table("applications"):
             return
-        rows = self.database.table("applications").select(eq("owner", self.owner))
-        for row in rows:
+        for row in self.database.table("applications").select():
             self._apps[row["app_id"]] = Application(
                 app_id=row["app_id"],
                 creator=row["creator"],
@@ -115,7 +111,6 @@ class ApplicationManager:
         if application is None:
             raise ConfigurationError(f"unknown application {app_id!r}")
         self._apps[app_id] = dataclasses.replace(application, pipeline=pipeline)
-        self._pipelines[app_id] = pipeline
 
     def create(self, application: Application) -> None:
         """Register an application (validates its script parses)."""
@@ -136,7 +131,6 @@ class ApplicationManager:
         self.database.table("applications").insert(
             {
                 "app_id": application.app_id,
-                "owner": self.owner,
                 "creator": application.creator,
                 "place_id": application.place_id,
                 "place_name": application.place_name,
@@ -152,7 +146,6 @@ class ApplicationManager:
             }
         )
         self._apps[application.app_id] = application
-        self._pipelines[application.app_id] = application.pipeline
 
     def remove(self, app_id: str) -> Application | None:
         """Drop an application (registry + durable row); returns it.
@@ -161,7 +154,6 @@ class ApplicationManager:
         shard removes the application, the gaining shard re-creates it.
         """
         application = self._apps.pop(app_id, None)
-        self._pipelines.pop(app_id, None)
         if application is not None:
             self.database.table("applications").delete(eq("app_id", app_id))
         return application
@@ -172,15 +164,15 @@ class ApplicationManager:
 
     def pipeline_for(self, app_id: str) -> FeaturePipeline:
         """The feature pipeline of ``app_id`` (raises if unknown)."""
-        try:
-            return self._pipelines[app_id]
-        except KeyError:
-            if app_id in self._apps:
-                raise ConfigurationError(
-                    f"application {app_id!r} was rehydrated without a "
-                    "pipeline; call attach_pipeline() first"
-                ) from None
-            raise ConfigurationError(f"unknown application {app_id!r}") from None
+        application = self._apps.get(app_id)
+        if application is None:
+            raise ConfigurationError(f"unknown application {app_id!r}")
+        if application.pipeline is None:
+            raise ConfigurationError(
+                f"application {app_id!r} was rehydrated without a "
+                "pipeline; call attach_pipeline() first"
+            )
+        return application.pipeline
 
     def all_apps(self) -> list[Application]:
         """Every registered application."""

@@ -72,20 +72,18 @@ class DataProcessor:
     # step 1: binary blobs → readings rows
     # ------------------------------------------------------------------
     def process_pending(self) -> int:
-        """Decode every unprocessed blob of *this server's* applications.
+        """Decode every unprocessed blob; returns how many decoded.
 
-        Several servers may share the database; blobs whose application
-        lives on another server are left unprocessed for that server's
-        Data Processor. Returns how many blobs decoded successfully.
+        A blob that cannot become readings (malformed, or naming a task
+        or application this server does not know, such as one that
+        rebalancing moved to another shard) is counted in
+        ``blobs_rejected``. Every blob read is marked processed either
+        way, so no pass reads it again.
         """
         raw_table = self.database.table("raw_data")
-        tasks_table = self.database.table("tasks")
         pending = raw_table.select(eq("processed", False))
         decoded = 0
         for row in pending:
-            task = tasks_table.get(row["task_id"])
-            if task is not None and self.apps.get(task["app_id"]) is None:
-                continue  # another server's application
             inserted: list[int] = []
             try:
                 self._decode_one(row, inserted)

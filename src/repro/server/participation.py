@@ -46,10 +46,11 @@ class ParticipationManager:
         self.users = users
         self.apps = apps
         self.clock = clock
-        # With several servers sharing one database, each needs its own
-        # id namespace so task ids never collide. The counter resumes
-        # past any persisted task of this prefix, so a restarted server
-        # never re-issues an id that survived in the durable store.
+        # The prefix (the server's host) is the shard router's routing
+        # key: it sends a SENSED_DATA upload to the shard that issued its
+        # task. The counter resumes past any persisted task of this
+        # prefix, so a restarted server never re-issues an id that
+        # survived in the durable store.
         self.id_prefix = id_prefix
         self._task_counter = itertools.count(self._highest_persisted_ordinal() + 1)
 

@@ -47,10 +47,9 @@ class _AppSchedulerState:
         )
         self.kernel = GaussianKernel(sigma=application.coverage_sigma_s)
         self.objective = CoverageObjective(self.period, self.kernel)
-        self.scheduled_counts: dict[str, int] = {}
 
     def schedule_user(
-        self, user_id: str, *, from_time: float, until_time: float, budget: int
+        self, *, from_time: float, until_time: float, budget: int
     ) -> tuple[list[int], int]:
         """Greedily pick up to ``budget`` instants in the user's window.
 
@@ -63,9 +62,6 @@ class _AppSchedulerState:
             max(from_time, self.period.start), min(until_time, self.period.end)
         )
         picks = greedy_window(self.objective, lo, hi, budget, ONLINE_MIN_GAIN)
-        self.scheduled_counts[user_id] = (
-            self.scheduled_counts.get(user_id, 0) + len(picks)
-        )
         return sorted(picks), (hi - lo) * min(budget, len(picks) + 1)
 
     @property
@@ -127,13 +123,8 @@ class SensingSchedulerService:
         restored = 0
         for task in self.participation.tasks_for_app(application.app_id):
             times = task.get("schedule_times") or []
-            if not times:
-                continue
             for timestamp in times:
                 state.objective.add(state.period.nearest_instant(float(timestamp)))
-            state.scheduled_counts[task["user_id"]] = (
-                state.scheduled_counts.get(task["user_id"], 0) + len(times)
-            )
             restored += len(times)
         if restored:
             self._m_coverage.set(state.average_coverage, app=application.app_id)
@@ -157,14 +148,13 @@ class SensingSchedulerService:
         state = self.state_for(application)
         now = self.clock.now()
         until = departure_time if departure_time is not None else state.period.end
-        task = self.participation.get_task(task_id)
-        if task is None:
+        if self.participation.get_task(task_id) is None:
             raise SchedulingError(f"unknown task {task_id!r}")
         with self.tracer.span(
             "scheduler.schedule_task", app_id=application.app_id, budget=budget
         ) as span:
             instants, evaluated = state.schedule_user(
-                task["user_id"], from_time=now, until_time=until, budget=budget
+                from_time=now, until_time=until, budget=budget
             )
             span.set_attribute("instants", len(instants))
         self._m_tasks.inc()

@@ -21,9 +21,6 @@ APPLICATIONS = Schema(
     name="applications",
     columns=(
         Column("app_id", ColumnType.TEXT, nullable=False),
-        # Which server host registered the application — after a crash,
-        # each server rehydrates exactly the applications it owns.
-        Column("owner", ColumnType.TEXT, nullable=False, default=""),
         Column("creator", ColumnType.TEXT, nullable=False),
         Column("place_id", ColumnType.TEXT, nullable=False),
         Column("place_name", ColumnType.TEXT, nullable=False),
@@ -161,9 +158,8 @@ ALL_SCHEMAS = (
 def create_all_tables(database) -> None:
     """Create every server table plus its hot-path indexes.
 
-    Idempotent: several sensing servers may share one database (the
-    paper deploys "one or multiple sensing servers"), and each runs this
-    at startup.
+    Idempotent: a server runs this at every startup, and a database
+    recovered from disk already holds its tables.
     """
     for schema in ALL_SCHEMAS:
         if not database.has_table(schema.name):
@@ -174,5 +170,4 @@ def create_all_tables(database) -> None:
     database.table("readings").create_index("place_id")
     database.table("feature_data").create_index("place_id")
     database.table("feature_data").create_index("category")
-    database.table("applications").create_index("owner")
     database.table("quarantine").create_index("place_id")

@@ -111,7 +111,7 @@ class SensingServer:
             )
         create_all_tables(self.database)
         self.users = UserInfoManager(self.database, clock)
-        self.apps = ApplicationManager(self.database, owner=host)
+        self.apps = ApplicationManager(self.database)
         self.participation = ParticipationManager(
             self.database, self.users, self.apps, clock, id_prefix=f"{host}:"
         )

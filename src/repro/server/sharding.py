@@ -29,9 +29,9 @@ behind the log after that, then **re-attaches durability**
 (:func:`~repro.db.wal.attach_durability`: the replica's state becomes a
 fresh checkpoint and the next WAL generation opens in the same
 directory) before wrapping the database in a fresh ``SensingServer``
-under the *same host name* — task-id prefixes, application ownership
-rows and idempotent replies all line up, and the promoted primary
-commits durably, so it survives being killed again. Promotion then
+under the *same host name* — task-id prefixes and idempotent replies
+line up, and the promoted primary commits durably, so it survives
+being killed again. Promotion then
 **re-seeds** the shard (:meth:`ShardCluster.reseed`): a replacement
 replica joins like every replica, which installs the promotion
 checkpoint, and rejoins the router's replica set, restoring read
@@ -547,9 +547,9 @@ class ShardCluster:
         replica's state becomes a fresh checkpoint in the same
         directory and the next WAL generation opens, so the promoted
         ``SensingServer`` — registered under the *same host name*, with
-        task-id prefixes, ownership rows and idempotent replies all
-        still valid — commits durably and survives being killed again.
-        Unless ``reseed=False``, a replacement replica is spawned from
+        task-id prefixes and idempotent replies still valid — commits
+        durably and survives being killed again. Unless
+        ``reseed=False``, a replacement replica is spawned from
         that checkpoint before returning.
         """
         shard = self.shards[shard_id]

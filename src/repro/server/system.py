@@ -33,6 +33,9 @@ from repro.sim.mobility import TrailWalker
 from repro.sim.places import PlaceProfile
 from repro.sim.scenarios import FIELD_TEST_END_S, FIELD_TEST_START_S
 
+#: The sensing server's network host name, printed in every barcode.
+SERVER_HOST = "sor-server"
+
 
 def generate_sensing_script(
     sensors: set[str],
@@ -91,33 +94,29 @@ class DeployedPhone:
 
 
 class SORSystem:
-    """A full simulated SOR deployment."""
+    """A full simulated SOR deployment around one sensing server.
+
+    The paper's "multiple sensing servers" case is
+    :class:`~repro.server.sharding.ShardCluster`, with one database per
+    shard; here the one server owns the one database.
+    """
+
+    #: The scheduling period every application and phone visit lies in;
+    #: the fault harness spreads its kills over it.
+    start_time = FIELD_TEST_START_S
+    end_time = FIELD_TEST_END_S
 
     def __init__(
         self,
         *,
-        start_time: float = FIELD_TEST_START_S,
-        end_time: float = FIELD_TEST_END_S,
         seed: int = 0,
         network_conditions: NetworkConditions | None = None,
-        server_host: str = "sor-server",
-        num_servers: int = 1,
         resilient: bool = True,
         durability: DurabilityConfig | None = None,
         concurrency: ConcurrencyConfig | None = None,
-        io_delay_s: float = 0.0,
         ranking_cache: bool = True,
     ) -> None:
-        if num_servers < 1:
-            raise ConfigurationError("need at least one sensing server")
-        if durability is not None and num_servers > 1:
-            raise ConfigurationError(
-                "durability is only supported for single-server deployments "
-                "(multiple servers share one database instance)"
-            )
-        self.simulator = Simulator(start_time=start_time)
-        self.start_time = start_time
-        self.end_time = end_time
+        self.simulator = Simulator(start_time=self.start_time)
         self.rngs = RngRegistry(root_seed=seed)
         self.network = Network(
             conditions=network_conditions or NetworkConditions(drop_probability=0.0),
@@ -151,57 +150,41 @@ class SORSystem:
             )
 
         self._make_client = make_client
-        # "One or multiple sensing servers need to be deployed": with
-        # several servers they share one database, like app servers over
-        # one PostgreSQL instance. Places are assigned round-robin.
         self.durability = durability
         self.concurrency = concurrency
-        self.io_delay_s = io_delay_s
         self.ranking_cache = ranking_cache
         self.recovery_reports: list[RecoveryReport] = []
-        if num_servers == 1:
-            self.servers = [
-                SensingServer(
-                    server_host,
-                    self.network,
-                    self.simulator.clock,
-                    gcm=self.gcm,
-                    client=make_client(f"server:{server_host}"),
-                    durability=durability,
-                    concurrency=concurrency,
-                    io_delay_s=io_delay_s,
-                    ranking_cache=ranking_cache,
-                )
-            ]
-            if self.servers[0].recovery is not None:
-                self.recovery_reports.append(self.servers[0].recovery)
-        else:
-            from repro.db import Database
-
-            shared = Database(name=f"{server_host}-shared")
-            self.servers = [
-                SensingServer(
-                    f"{server_host}-{index + 1}",
-                    self.network,
-                    self.simulator.clock,
-                    gcm=self.gcm,
-                    database=shared,
-                    client=make_client(f"server:{index + 1}"),
-                    concurrency=concurrency,
-                    io_delay_s=io_delay_s,
-                    ranking_cache=ranking_cache,
-                )
-                for index in range(num_servers)
-            ]
-        self._next_server = 0
         self._places: dict[str, DeployedPlace] = {}
         self._phones: list[DeployedPhone] = []
         self._user_counter = 0
+        self.server = self._start_server()
 
-    @property
-    def server(self) -> SensingServer:
-        """The first (or only) sensing server."""
-        return self.servers[0]
+    def _start_server(self) -> SensingServer:
+        """Boot the sensing server, recovering from disk if durable.
+
+        A recovered server adopts every application row in its database;
+        their feature pipelines are code, not data, so they are
+        re-attached from the deployed places.
+        """
+        server = SensingServer(
+            SERVER_HOST,
+            self.network,
+            self.simulator.clock,
+            gcm=self.gcm,
+            client=self._make_client(f"server:{SERVER_HOST}"),
+            durability=self.durability,
+            concurrency=self.concurrency,
+            ranking_cache=self.ranking_cache,
+        )
+        for deployed in self._places.values():
+            application = deployed.application
+            if server.apps.get(application.app_id) is not None:
+                server.apps.attach_pipeline(
+                    application.app_id, application.pipeline
+                )
+        if server.recovery is not None:
+            self.recovery_reports.append(server.recovery)
+        return server
 
     @property
     def places(self) -> dict[str, DeployedPlace]:
@@ -234,8 +217,6 @@ class SORSystem:
             tolerance = (
                 place.trail.length_m if place.trail is not None else 500.0
             )
-        home_server = self.servers[self._next_server % len(self.servers)]
-        self._next_server += 1
         application = Application(
             app_id=f"app-{place.place_id}",
             creator=f"owner-of-{place.place_id}",
@@ -251,7 +232,7 @@ class SORSystem:
             coverage_sigma_s=coverage_sigma_s,
             location_tolerance_m=tolerance,
         )
-        home_server.create_application(application)
+        self.server.create_application(application)
         barcode = encode_place_barcode(
             PlacePayload(
                 place_id=place.place_id,
@@ -260,7 +241,7 @@ class SORSystem:
                 latitude=place.location.latitude,
                 longitude=place.location.longitude,
                 app_id=application.app_id,
-                server_host=home_server.host,
+                server_host=self.server.host,
             )
         )
         deployed = DeployedPlace(place=place, application=application, barcode=barcode)
@@ -378,22 +359,14 @@ class SORSystem:
         away = LatLon(place.location.latitude + 0.5, place.location.longitude)
         deployed.phone.set_location_source(lambda t, point=away: point)
         deployed.phone.tick()  # flush any remaining upload first
-        home_host = next(
-            (
-                server.host
-                for server in self.servers
-                if server.apps.get(application.app_id) is not None
-            ),
-            None,
-        )
-        if home_host is None:
-            return
+        if self.server.apps.get(application.app_id) is None:
+            return  # a restart without durability lost the application
         deployed.phone.message_handler.send(
-            home_host,
+            self.server.host,
             Envelope(
                 message_type=MessageType.LOCATION_REPORT,
                 sender=deployed.phone.host,
-                recipient=home_host,
+                recipient=self.server.host,
                 payload={
                     "token": deployed.phone.token,
                     "latitude": away.latitude,
@@ -405,8 +378,8 @@ class SORSystem:
     # ------------------------------------------------------------------
     # crash and restart (used by the fault harness)
     # ------------------------------------------------------------------
-    def kill_server(self, index: int = 0) -> None:
-        """Simulate a hard process kill of one sensing server.
+    def kill_server(self) -> None:
+        """Simulate a hard process kill of the sensing server.
 
         The host disappears from the network (in-flight and future
         requests fail with a transport error, which the phones' resilient
@@ -414,49 +387,27 @@ class SORSystem:
         graceful flush beyond what already reached the OS — exactly what
         ``kill -9`` leaves behind.
         """
-        server = self.servers[index]
-        if self.network.is_registered(server.host):
-            self.network.unregister(server.host)
-        server.close()
-        if server.database.durability is not None:
-            server.database.durability.close()
+        if self.network.is_registered(self.server.host):
+            self.network.unregister(self.server.host)
+        self.server.close()
+        if self.server.database.durability is not None:
+            self.server.database.durability.close()
 
-    def restart_server(self, index: int = 0) -> RecoveryReport | None:
-        """Bring a killed server back, recovering from disk if durable.
+    def restart_server(self) -> RecoveryReport | None:
+        """Bring the killed server back, recovering from disk if durable.
 
         With durability configured the new process replays the checkpoint
         + WAL into a fresh database and rehydrates its in-memory managers
-        (applications, scheduler coverage, task-id counter) from it; the
-        un-persistable feature pipelines are re-attached from the
-        deployment records. Without durability the server restarts empty,
-        which is the whole point of the contrast scenario.
+        (applications, scheduler coverage, task-id counter) from it.
+        Without durability the server restarts empty, which is the whole
+        point of the contrast scenario.
         """
-        old = self.servers[index]
-        if self.network.is_registered(old.host):
+        if self.network.is_registered(self.server.host):
             raise ConfigurationError(
-                f"server {old.host!r} is still registered; kill it first"
+                f"server {self.server.host!r} is still registered; kill it first"
             )
-        server = SensingServer(
-            old.host,
-            self.network,
-            self.simulator.clock,
-            gcm=self.gcm,
-            client=self._make_client(f"server:{old.host}"),
-            durability=self.durability,
-            concurrency=self.concurrency,
-            io_delay_s=self.io_delay_s,
-            ranking_cache=self.ranking_cache,
-        )
-        for deployed in self._places.values():
-            application = deployed.application
-            if server.apps.get(application.app_id) is not None:
-                server.apps.attach_pipeline(
-                    application.app_id, application.pipeline
-                )
-        self.servers[index] = server
-        if server.recovery is not None:
-            self.recovery_reports.append(server.recovery)
-        return server.recovery
+        self.server = self._start_server()
+        return self.server.recovery
 
     # ------------------------------------------------------------------
     # running and results
@@ -470,15 +421,12 @@ class SORSystem:
     ) -> dict[str, RankingReport]:
         """Decode uploads, compute features, rank for each profile.
 
-        Each server processes the blobs it received and computes features
-        for its own applications; rankings then read the shared feature
-        data through any server's ranker, in one batch that shares a
-        single feature_data scan (and hits the versioned ranking cache
-        when the data hasn't changed since the last call).
+        The rankings come in one batch that shares a single feature_data
+        scan (and hits the versioned ranking cache when the data hasn't
+        changed since the last call).
         """
-        for server in self.servers:
-            server.process_data()
-            server.compute_all_features()
+        self.server.process_data()
+        self.server.compute_all_features()
         return self.server.ranker.rank_many(category, profiles)
 
     def feature_values(self, category: str) -> dict[str, dict[str, float]]:

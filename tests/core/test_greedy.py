@@ -62,18 +62,6 @@ class TestBasics:
         gaps = np.diff(sorted(instants))
         assert gaps.min() >= 10  # ~evenly spread over 100 instants
 
-    def test_matroid_for_matches_problem(self, small_problem):
-        scheduler = GreedyScheduler()
-        matroid = scheduler.matroid_for(small_problem)
-        schedule = scheduler.solve(small_problem)
-        by_index = {user.user_id: i for i, user in enumerate(small_problem.users)}
-        elements = {
-            (by_index[user_id], instant)
-            for user_id, instants in schedule.assignments.items()
-            for instant in instants
-        }
-        assert matroid.is_independent(elements)
-
 
 class TestApproximationGuarantee:
     @settings(max_examples=10, deadline=None)

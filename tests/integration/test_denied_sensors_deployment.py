@@ -19,9 +19,8 @@ class TestDeniedSensorDeployment:
                 deployed = system.deploy_phone(shop.place_id, budget=10)
                 deployed.phone.preferences.deny("microphone")
         system.run()
-        for server in system.servers:
-            server.process_data()
-            features = server.compute_all_features()
+        system.server.process_data()
+        features = system.server.compute_all_features()
         # Every task errored at its first script run (the acquisition of
         # the denied sensor raises), so bursts taken before the failure
         # still uploaded — but no microphone bursts exist anywhere.

@@ -49,9 +49,9 @@ def world(clock):
     return database, processor, task_id
 
 
-def store_blob(database, body: bytes):
+def store_blob(database, body: bytes, task_id: str = "whatever"):
     database.table("raw_data").insert(
-        {"task_id": "whatever", "received_at": 0.0, "body": body, "processed": False}
+        {"task_id": task_id, "received_at": 0.0, "body": body, "processed": False}
     )
 
 
@@ -112,6 +112,26 @@ class TestRobustness:
         assert processor.process_pending() == 1
         assert processor.blobs_rejected == 1
         assert database.table("readings").count(eq("sensor", "temperature")) == 1
+
+    def test_blob_of_an_unregistered_application_is_rejected_once(self, world):
+        """An in-flight upload whose application left this server (shard
+        rebalancing moves it) is rejected and marked, not left pending."""
+        database, processor, task_id = world
+        processor.apps.remove("app-1")
+        store_blob(
+            database,
+            good_envelope(
+                task_id,
+                [{"sensor": "temperature", "t": 1.0, "dt": 0.0, "values": [70.0]}],
+            ),
+            task_id,
+        )
+        assert processor.process_pending() == 0
+        assert processor.blobs_rejected == 1
+        assert database.table("raw_data").count(eq("processed", False)) == 0
+        assert processor.process_pending() == 0
+        assert processor.blobs_rejected == 1
+        assert database.table("readings").count() == 0
 
     def test_reprocessing_is_idempotent(self, world):
         database, processor, task_id = world

@@ -95,6 +95,18 @@ class TestApplicationManager:
         with pytest.raises(ConfigurationError):
             apps.create(make_application())
 
+    def test_pipeline_for_a_rehydrated_app_needs_attach(self, backend):
+        database, _, apps, *_ = backend
+        apps.create(make_application())
+        rehydrated = ApplicationManager(database)
+        with pytest.raises(ConfigurationError, match="without a pipeline"):
+            rehydrated.pipeline_for("app-1")
+        with pytest.raises(ConfigurationError, match="unknown application"):
+            rehydrated.pipeline_for("ghost")
+        pipeline = simple_pipeline()
+        rehydrated.attach_pipeline("app-1", pipeline)
+        assert rehydrated.pipeline_for("app-1") is pipeline
+
     def test_unparseable_script_rejected(self, backend):
         _, _, apps, *_ = backend
         with pytest.raises(ConfigurationError, match="parse"):

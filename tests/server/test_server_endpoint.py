@@ -91,8 +91,8 @@ class TestParticipateEndpoint:
         assert reply.message_type is MessageType.SCHEDULE
         assert len(reply.payload["times"]) == 5
         assert "get_temperature_readings" in reply.payload["script"]
-        # Task ids are namespaced by server host so multiple servers
-        # sharing one database never collide.
+        # Task ids carry the server's host: the shard router routes
+        # uploads by it.
         assert reply.payload["task_id"].startswith("server:task-")
 
     def test_rejects_bad_token(self):
@@ -206,6 +206,20 @@ class TestParticipateDepartureTime:
         assert all(10.0 <= t <= 10_800.0 for t in reply.payload["times"])
         if departure_time == 600.0:
             assert all(t <= 600.0 for t in reply.payload["times"])
+
+
+class TestDurableBoot:
+    def test_a_server_adopts_every_application_it_recovers(self, tmp_path):
+        """A database belongs to one server, whatever host name boots it."""
+        config = DurabilityConfig(directory=tmp_path, fsync=False)
+        server, network, clock, _ = make_server(durability=config)
+        server.close()
+        server.database.durability.close()
+        rebooted = SensingServer("host-c", network, clock, durability=config)
+        try:
+            assert [app.app_id for app in rebooted.apps.all_apps()] == ["app-1"]
+        finally:
+            rebooted.database.durability.close()
 
 
 class TestSensedDataEndpoint:
