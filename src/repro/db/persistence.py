@@ -126,7 +126,14 @@ def schema_from_dict(data: dict[str, Any]) -> Schema:
 
 
 def dump_database(database: Database) -> dict[str, Any]:
-    """Serialize a database to a JSON-compatible dictionary."""
+    """Serialize a database to a JSON-compatible dictionary.
+
+    Each row is a new dict (:func:`encode_row`), but its JSON cells are
+    the stored values themselves, not copies, just as in the WAL records
+    :class:`~repro.db.database.Database` writes. Treat them as read-only:
+    serialize the dump, or load it with :func:`load_database`, which
+    copies them into the new tables.
+    """
     tables = []
     for name in database.table_names():
         table = database.table(name)

@@ -49,7 +49,8 @@ class ColumnType(enum.Enum):
                 raise DatabaseError(f"expected blob, got {value!r}")
             return bytes(value)
         if self is ColumnType.JSON:
-            # Accept any JSON-compatible structure; stored by reference.
+            # Accept any JSON-compatible structure. Returned as is: the
+            # table deep-copies JSON cells on the way in and on the way out.
             if not isinstance(value, (dict, list, str, int, float, bool)):
                 raise DatabaseError(f"expected JSON-compatible value, got {value!r}")
             return value

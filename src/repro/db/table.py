@@ -8,15 +8,24 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import DatabaseError
 from repro.db.predicates import Predicate
-from repro.db.schema import Schema
+from repro.db.schema import ColumnType, Schema
 
 
 class Table:
     """Rows keyed by primary key, with hash indexes on selected columns.
 
-    Rows are plain dictionaries. ``select`` returns deep copies so callers
-    can never corrupt stored state by mutating results; ``insert`` copies
-    on the way in for the same reason.
+    Rows are plain dictionaries, and one copy rule keeps callers out of
+    stored state: every row that goes in (``insert``, ``update``) or comes
+    out (``select``, ``get``) is a new dict whose JSON cells are deep
+    copies. Every other cell is immutable (BLOB is stored as ``bytes``),
+    so nothing a caller does to a row it passed in, or to a row it got
+    back, changes what is stored.
+
+    Stored-row invariant: a stored row dict is replaced, never mutated in
+    place, and its JSON cells are private copies. A reference to a stored
+    row therefore keeps that row's state as of when it was taken. The
+    undo journal keeps old rows this way, and ``snapshot`` and the WAL
+    records share rows and JSON cells without copying them.
     """
 
     def __init__(
@@ -44,6 +53,18 @@ class Table:
             column: {} for column in schema.unique
         }
         self._auto_counter = 0
+        self._json_columns = tuple(
+            column.name
+            for column in schema.columns
+            if column.type is ColumnType.JSON
+        )
+
+    def _copy_row(self, row: dict[str, Any]) -> dict[str, Any]:
+        """A new dict holding ``row``'s cells, with its JSON cells deep-copied."""
+        copied = dict(row)
+        for column in self._json_columns:
+            copied[column] = copy.deepcopy(copied[column])
+        return copied
 
     # ------------------------------------------------------------------
     # introspection
@@ -102,7 +123,7 @@ class Table:
         """Insert a row; returns the primary key (assigned if auto)."""
         if self._observer is not None:
             self._observer("insert")
-        normalized = self.schema.normalize_row(dict(row))
+        normalized = self.schema.normalize_row(row)
         pk_name = self.schema.primary_key
         pk_column = self.schema.column(pk_name)
         if normalized[pk_name] is None:
@@ -125,7 +146,7 @@ class Table:
                 raise DatabaseError(
                     f"unique constraint violated on {self.name}.{column} = {value!r}"
                 )
-        stored = copy.deepcopy(normalized)
+        stored = self._copy_row(normalized)
         self._rows[pk] = stored
         self._index_add(stored)
         for column, seen in self._unique_values.items():
@@ -167,15 +188,15 @@ class Table:
             for column, seen in self._unique_values.items():
                 if old[column] is not None:
                     seen.pop(old[column], None)
-            stored = copy.deepcopy(normalized)
+            stored = self._copy_row(normalized)
             self._rows[pk] = stored
             self._index_add(stored)
             for column, seen in self._unique_values.items():
                 if stored[column] is not None:
                     seen[stored[column]] = pk
             if self._undo_journal is not None:
-                # Stored row dicts are only ever replaced, never mutated
-                # in place, so keeping the old reference is safe.
+                # By the stored-row invariant, keeping the old reference
+                # is safe: nothing will mutate it.
                 self._undo_journal.append((self, "update", (pk, old)))
             if self.mutation_listener is not None:
                 self.mutation_listener(
@@ -229,7 +250,7 @@ class Table:
         descending: bool = False,
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
-        """Return deep copies of matching rows."""
+        """Return copies of matching rows (new dicts, JSON cells deep-copied)."""
         if self._observer is not None:
             self._observer("select")
         rows = self._match(where)
@@ -246,12 +267,16 @@ class Table:
                 rows = list(reversed(non_null)) + null
         if limit is not None:
             rows = rows[: max(0, limit)]
-        return copy.deepcopy(rows)
+        return [self._copy_row(row) for row in rows]
 
     def get(self, pk: Any) -> dict[str, Any] | None:
-        """Return a copy of the row with primary key ``pk``, or ``None``."""
+        """Return a copy of the row with primary key ``pk``, or ``None``.
+
+        The copy is a new dict whose JSON cells are deep-copied, as for
+        ``select``.
+        """
         row = self._rows.get(pk)
-        return copy.deepcopy(row) if row is not None else None
+        return self._copy_row(row) if row is not None else None
 
     def count(self, where: Predicate | None = None) -> int:
         """Count matching rows without copying them."""
@@ -306,9 +331,15 @@ class Table:
     # snapshots (used by persistence dumps)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """Capture full table state for a persistence dump."""
+        """Capture full table state for a persistence dump.
+
+        ``rows`` is a new mapping that holds the stored row objects
+        themselves, uncopied. By the stored-row invariant later writes
+        replace those rows rather than change them, so the mapping keeps
+        this instant's state; callers must treat its rows as read-only.
+        """
         return {
-            "rows": copy.deepcopy(self._rows),
+            "rows": dict(self._rows),
             "auto_counter": self._auto_counter,
             "indexed": tuple(self._indexes),
         }

@@ -85,6 +85,31 @@ class TestRoundtrip:
             load_database(dump)
 
 
+class TestDumpIsAnInstant:
+    """A dump shares stored rows, so it must keep the state it was taken at."""
+
+    def test_writes_after_a_dump_leave_it_unchanged(self):
+        db = populated_database()
+        table = db.table("mixed")
+        before = table.select()
+        dump = dump_database(db)
+        text = json.dumps(dump)
+        table.insert({"text": "c", "doc": {"nested": [3]}})
+        table.update(eq("text", "a"), {"real": 0.0, "doc": {"nested": [9]}})
+        table.delete(eq("text", "b"))
+        assert json.dumps(dump) == text
+        assert load_database(dump).table("mixed").select() == before
+
+    def test_loading_copies_the_dumps_json_cells(self):
+        db = populated_database()
+        restored = load_database(dump_database(db))
+        original = db.table("mixed").snapshot()["rows"][1]["doc"]
+        copied = restored.table("mixed").snapshot()["rows"][1]["doc"]
+        assert copied == original
+        assert copied is not original
+        assert copied["nested"] is not original["nested"]
+
+
 class TestRoundtripExtras:
     def test_unicode_text_and_json_survive(self):
         db = Database()

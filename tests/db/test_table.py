@@ -1,9 +1,12 @@
 """Tests for repro.db.table."""
 
+import copy
+
 import pytest
 
 from repro.common.errors import DatabaseError
-from repro.db import Column, ColumnType, Schema, Table, eq, gt
+from repro.db import Column, ColumnType, Database, Schema, Table, eq, gt
+from repro.server.schemas import QUARANTINE, TASKS, USERS
 
 
 def make_table(*, unique=(), auto=False):
@@ -183,3 +186,210 @@ class TestIndexes:
         table.create_index("name")
         table.create_index("name")
         assert table.indexed_columns == ("name",)
+
+
+# One column per type, for the copy-rule tests.
+CELLS = Schema(
+    name="cells",
+    columns=(
+        Column("id", ColumnType.INT, nullable=False),
+        Column("n", ColumnType.INT),
+        Column("x", ColumnType.REAL),
+        Column("s", ColumnType.TEXT),
+        Column("flag", ColumnType.BOOL),
+        Column("blob", ColumnType.BLOB),
+        Column("doc", ColumnType.JSON),
+    ),
+    primary_key="id",
+)
+
+
+def cells_row(pk=1, **overrides):
+    row = {
+        "id": pk,
+        "n": 7,
+        "x": 2.5,
+        "s": "ann",
+        "flag": True,
+        "blob": b"\x00\x01",
+        "doc": [{"tags": ["a", "b"]}, 3],
+    }
+    row.update(overrides)
+    return row
+
+
+# A different value of the same type for each column.
+REPLACEMENTS = {
+    "id": 99,
+    "n": 8,
+    "x": -1.0,
+    "s": "bob",
+    "flag": False,
+    "blob": b"\xff",
+    "doc": {"other": 1},
+}
+
+
+def read_back(table, via, pk=1):
+    return table.get(pk) if via == "get" else table.select(eq("id", pk))[0]
+
+
+class TestCopyRule:
+    """Nothing a caller does to a row it passed in or got back changes the table."""
+
+    @pytest.mark.parametrize("via", ["select", "get"])
+    @pytest.mark.parametrize("column", sorted(REPLACEMENTS))
+    def test_replacing_or_deleting_a_returned_cell(self, via, column):
+        table = Table(CELLS)
+        table.insert(cells_row())
+        row = read_back(table, via)
+        row[column] = REPLACEMENTS[column]
+        assert table.select() == [cells_row()]
+        del row[column]
+        assert table.select() == [cells_row()]
+
+    @pytest.mark.parametrize("via", ["select", "get"])
+    def test_mutating_nested_json_through_a_returned_row(self, via):
+        table = Table(CELLS)
+        table.insert(cells_row())
+        doc = read_back(table, via)["doc"]
+        doc[0]["tags"].append("c")  # a list inside a dict inside a list
+        doc[0]["new"] = 1
+        doc.append(4)
+        assert table.get(1)["doc"] == [{"tags": ["a", "b"]}, 3]
+        assert table.select() == [cells_row()]
+
+    def test_mutating_nested_json_passed_to_insert(self):
+        table = Table(CELLS)
+        row = cells_row()
+        table.insert(row)
+        row["doc"][0]["tags"].append("c")
+        row["doc"].append(4)
+        row["doc"] = None
+        assert table.select() == [cells_row()]
+
+    def test_mutating_nested_json_passed_to_update(self):
+        table = Table(CELLS)
+        table.insert(cells_row(doc=None))
+        changes = {"doc": [{"tags": ["x"]}]}
+        table.update(eq("id", 1), changes)
+        changes["doc"][0]["tags"].append("y")
+        changes["doc"].append(0)
+        assert table.get(1)["doc"] == [{"tags": ["x"]}]
+
+    def test_blob_passed_as_bytearray_is_stored_as_bytes(self):
+        table = Table(CELLS)
+        blob = bytearray(b"\x00\x01")
+        table.insert(cells_row(blob=blob))
+        blob[0] = 0xFF
+        assert table.get(1)["blob"] == b"\x00\x01"
+        assert type(table.get(1)["blob"]) is bytes
+
+    @pytest.mark.parametrize(
+        "schema, rows",
+        [
+            pytest.param(
+                USERS,
+                [
+                    {"user_id": f"u{i}", "name": "n", "token": f"t{i}",
+                     "registered_at": 0.0}
+                    for i in (1, 2)
+                ],
+                id="users.denied_sensors",
+            ),
+            pytest.param(
+                TASKS,
+                [
+                    {"task_id": f"task-{i}", "app_id": "a", "user_id": "u",
+                     "token": "t", "phone_host": "p", "budget": 1,
+                     "status": "open", "created_at": 0.0}
+                    for i in (1, 2)
+                ],
+                id="tasks.schedule_times",
+            ),
+            pytest.param(
+                QUARANTINE,
+                [
+                    {"task_id": "t", "app_id": "a", "place_id": "p",
+                     "sensor": "s", "reason": "r", "received_at": 0.0}
+                    for _ in (1, 2)
+                ],
+                id="quarantine.payload",
+            ),
+        ],
+    )
+    def test_mutable_json_default_is_never_shared(self, schema, rows):
+        (column,) = (c for c in schema.columns if c.type is ColumnType.JSON)
+        default = copy.deepcopy(column.default)
+        table = Table(schema)
+        first, second = (table.insert(row) for row in rows)
+        cell = table.get(first)[column.name]
+        if isinstance(cell, list):
+            cell.append("x")
+        else:
+            cell["x"] = 1
+        assert table.get(first)[column.name] == default
+        assert table.get(second)[column.name] == default
+        assert column.default == default
+        stored = table.snapshot()["rows"]
+        assert stored[first][column.name] is not stored[second][column.name]
+        assert stored[first][column.name] is not column.default
+
+
+class TestStoredRowInvariant:
+    """Stored rows are replaced, never mutated in place; JSON cells are private."""
+
+    def test_writes_replace_stored_rows_without_changing_them(self):
+        table = Table(CELLS)
+        table.create_index("s")
+        for pk in (1, 2, 3):
+            table.insert(cells_row(pk, s=f"s{pk}"))
+        held = table.snapshot()["rows"]
+        expected = copy.deepcopy(held)
+        table.update(eq("s", "s1"), {"n": 9, "doc": {"k": [1]}})
+        table.update(eq("id", 3), {"s": "renamed"})
+        table.delete(eq("id", 2))
+        table.insert(cells_row(4))
+        assert held == expected
+        now = table.snapshot()["rows"]
+        assert now[1] is not held[1] and now[3] is not held[3]
+        assert now[1]["doc"] == {"k": [1]} and 2 not in now
+
+    def test_json_cells_are_private_copies(self):
+        table = Table(CELLS)
+        row = cells_row()
+        table.insert(row)
+        stored = table.snapshot()["rows"][1]["doc"]
+        assert stored == row["doc"] and stored is not row["doc"]
+        assert stored[0] is not row["doc"][0]
+        for returned in (table.get(1)["doc"], table.select()[0]["doc"]):
+            assert returned == stored
+            assert returned is not stored and returned[0] is not stored[0]
+        changes = {"doc": {"k": [1]}}
+        table.update(eq("id", 1), changes)
+        stored = table.snapshot()["rows"][1]["doc"]
+        assert stored is not changes["doc"]
+        assert stored["k"] is not changes["doc"]["k"]
+
+    def test_rollback_restores_the_old_row_objects(self):
+        db = Database()
+        table = db.create_table(CELLS)
+        table.insert(cells_row())
+        old = table.snapshot()["rows"][1]
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                table.update(eq("id", 1), {"doc": {"k": 1}, "n": 0})
+                raise RuntimeError("abort")
+        assert table.snapshot()["rows"][1] is old
+        assert table.select() == [cells_row()]
+
+    def test_snapshot_copies_no_row_and_keeps_its_instant(self):
+        table = Table(CELLS)
+        table.insert(cells_row(1))
+        first = table.snapshot()["rows"]
+        second = table.snapshot()["rows"]
+        assert first is not second
+        assert first[1] is second[1]
+        table.insert(cells_row(2))
+        table.update(eq("id", 1), {"n": 0})
+        assert list(first) == [1] and first[1] == cells_row(1)
