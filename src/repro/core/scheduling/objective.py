@@ -424,9 +424,10 @@ def coverage_of_instants(
     """One-shot objective value of a pooled instant set.
 
     Instants are added in sorted order so rounding accumulates
-    identically run-to-run.
+    identically run-to-run. Only :meth:`CoverageObjective.value` is
+    read, so the objective maintains no gains.
     """
-    objective = CoverageObjective(period, kernel)
+    objective = CoverageObjective(period, kernel, maintain_gains=False)
     for instant_index in sorted(set(instants)):
         objective.add(instant_index)
     return objective.value()

@@ -28,11 +28,16 @@ from repro.core.scheduling.problem import Schedule, SchedulingProblem
 
 
 def per_user_sum_value(schedule: Schedule) -> float:
-    """Evaluate a schedule under equation (2): Σ_k f(Φ_k)."""
+    """Evaluate a schedule under equation (2): Σ_k f(Φ_k).
+
+    Only each objective's value is read, so none maintains gains.
+    """
     problem = schedule.problem
     total = 0.0
     for user in problem.users:
-        objective = CoverageObjective(problem.period, problem.kernel)
+        objective = CoverageObjective(
+            problem.period, problem.kernel, maintain_gains=False
+        )
         for instant in schedule.assignments.get(user.user_id, []):
             objective.add(instant)
         total += objective.value()

@@ -275,33 +275,28 @@ class DataProcessor:
         self.features_skipped += len(missing)
         table = self.database.table("feature_data")
         now = self.clock.now()
-        if features:
-            # Every feature_data write advances the category's durable
-            # version, invalidating all cached rankings built on the
-            # previous data (see repro.server.ranker_service).
-            bump_data_version(self.database, application.category)
-        for feature, value in features.items():
-            existing = table.select(
-                and_(
+        if not features:
+            return features
+        # The rows and the category's version bump commit as one
+        # transaction, bump last: a replica applies both or neither,
+        # and the new version never names rows that are not all there
+        # (see repro.server.ranker_service).
+        with self.database.transaction():
+            for feature, value in features.items():
+                match = and_(
                     eq("place_id", application.place_id), eq("feature", feature)
                 )
-            )
-            if existing:
-                table.update(
-                    and_(
-                        eq("place_id", application.place_id),
-                        eq("feature", feature),
-                    ),
-                    {"value": value, "computed_at": now},
-                )
-            else:
-                table.insert(
-                    {
-                        "place_id": application.place_id,
-                        "category": application.category,
-                        "feature": feature,
-                        "value": value,
-                        "computed_at": now,
-                    }
-                )
+                if table.select(match):
+                    table.update(match, {"value": value, "computed_at": now})
+                else:
+                    table.insert(
+                        {
+                            "place_id": application.place_id,
+                            "category": application.category,
+                            "feature": feature,
+                            "value": value,
+                            "computed_at": now,
+                        }
+                    )
+            bump_data_version(self.database, application.category)
         return features

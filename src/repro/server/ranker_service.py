@@ -19,11 +19,16 @@ Serving-path additions on top of the paper:
   its category. Because the version is persisted through the database
   (and thus the WAL), a restarted server can never serve stale results.
 
-* **Batch ranking.** :meth:`PersonalizableRanker.rank_many` scans
-  ``feature_data`` once per category and reuses the H matrix and the
-  per-feature individual rankings across every profile whose effective
-  feature set (and per-feature preferred value) matches, instead of
-  recomputing the whole table scan per profile.
+* **Scan reuse.** A ranker keeps the newest :class:`_CategoryScan` of
+  each category: the ``feature_data`` rows, the H matrix over the
+  common features and the MAX/MIN individual rankings. Every cache
+  miss at the same ``data_version`` ranks from that scan, and a new one
+  is built only when the version moves. That is sound because every
+  change to a category's rows bumps its version in the same
+  transaction, under the server's exclusive lock. The scan's arrays are
+  read-only, since reports of many profiles and requests share them,
+  and what it memoizes is bounded by the category's data, never by
+  what clients send.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from typing import Any, Hashable, Mapping
 import numpy as np
 
 from repro.common.errors import RankingError
-from repro.core.features import build_feature_matrix
 from repro.core.ranking import (
     MAX,
     MIN,
@@ -269,13 +273,16 @@ class RankingCache:
 
 
 class _CategoryScan:
-    """One ``feature_data`` scan plus the matrices derived from it.
+    """One ``feature_data`` scan of a category plus what derives from it.
 
-    ``rank_many`` builds a scan once per category and reuses it across
-    profiles: the H matrix is memoized per effective feature set, and
-    each per-feature individual ranking per ``(feature, resolved
-    preferred value)`` — the only inputs it depends on — so profiles
-    sharing a feature emphasis never recompute its column sort.
+    Built once per ``(category, data_version)`` and shared by every
+    request at that version, so it holds nothing a request may change:
+    the H matrix over all common features is read-only, a profile's
+    feature subset selects its columns (a read-only copy, unless the
+    subset is every common feature), and only the individual rankings of
+    MAX and MIN preferences are memoized — at most two per feature. A
+    numeric preferred value is a client's float, so its ranking is
+    computed per call.
     """
 
     def __init__(
@@ -286,46 +293,42 @@ class _CategoryScan:
     ) -> None:
         self.category = category
         self.data_version = data_version
-        self.values = values
         feature_sets = [set(features) for features in values.values()]
-        self.common: set[str] = (
-            set.intersection(*feature_sets) if feature_sets else set()
-        )
-        self._matrices: dict[
-            tuple[str, ...], tuple[np.ndarray, list[Hashable]]
-        ] = {}
+        common = set.intersection(*feature_sets) if feature_sets else set()
+        self.common: tuple[str, ...] = tuple(sorted(common))
+        self._columns = {feature: index for index, feature in enumerate(self.common)}
+        self.place_ids: list[Hashable] = list(values)
+        self.matrix_all = np.empty((len(self.place_ids), len(self.common)))
+        for row, place_id in enumerate(self.place_ids):
+            place = values[place_id]
+            for column, feature in enumerate(self.common):
+                self.matrix_all[row, column] = float(place[feature])
+        self.matrix_all.flags.writeable = False
         self._rankings: dict[tuple[str, float], Ranking] = {}
 
-    def matrix(
-        self, feature_names: tuple[str, ...]
-    ) -> tuple[np.ndarray, list[Hashable]]:
-        """The validated H matrix (and place order) for a feature set."""
-        entry = self._matrices.get(feature_names)
-        if entry is None:
-            matrix, place_ids = build_feature_matrix(
-                self.values, list(feature_names)
-            )
-            require_finite_features(matrix, feature_names, place_ids)
-            entry = (matrix, place_ids)
-            self._matrices[feature_names] = entry
-        return entry
+    def matrix(self, feature_names: tuple[str, ...]) -> np.ndarray:
+        """The validated, read-only H matrix of a sorted feature subset."""
+        if feature_names == self.common:
+            matrix = self.matrix_all
+        else:
+            matrix = self.matrix_all[:, [self._columns[f] for f in feature_names]]
+            matrix.flags.writeable = False
+        require_finite_features(matrix, feature_names, self.place_ids)
+        return matrix
 
     def individual(
-        self,
-        feature: str,
-        column: np.ndarray,
-        place_ids: list[Hashable],
-        preference: FeaturePreference,
+        self, feature: str, column: np.ndarray, preference: FeaturePreference
     ) -> Ranking:
-        """Step 1+2 for one feature column, memoized on (feature, uⱼ)."""
+        """Step 1+2 for one feature column, keyed on (feature, uⱼ)."""
         preferred = preference.resolve(float(column.min()), float(column.max()))
         key = (feature, preferred)
         ranking = self._rankings.get(key)
         if ranking is None:
             gamma = np.abs(column - preferred)
             order = np.argsort(gamma, kind="stable")
-            ranking = Ranking(place_ids[index] for index in order)
-            self._rankings[key] = ranking
+            ranking = Ranking(self.place_ids[index] for index in order)
+            if preference.preferred is MAX or preference.preferred is MIN:
+                self._rankings[key] = ranking
         return ranking
 
 
@@ -334,7 +337,11 @@ class PersonalizableRanker:
 
     With a :class:`RankingCache` attached, repeated requests for the
     same ``(category, data version, profile)`` are served without
-    touching ``feature_data``; without one every call recomputes.
+    touching ``feature_data``; without one every call ranks afresh.
+    Either way a miss ranks from the category's scan at its current
+    version, built on the first miss there (``sor_ranking_scans_total``
+    counts the builds). Only a category with feature rows keeps its
+    scan, so category names that clients make up cannot grow the map.
     """
 
     def __init__(
@@ -349,6 +356,13 @@ class PersonalizableRanker:
         self.cache = cache
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
+        self._scans: dict[str, _CategoryScan] = {}
+        # Concurrent readers that miss at once build one scan, not one each.
+        self._scan_lock = threading.Lock()
+        self._m_scans = self.metrics.counter(
+            "sor_ranking_scans_total",
+            "category feature_data scans built, one per category and data version",
+        )
 
     def data_version(self, category: str) -> int:
         """The category's current durable feature-data version."""
@@ -365,18 +379,19 @@ class PersonalizableRanker:
     def rank(self, category: str, profile: PreferenceProfile) -> RankingReport:
         """Run the full personalizable ranking pipeline for one profile."""
         with self.tracer.span("ranker.rank", category=category) as span:
-            report, _, cached = self._rank_cached(category, profile, None)
+            version = self.data_version(category)
+            report, cached = self._rank_cached(category, version, profile)
             span.set_attribute("cache", "hit" if cached else "miss")
         return report
 
     def rank_many(
         self, category: str, profiles: list[PreferenceProfile]
     ) -> dict[str, RankingReport]:
-        """Rank the category for every profile, scanning the data once.
+        """Rank the category for every profile at one data version.
 
         Returns ``profile name → report`` in the profiles' order. Cached
-        profiles are served from the cache; the remaining ones share a
-        single ``feature_data`` scan, H matrix and per-feature rankings.
+        profiles are served from the cache; the remaining ones share the
+        category's scan, H matrix and per-feature rankings.
         Raises :class:`RankingError` if two profiles share a name, since
         the result could hold only one of them.
         """
@@ -390,11 +405,9 @@ class PersonalizableRanker:
         with self.tracer.span(
             "ranker.rank_many", category=category, profiles=len(profiles)
         ) as span:
-            scan: _CategoryScan | None = None
+            version = self.data_version(category)
             for profile in profiles:
-                report, scan, cached = self._rank_cached(
-                    category, profile, scan
-                )
+                report, cached = self._rank_cached(category, version, profile)
                 hits += cached
                 reports[profile.name] = report
             span.set_attribute("cache_hits", hits)
@@ -403,36 +416,46 @@ class PersonalizableRanker:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _scan(self, category: str, version: int) -> _CategoryScan:
+        """The category's scan at ``version``, built on first use."""
+        scan = self._scans.get(category)
+        if scan is not None and scan.data_version == version:
+            return scan
+        with self._scan_lock:
+            scan = self._scans.get(category)
+            if scan is None or scan.data_version != version:
+                scan = _CategoryScan(category, version, self.feature_values(category))
+                self._m_scans.inc()
+                if scan.place_ids:
+                    self._scans[category] = scan
+                else:
+                    self._scans.pop(category, None)
+        return scan
+
     def _rank_cached(
-        self,
-        category: str,
-        profile: PreferenceProfile,
-        scan: _CategoryScan | None,
-    ) -> tuple[RankingReport, _CategoryScan | None, bool]:
-        version = self.data_version(category)
+        self, category: str, version: int, profile: PreferenceProfile
+    ) -> tuple[RankingReport, bool]:
         key = (category, version, profile.fingerprint())
         if self.cache is not None:
             report = self.cache.get(key)
             if report is not None:
-                return report, scan, True
-        if scan is None or scan.data_version != version:
-            scan = _CategoryScan(category, version, self.feature_values(category))
-        report = self._rank_profile(scan, profile)
+                return report, True
+        report = self._rank_profile(self._scan(category, version), profile)
         if self.cache is not None:
             self.cache.put(key, report)
-        return report, scan, False
+        return report, False
 
     def _rank_profile(
         self, scan: _CategoryScan, profile: PreferenceProfile
     ) -> RankingReport:
-        if len(scan.values) < 2:
+        if len(scan.place_ids) < 2:
             raise RankingError(
                 f"need at least two places with feature data in "
                 f"{scan.category!r}"
             )
         # Features the profile never mentioned count as weight 0 (the
         # paper's "doesn't care") instead of crashing the whole category.
-        feature_names = sorted(
+        feature_names = tuple(
             feature
             for feature in scan.common
             if profile.effective_weight(feature) > 0
@@ -441,11 +464,9 @@ class PersonalizableRanker:
             raise RankingError(
                 "no common features with positive weight for this profile"
             )
-        matrix, place_ids = scan.matrix(tuple(feature_names))
+        matrix = scan.matrix(feature_names)
         individual = [
-            scan.individual(
-                feature, matrix[:, column], place_ids, profile.preference(feature)
-            )
+            scan.individual(feature, matrix[:, column], profile.preference(feature))
             for column, feature in enumerate(feature_names)
         ]
         weights = [profile.weight(feature) for feature in feature_names]
@@ -454,9 +475,9 @@ class PersonalizableRanker:
             profile_name=profile.name,
             category=scan.category,
             ranking=ranking,
-            feature_names=feature_names,
+            feature_names=list(feature_names),
             feature_matrix=matrix,
-            place_ids=list(place_ids),
+            place_ids=list(scan.place_ids),
             individual=individual,
             weights=weights,
             weighted_footrule=weighted_footrule_distance(

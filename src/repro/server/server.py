@@ -615,17 +615,24 @@ class SensingServer:
         return "\n".join(sections)
 
     def compute_all_features(self) -> dict[str, dict[str, float]]:
-        """Compute features for every application with data."""
+        """Compute features for every application with data.
+
+        Each application's pass holds the exclusive side of the request
+        lock, so no rank query reads its category between the first
+        feature row written and the version bump that commits with the
+        rows.
+        """
         results: dict[str, dict[str, float]] = {}
         for application in self.apps.all_apps():
-            has_data = (
-                self.database.table("readings").count(
-                    eq("place_id", application.place_id)
+            with self._rwlock.write():
+                has_data = (
+                    self.database.table("readings").count(
+                        eq("place_id", application.place_id)
+                    )
+                    > 0
                 )
-                > 0
-            )
-            if has_data:
-                results[application.place_id] = self.data_processor.compute_features(
-                    application.app_id
-                )
+                if has_data:
+                    results[application.place_id] = (
+                        self.data_processor.compute_features(application.app_id)
+                    )
         return results

@@ -76,6 +76,7 @@ from repro.server.concurrency import (
 from repro.server.ranker_service import (
     PersonalizableRanker,
     RankingCache,
+    bump_data_version,
     rank_query_reply,
 )
 from repro.server.server import SensingServer
@@ -634,8 +635,10 @@ class ShardCluster:
         category's ``feature_data`` rows and its ``ranking_versions``
         row move to the new owner. Version numbers are preserved so a
         replica cache entry keyed on an old version can never be served
-        as current. In-flight tasks stay pinned to the old shard via
-        task-id prefix routing until they finish.
+        as current; the source bumps its version as it deletes the rows,
+        so it stops serving rankings of them. In-flight tasks stay
+        pinned to the old shard via task-id prefix routing until they
+        finish.
         """
         moves = 0
         with self._lock:
@@ -696,7 +699,11 @@ class ShardCluster:
                 self._m_moves.inc(kind="version")
         with source.database.transaction():
             feature_table = source.database.table("feature_data")
-            feature_table.delete(eq("category", application.category))
+            # Rows gone means a new version: the old primary and its
+            # replicas must stop serving rankings of what they no
+            # longer hold.
+            if feature_table.delete(eq("category", application.category)):
+                bump_data_version(source.database, application.category)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.scheduling import CoverageObjective, GaussianKernel, SchedulingPeriod
+from repro.core.scheduling import (
+    CoverageObjective,
+    GaussianKernel,
+    MobileUser,
+    Schedule,
+    SchedulingPeriod,
+    SchedulingProblem,
+    per_user_sum_value,
+)
 from repro.core.scheduling.objective import coverage_of_instants
 
 
@@ -148,6 +156,28 @@ class TestHelpers:
         assert value == pytest.approx(
             brute_force_value(period, kernel, {3, 9, 16}), rel=1e-9
         )
+
+    def test_value_only_helpers_equal_a_maintained_objective_bitwise(self):
+        """coverage_of_instants and per_user_sum_value read only value(),
+        which no gain maintenance feeds."""
+        period = SchedulingPeriod(0.0, 10_800.0, 4000)
+        kernel = GaussianKernel(60.0)
+        rng = np.random.default_rng(11)
+        picks = sorted(set(rng.integers(0, 4000, size=640).tolist()))
+        maintained = CoverageObjective(period, kernel)
+        for instant in picks:
+            maintained.add(instant)
+        assert coverage_of_instants(period, kernel, picks) == maintained.value()
+        users = [MobileUser(f"u{i}", 0.0, 10_800.0, 400) for i in range(2)]
+        halves = {"u0": picks[::2], "u1": picks[1::2]}
+        schedule = Schedule(SchedulingProblem(period, users, kernel), halves)
+        expected = 0.0
+        for user in users:
+            objective = CoverageObjective(period, kernel)
+            for instant in halves[user.user_id]:
+                objective.add(instant)
+            expected += objective.value()
+        assert per_user_sum_value(schedule) == expected
 
     def test_window_respects_kernel_support(self):
         objective = make_objective(num_instants=100, sigma=5.0, duration=1000.0)

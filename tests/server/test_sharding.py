@@ -12,6 +12,7 @@ from repro.common.geo import LatLon
 from repro.core.features import FeaturePipeline, FeatureSpec, MeanExtractor
 from repro.db import eq
 from repro.net import NetworkConditions
+from repro.net.codec import encode_body
 from repro.net.http import HttpRequest
 from repro.net.messages import Envelope, MessageType
 from repro.net.resilience import ResilientClient
@@ -255,6 +256,33 @@ class TestReplica:
             ).with_idempotency_key()
             response = post(network, "shard-0-r0", envelope)
             assert response.status == 405
+        finally:
+            cluster.close()
+
+
+class TestDeepBodies:
+    def test_every_endpoint_answers_400(self, tmp_path):
+        """5,000 nested one-item lists: a CodecError, not a RecursionError."""
+        cluster, network = make_cluster(tmp_path)
+        try:
+            place_category(cluster, (0, 1), "museums", pin_to="shard-0")
+            cluster.sync_replicas()
+            shallow = encode_body(
+                {
+                    "type": "rank_query",
+                    "sender": "phone-1",
+                    "recipient": "",
+                    "payload": {"category": "museums", "deep": None},
+                }
+            )
+            body = shallow[:-1] + bytes((0x07, 0x01)) * 5000 + bytes((0x00,))
+            assert len(body) > 10_000
+            for host in (cluster.router_host, "shard-0", "shard-0-r0"):
+                response = network.send(HttpRequest("POST", host, "/sor", body))
+                assert response.status == 400, host
+            # ...and each still serves the next well-formed query.
+            for host in (cluster.router_host, "shard-0", "shard-0-r0"):
+                assert post(network, host, rank_query("museums")).status == 200
         finally:
             cluster.close()
 
@@ -670,6 +698,53 @@ class TestRebalance:
                     eq("category", category)
                 ) == []
                 assert stale.apps.get(f"app-{categories.index(category)}") is None
+        finally:
+            cluster.close()
+
+    def test_old_primary_stops_serving_a_moved_category(self, tmp_path):
+        cluster, network = make_cluster(tmp_path, num_shards=1, replicas=1)
+        try:
+            categories = [f"cat-{index}" for index in range(8)]
+            before = {}
+            for index, category in enumerate(categories):
+                primary = place_category(cluster, (index,), category)
+                seed_features(primary, 100 + index, category)  # a second place
+                bump_data_version(primary.database, category)
+            cluster.sync_replicas()
+            for category in categories:
+                for host in ("shard-0", "shard-0-r0"):
+                    reply = Envelope.from_bytes(
+                        post(network, host, rank_query(category)).body
+                    )
+                    assert reply.message_type is MessageType.RANKING
+                    before[category] = reply.payload["data_version"]
+            cluster.add_shard()
+            moved = [
+                category
+                for category in categories
+                if cluster.table.category_owner(category) == "shard-1"
+            ]
+            assert moved
+            cluster.sync_replicas()
+            for category in moved:
+                # The rankings cached before the move are keyed on the
+                # old version; the delete moved the source past it.
+                for host in ("shard-0", "shard-0-r0"):
+                    reply = Envelope.from_bytes(
+                        post(network, host, rank_query(category)).body
+                    )
+                    assert reply.message_type is MessageType.ERROR, host
+                    assert "two places" in reply.payload["reason"]
+                version = cluster.shards["shard-0"].primary.ranker.data_version(
+                    category
+                )
+                assert version == before[category] + 1
+                # The new owner serves it under the version it moved with.
+                reply = Envelope.from_bytes(
+                    post(network, "shard-1", rank_query(category)).body
+                )
+                assert reply.message_type is MessageType.RANKING
+                assert reply.payload["data_version"] == before[category]
         finally:
             cluster.close()
 

@@ -2,9 +2,10 @@
 
 ``repro.core.ranking.reference`` and ``repro.core.scheduling.reference``
 hold the scalar specifications the differential tests pin the
-vectorized code to. Only tests, benchmarks and the ablation experiments
-import them; importing the server, the load generator or the fault
-harness must not. The check runs in a fresh interpreter, so modules
+vectorized code to, and ``repro.net.reference`` holds the original
+message codec the fast one must match byte for byte. Only tests,
+benchmarks and the ablation experiments import them; importing the
+server, the load generator or the fault harness must not. The check runs in a fresh interpreter, so modules
 other tests imported do not count.
 """
 
