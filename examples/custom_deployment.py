@@ -98,8 +98,8 @@ def main() -> None:
         "CO2 (ppm, lower is better)",
         {name: values["air_quality_co2"] for name, values in features.items()},
     ))
-    report = reports["Scholar"]
-    print(f"\nRanking for {report.profile_name}:")
+    report = reports[scholar.name]
+    print(f"\nRanking for {scholar.name}:")
     for rank, place_id in enumerate(report.ranking.items, start=1):
         print(f"  {rank}. {names[place_id]}")
     print(f"\n(weighted footrule distance of the aggregate: "

@@ -2,29 +2,16 @@
 
 The paper's sensing server stores everything — raw binary sensed data,
 decoded readings, feature statistics, schedules and user records — in
-PostgreSQL. This package provides a small but genuinely relational
-substitute: typed schemas, primary keys and auto-increment columns,
-secondary hash indexes, a composable predicate algebra for ``WHERE``
-clauses, ordering and limits, and snapshot transactions.
+PostgreSQL. This package is a small substitute that offers what the
+server uses: typed schemas, primary keys and auto-increment columns,
+secondary hash indexes, equality lookups (``eq``, ``and_``), reads of
+the oldest rows in insertion order with a limit, and undo-logged
+transactions.
 """
 
 from repro.db.database import Database, Transaction
 from repro.db.persistence import dump_database, load_database
-from repro.db.predicates import (
-    Predicate,
-    and_,
-    between,
-    eq,
-    ge,
-    gt,
-    in_,
-    is_null,
-    le,
-    lt,
-    ne,
-    not_,
-    or_,
-)
+from repro.db.predicates import Predicate, and_, eq
 from repro.db.schema import Column, ColumnType, Schema
 from repro.db.table import Table
 from repro.db.wal import (
@@ -48,18 +35,8 @@ __all__ = [
     "Transaction",
     "and_",
     "attach_durability",
-    "between",
     "dump_database",
     "eq",
-    "ge",
-    "gt",
-    "in_",
-    "is_null",
-    "le",
     "load_database",
-    "lt",
-    "ne",
-    "not_",
     "open_durable_database",
-    "or_",
 ]

@@ -1,4 +1,4 @@
-"""A small composable predicate algebra for WHERE clauses.
+"""Predicates for WHERE clauses: equality and conjunction.
 
 Predicates are callables over row dictionaries plus enough structure for
 the table to recognize equality predicates it can serve from a hash
@@ -32,73 +32,12 @@ class Predicate:
         return f"Predicate({self.description})"
 
 
-def _compare(column: str, op: str, value: Any, test: RowPredicate) -> Predicate:
-    return Predicate(description=f"{column} {op} {value!r}", test=test)
-
-
 def eq(column: str, value: Any) -> Predicate:
     """``column == value`` (indexable)."""
     return Predicate(
         description=f"{column} == {value!r}",
         test=lambda row: row.get(column) == value,
         index_hint=(column, value),
-    )
-
-
-def ne(column: str, value: Any) -> Predicate:
-    """``column != value``."""
-    return _compare(column, "!=", value, lambda row: row.get(column) != value)
-
-
-def _ordered(column: str, op: str, value: Any, cmp: Callable[[Any, Any], bool]) -> Predicate:
-    def test(row: dict[str, Any]) -> bool:
-        current = row.get(column)
-        return current is not None and cmp(current, value)
-
-    return _compare(column, op, value, test)
-
-
-def lt(column: str, value: Any) -> Predicate:
-    """``column < value`` (NULLs never match)."""
-    return _ordered(column, "<", value, lambda a, b: a < b)
-
-
-def le(column: str, value: Any) -> Predicate:
-    """``column <= value`` (NULLs never match)."""
-    return _ordered(column, "<=", value, lambda a, b: a <= b)
-
-
-def gt(column: str, value: Any) -> Predicate:
-    """``column > value`` (NULLs never match)."""
-    return _ordered(column, ">", value, lambda a, b: a > b)
-
-
-def ge(column: str, value: Any) -> Predicate:
-    """``column >= value`` (NULLs never match)."""
-    return _ordered(column, ">=", value, lambda a, b: a >= b)
-
-
-def between(column: str, low: Any, high: Any) -> Predicate:
-    """``low <= column <= high`` (NULLs never match)."""
-
-    def test(row: dict[str, Any]) -> bool:
-        current = row.get(column)
-        return current is not None and low <= current <= high
-
-    return _compare(column, "between", (low, high), test)
-
-
-def in_(column: str, values: Any) -> Predicate:
-    """``column IN values``."""
-    frozen = frozenset(values)
-    return _compare(column, "in", sorted(map(repr, frozen)), lambda row: row.get(column) in frozen)
-
-
-def is_null(column: str) -> Predicate:
-    """``column IS NULL``."""
-    return Predicate(
-        description=f"{column} is null",
-        test=lambda row: row.get(column) is None,
     )
 
 
@@ -109,20 +48,4 @@ def and_(*predicates: Predicate) -> Predicate:
         description=" and ".join(f"({p.description})" for p in predicates),
         test=lambda row: all(p(row) for p in predicates),
         index_hint=hint,
-    )
-
-
-def or_(*predicates: Predicate) -> Predicate:
-    """Disjunction (never indexable)."""
-    return Predicate(
-        description=" or ".join(f"({p.description})" for p in predicates),
-        test=lambda row: any(p(row) for p in predicates),
-    )
-
-
-def not_(predicate: Predicate) -> Predicate:
-    """Negation (never indexable)."""
-    return Predicate(
-        description=f"not ({predicate.description})",
-        test=lambda row: not predicate(row),
     )

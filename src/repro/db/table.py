@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import copy
 from collections import defaultdict
-from typing import Any, Callable, Iterable, Iterator
+from itertools import islice
+from typing import Any, Callable, Iterator
 
 from repro.common.errors import DatabaseError
 from repro.db.predicates import Predicate
@@ -26,6 +27,14 @@ class Table:
     row therefore keeps that row's state as of when it was taken. The
     undo journal keeps old rows this way, and ``snapshot`` and the WAL
     records share rows and JSON cells without copying them.
+
+    Row order: rows are kept in insertion order, an update keeps a row's
+    place, and ``select`` with no ``where`` returns rows oldest first,
+    reading only the first ``limit`` of them. WAL replay and checkpoint
+    load insert rows in this order, so recovery rebuilds it. Undoing a
+    delete puts the restored row back at the end, as the newest. The
+    server's dedupe trim relies on this order to evict the oldest rows;
+    only a failed WAL commit can roll its deletes back.
     """
 
     def __init__(
@@ -103,11 +112,16 @@ class Table:
             )
 
     def _index_add(self, row: dict[str, Any]) -> None:
+        """Enter a stored row in every index and unique-value map."""
         pk = row[self.schema.primary_key]
         for column, index in self._indexes.items():
             index.setdefault(row[column], set()).add(pk)
+        for column, seen in self._unique_values.items():
+            if row[column] is not None:
+                seen[row[column]] = pk
 
     def _index_remove(self, row: dict[str, Any]) -> None:
+        """Take a stored row out of every index and unique-value map."""
         pk = row[self.schema.primary_key]
         for column, index in self._indexes.items():
             bucket = index.get(row[column])
@@ -115,6 +129,9 @@ class Table:
                 bucket.discard(pk)
                 if not bucket:
                     del index[row[column]]
+        for column, seen in self._unique_values.items():
+            if row[column] is not None:
+                seen.pop(row[column], None)
 
     # ------------------------------------------------------------------
     # writes
@@ -149,9 +166,6 @@ class Table:
         stored = self._copy_row(normalized)
         self._rows[pk] = stored
         self._index_add(stored)
-        for column, seen in self._unique_values.items():
-            if stored[column] is not None:
-                seen[stored[column]] = pk
         if self._undo_journal is not None:
             self._undo_journal.append((self, "insert", pk))
         if self.mutation_listener is not None:
@@ -159,10 +173,6 @@ class Table:
                 {"op": "insert", "table": self.name, "row": stored}
             )
         return pk
-
-    def insert_many(self, rows: Iterable[dict[str, Any]]) -> list[Any]:
-        """Insert several rows; returns their primary keys."""
-        return [self.insert(row) for row in rows]
 
     def update(self, where: Predicate, changes: dict[str, Any]) -> int:
         """Update matching rows in place; returns the number updated."""
@@ -185,15 +195,9 @@ class Table:
                         f"unique constraint violated on {self.name}.{column} = {value!r}"
                     )
             self._index_remove(old)
-            for column, seen in self._unique_values.items():
-                if old[column] is not None:
-                    seen.pop(old[column], None)
             stored = self._copy_row(normalized)
             self._rows[pk] = stored
             self._index_add(stored)
-            for column, seen in self._unique_values.items():
-                if stored[column] is not None:
-                    seen[stored[column]] = pk
             if self._undo_journal is not None:
                 # By the stored-row invariant, keeping the old reference
                 # is safe: nothing will mutate it.
@@ -213,9 +217,6 @@ class Table:
         for pk in victims:
             row = self._rows.pop(pk)
             self._index_remove(row)
-            for column, seen in self._unique_values.items():
-                if row[column] is not None:
-                    seen.pop(row[column], None)
             if self._undo_journal is not None:
                 self._undo_journal.append((self, "delete", row))
             if self.mutation_listener is not None:
@@ -227,46 +228,32 @@ class Table:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def _match(self, where: Predicate | None) -> list[dict[str, Any]]:
+    def _match(self, where: Predicate) -> list[dict[str, Any]]:
         """Return references to matching stored rows (internal use)."""
-        if where is None:
-            return list(self._rows.values())
         if where.index_hint is not None:
             column, value = where.index_hint
             if column == self.schema.primary_key:
                 row = self._rows.get(value)
-                candidates: list[dict[str, Any]] = [row] if row is not None else []
-                return [row for row in candidates if where(row)]
+                return [row] if row is not None and where(row) else []
             if column in self._indexes:
                 pks = self._indexes[column].get(value, set())
                 return [row for pk in pks if where(row := self._rows[pk])]
         return [row for row in self._rows.values() if where(row)]
 
     def select(
-        self,
-        where: Predicate | None = None,
-        *,
-        order_by: str | None = None,
-        descending: bool = False,
-        limit: int | None = None,
+        self, where: Predicate | None = None, *, limit: int | None = None
     ) -> list[dict[str, Any]]:
-        """Return copies of matching rows (new dicts, JSON cells deep-copied)."""
+        """Return copies of matching rows (new dicts, JSON cells deep-copied).
+
+        With no ``where`` the rows come oldest first and only the first
+        ``limit`` are read (see the class docstring). An indexed
+        ``where`` returns its matches in no set order.
+        """
         if self._observer is not None:
             self._observer("select")
-        rows = self._match(where)
-        if order_by is not None:
-            self.schema.column(order_by)
-            # NULLs sort last regardless of direction, like PostgreSQL's
-            # default for ascending order.
-            rows.sort(
-                key=lambda row: (row[order_by] is None, row[order_by]),
-            )
-            if descending:
-                non_null = [row for row in rows if row[order_by] is not None]
-                null = [row for row in rows if row[order_by] is None]
-                rows = list(reversed(non_null)) + null
+        rows = self._rows.values() if where is None else self._match(where)
         if limit is not None:
-            rows = rows[: max(0, limit)]
+            rows = islice(rows, max(0, limit))
         return [self._copy_row(row) for row in rows]
 
     def get(self, pk: Any) -> dict[str, Any] | None:
@@ -297,31 +284,16 @@ class Table:
         produced.
         """
         if op == "insert":
-            row = self._rows.pop(data)
-            self._index_remove(row)
-            for column, seen in self._unique_values.items():
-                if row[column] is not None:
-                    seen.pop(row[column], None)
+            self._index_remove(self._rows.pop(data))
         elif op == "update":
             pk, old = data
-            current = self._rows[pk]
-            self._index_remove(current)
-            for column, seen in self._unique_values.items():
-                if current[column] is not None:
-                    seen.pop(current[column], None)
+            self._index_remove(self._rows[pk])
             self._rows[pk] = old
             self._index_add(old)
-            for column, seen in self._unique_values.items():
-                if old[column] is not None:
-                    seen[old[column]] = pk
         elif op == "delete":
-            row = data
-            pk = row[self.schema.primary_key]
-            self._rows[pk] = row
-            self._index_add(row)
-            for column, seen in self._unique_values.items():
-                if row[column] is not None:
-                    seen[row[column]] = pk
+            # The restored row goes back at the end of the row order.
+            self._rows[data[self.schema.primary_key]] = data
+            self._index_add(data)
         elif op == "create_index":
             self._indexes.pop(data, None)
         else:  # pragma: no cover - journal entries come from this module

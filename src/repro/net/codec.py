@@ -86,7 +86,10 @@ def _encode_str(value: str) -> bytes:
     """Tag, length and UTF-8 bytes of ``value`` (cached when short)."""
     encoded = _str_cache.get(value)
     if encoded is None:
-        raw = value.encode("utf-8")
+        try:
+            raw = value.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise CodecError(f"string is not valid UTF-8: {exc}") from None
         if len(raw) < 0x80:
             encoded = bytes((_TAG_STR, len(raw))) + raw
         else:
@@ -156,7 +159,10 @@ def _encode_subclass(value: Any, out: bytearray) -> None:
     elif isinstance(value, float):
         out += _pack_tagged_float(_TAG_FLOAT, value)
     elif isinstance(value, str):
-        encoded = value.encode("utf-8")
+        try:
+            encoded = value.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise CodecError(f"string is not valid UTF-8: {exc}") from None
         out.append(_TAG_STR)
         _encode_varint(len(encoded), out)
         out += encoded

@@ -2,8 +2,9 @@
 
 Nothing on the serving path imports this module. It is the original
 value-by-value codec (an ``isinstance`` chain, a per-byte varint loop,
-recursion per nested value), kept unchanged so the tests can pin the
-fast codec to it: every value the tests generate must encode to the
+recursion per nested value), kept unchanged but for one typed error (a
+string that is not valid UTF-8 raises ``CodecError``) so the tests can
+pin the fast codec to it: every value the tests generate must encode to the
 same bytes and decode to the same value, and every malformed body must
 be refused by both. See :mod:`repro.net.codec` for the wire format.
 """
@@ -81,7 +82,10 @@ def _encode_into(value: Any, out: bytearray) -> None:
         out.append(_TAG_FLOAT)
         out.extend(struct.pack(">d", value))
     elif isinstance(value, str):
-        encoded = value.encode("utf-8")
+        try:
+            encoded = value.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise CodecError(f"string is not valid UTF-8: {exc}") from None
         out.append(_TAG_STR)
         _encode_varint(len(encoded), out)
         out.extend(encoded)

@@ -74,34 +74,38 @@ class DataProcessor:
     def process_pending(self) -> int:
         """Decode every unprocessed blob; returns how many decoded.
 
-        A blob that cannot become readings (malformed, or naming a task
-        or application this server does not know, such as one that
-        rebalancing moved to another shard) is counted in
-        ``blobs_rejected``. Every blob read is marked processed either
-        way, so no pass reads it again.
+        Each blob decodes in one transaction that also sets its
+        ``processed`` flag, so a crash leaves either all of its readings
+        and its flag, or none of them, and the next pass never decodes
+        it twice. A blob that cannot become readings (malformed, or
+        naming a task or application this server does not know) rolls
+        back whole, readings and quarantine rows alike, and is counted
+        in ``blobs_rejected``; its flag is then set in a write of its
+        own, so no pass reads it again.
         """
         raw_table = self.database.table("raw_data")
-        pending = raw_table.select(eq("processed", False))
         decoded = 0
-        for row in pending:
-            inserted: list[int] = []
+        for row in raw_table.select(eq("processed", False)):
+            blob = eq("raw_id", row["raw_id"])
             try:
-                self._decode_one(row, inserted)
-                decoded += 1
-                self.blobs_decoded += 1
+                with self.database.transaction():
+                    quarantined = self._decode_one(row)
+                    raw_table.update(blob, {"processed": True})
             except CodecError:
-                # Atomicity: a malformed burst halfway through a payload
-                # must not leave partial readings behind. Compensating
-                # deletes are cheaper than snapshotting the whole table.
-                readings = self.database.table("readings")
-                for reading_id in inserted:
-                    readings.delete(eq("reading_id", reading_id))
+                raw_table.update(blob, {"processed": True})
                 self.blobs_rejected += 1
-            raw_table.update(eq("raw_id", row["raw_id"]), {"processed": True})
+                continue
+            decoded += 1
+            self.blobs_decoded += 1
+            # Counted only now that the quarantine rows are committed.
+            for sensor, reason in quarantined:
+                self.readings_quarantined += 1
+                self._m_quarantined.inc(sensor=sensor, reason=reason)
         return decoded
 
-    def _decode_one(self, row: dict[str, Any], inserted: list[int]) -> None:
-        """Decode one blob, appending created reading ids to ``inserted``."""
+    def _decode_one(self, row: dict[str, Any]) -> list[tuple[str, str]]:
+        """Decode one blob; returns the (sensor, reason) of each burst it
+        quarantined."""
         envelope = Envelope.from_bytes(row["body"])
         payload = envelope.payload
         task_id = payload.get("task_id")
@@ -115,6 +119,7 @@ class DataProcessor:
         if application is None:
             raise CodecError(f"task {task_id!r} references unknown app")
         readings = self.database.table("readings")
+        quarantined: list[tuple[str, str]] = []
         for burst in bursts:
             if not isinstance(burst, dict):
                 raise CodecError("burst entry is not a dict")
@@ -129,21 +134,21 @@ class DataProcessor:
                     reason=reason,
                     burst=burst,
                 )
+                quarantined.append((sensor, reason))
                 continue
-            inserted.append(
-                readings.insert(
-                    {
-                        "task_id": task_id,
-                        "app_id": task["app_id"],
-                        "place_id": application.place_id,
-                        "sensor": sensor,
-                        "t": float(burst.get("t", 0.0)),
-                        "dt": float(burst.get("dt", 0.0)),
-                        "values": burst.get("values", []),
-                        "source": task["user_id"],
-                    }
-                )
+            readings.insert(
+                {
+                    "task_id": task_id,
+                    "app_id": task["app_id"],
+                    "place_id": application.place_id,
+                    "sensor": sensor,
+                    "t": float(burst.get("t", 0.0)),
+                    "dt": float(burst.get("dt", 0.0)),
+                    "values": burst.get("values", []),
+                    "source": task["user_id"],
+                }
             )
+        return quarantined
 
     # ------------------------------------------------------------------
     # validation and quarantine
@@ -217,8 +222,6 @@ class DataProcessor:
                     "received_at": self.clock.now(),
                 }
             )
-        self.readings_quarantined += 1
-        self._m_quarantined.inc(sensor=sensor, reason=reason)
 
     # ------------------------------------------------------------------
     # step 2: readings → feature data

@@ -189,9 +189,13 @@ def rank_query_reply(ranker: PersonalizableRanker, envelope: Envelope) -> Envelo
 
 @dataclass(frozen=True)
 class RankingReport:
-    """The aggregated ranking plus everything needed to explain it."""
+    """The aggregated ranking plus everything needed to explain it.
 
-    profile_name: str
+    A report names no profile: the ranking cache serves one report to
+    every profile with the same preferences, and ``rank_many`` keys its
+    reports by the name each was asked for.
+    """
+
     category: str
     ranking: Ranking
     feature_names: list[str]
@@ -472,7 +476,6 @@ class PersonalizableRanker:
         weights = [profile.weight(feature) for feature in feature_names]
         ranking = aggregate_footrule(individual, weights, metrics=self.metrics)
         return RankingReport(
-            profile_name=profile.name,
             category=scan.category,
             ranking=ranking,
             feature_names=list(feature_names),

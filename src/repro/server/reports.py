@@ -12,8 +12,10 @@ from __future__ import annotations
 from repro.server.ranker_service import RankingReport
 
 
-def explain_report(report: RankingReport, *, place_names: dict | None = None) -> str:
-    """Render a full explanation of ``report``.
+def explain_report(
+    profile_name: str, report: RankingReport, *, place_names: dict | None = None
+) -> str:
+    """Render a full explanation of ``report``, ranked for ``profile_name``.
 
     ``place_names`` optionally maps place ids to display names.
     """
@@ -23,7 +25,7 @@ def explain_report(report: RankingReport, *, place_names: dict | None = None) ->
         return str(names.get(place_id, place_id))
 
     lines = [
-        f"Ranking for {report.profile_name} ({report.category})",
+        f"Ranking for {profile_name} ({report.category})",
         "=" * 50,
     ]
     for rank, place_id in enumerate(report.ranking.items, start=1):

@@ -90,7 +90,8 @@ class SensingServer:
             RequestExecutor(concurrency) if concurrency is not None else None
         )
         # Served replies are deduped through the durable `idempotency`
-        # table (see _stored_response), bounded to this many entries.
+        # table (see _stored_response), bounded to this many entries and
+        # trimmed first in, first out (see _store_response).
         self._dedupe_capacity = dedupe_capacity
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -321,9 +322,11 @@ class SensingServer:
                 "created_at": self.clock.now(),
             }
         )
+        # First in, first out: a select with no where reads the oldest
+        # rows first (see Table), so the trim reads only what it evicts.
         overflow = table.count() - self._dedupe_capacity
         if overflow > 0:
-            for row in table.select(order_by="created_at", limit=overflow):
+            for row in table.select(limit=overflow):
                 table.delete(eq("key", row["key"]))
 
     # ------------------------------------------------------------------
@@ -393,6 +396,12 @@ class SensingServer:
         task = self.participation.get_task(task_id)
         if task is None or task["token"] != payload.get("token"):
             return envelope.reply(MessageType.ERROR, {"reason": "unknown task"})
+        # Rebalancing may have moved the task's application to another
+        # shard; a blob stored here could then never become readings.
+        if self.apps.get(task["app_id"]) is None:
+            return envelope.reply(
+                MessageType.ERROR, {"reason": "unknown application"}
+            )
         # The paper's behaviour: store the binary body now, decode later.
         self.database.table("raw_data").insert(
             {
@@ -587,8 +596,13 @@ class SensingServer:
     # processing and queries
     # ------------------------------------------------------------------
     def process_data(self) -> int:
-        """Run one Data Processor pass; returns decoded blob count."""
-        return self.data_processor.process_pending()
+        """Run one Data Processor pass; returns decoded blob count.
+
+        The pass holds the exclusive side of the request lock, so its
+        per-blob transactions never meet a request's open transaction.
+        """
+        with self._rwlock.write():
+            return self.data_processor.process_pending()
 
     def feature_charts(self, category: str) -> str:
         """Text figures for a category's feature data (the paper's

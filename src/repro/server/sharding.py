@@ -41,8 +41,10 @@ Rebalancing: adding a shard re-rings the category space;
 :meth:`ShardCluster.rebalance` moves each reassigned category's
 applications, ``feature_data`` rows and ``ranking_versions`` row to the
 new owner (version numbers are preserved so replica caches can never
-serve a stale ranking as fresh). In-flight tasks stay pinned to the old
-shard via task-id prefix routing until they complete.
+serve a stale ranking as fresh). Task-id prefix routing still sends an
+in-flight task's upload to the old shard, which no longer holds the
+application and answers it with ERROR instead of acking a blob that
+could never become readings.
 """
 
 from __future__ import annotations
@@ -636,9 +638,9 @@ class ShardCluster:
         row move to the new owner. Version numbers are preserved so a
         replica cache entry keyed on an old version can never be served
         as current; the source bumps its version as it deletes the rows,
-        so it stops serving rankings of them. In-flight tasks stay
-        pinned to the old shard via task-id prefix routing until they
-        finish.
+        so it stops serving rankings of them. Uploads of tasks issued
+        before the move still route to the old shard by task-id prefix,
+        and it answers them with ERROR (see ``SensingServer``).
         """
         moves = 0
         with self._lock:

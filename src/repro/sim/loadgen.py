@@ -329,8 +329,8 @@ def _build_server(spec: LoadgenSpec, metrics: MetricsRegistry) -> SensingServer:
         ManualClock(0.0),  # simulated time: the period is [0, period_s]
         metrics=metrics,
         tracer=NullTracer(),
-        # Generous: every keyed envelope of the run fits, so the FIFO
-        # trim (a sort per insert) never runs inside the timed window.
+        # Generous: every keyed envelope of the run fits, so the
+        # first-in first-out trim never evicts a reply a pull replays.
         dedupe_capacity=3 * spec.phones + 64,
         concurrency=concurrency,
         io_delay_s=spec.io_delay_s,

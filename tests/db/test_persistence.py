@@ -34,14 +34,13 @@ def populated_database():
             unique=("text",),
         )
     )
-    db.table("mixed").insert_many(
-        [
-            {"text": "a", "real": 1.5, "flag": True, "blob": b"\x00\xff\x10",
-             "doc": {"nested": [1, 2]}},
-            {"text": "b", "real": -2.0, "flag": False, "blob": b"", "doc": None},
-            {"text": None, "real": None, "flag": None, "blob": None, "doc": None},
-        ]
-    )
+    for row in (
+        {"text": "a", "real": 1.5, "flag": True, "blob": b"\x00\xff\x10",
+         "doc": {"nested": [1, 2]}},
+        {"text": "b", "real": -2.0, "flag": False, "blob": b"", "doc": None},
+        {"text": None, "real": None, "flag": None, "blob": None, "doc": None},
+    ):
+        db.table("mixed").insert(row)
     db.table("mixed").create_index("flag")
     return db
 
@@ -51,6 +50,16 @@ class TestRoundtrip:
         original = populated_database()
         restored = load_database(dump_database(original))
         assert restored.table("mixed").select() == original.table("mixed").select()
+
+    def test_row_order_survives(self):
+        original = populated_database()
+        table = original.table("mixed")
+        table.delete(eq("text", "a"))
+        table.insert({"text": "a"})  # now the newest row
+        table.update(eq("text", "b"), {"real": 0.0})  # keeps its place
+        restored = load_database(dump_database(original))
+        order = [row["text"] for row in restored.table("mixed").select()]
+        assert order == ["b", None, "a"]
 
     def test_name_and_tables_preserved(self):
         restored = load_database(dump_database(populated_database()))

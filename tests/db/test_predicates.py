@@ -1,6 +1,6 @@
 """Tests for repro.db.predicates."""
 
-from repro.db import and_, between, eq, ge, gt, in_, is_null, le, lt, ne, not_, or_
+from repro.db import Predicate, and_, eq
 
 ROW = {"a": 5, "b": "x", "c": None}
 
@@ -13,37 +13,9 @@ class TestComparisons:
     def test_eq_has_index_hint(self):
         assert eq("a", 5).index_hint == ("a", 5)
 
-    def test_ne(self):
-        assert ne("a", 6)(ROW)
-        assert not ne("a", 5)(ROW)
-
-    def test_ordering(self):
-        assert lt("a", 6)(ROW)
-        assert le("a", 5)(ROW)
-        assert gt("a", 4)(ROW)
-        assert ge("a", 5)(ROW)
-        assert not gt("a", 5)(ROW)
-
-    def test_null_never_matches_ordering(self):
-        assert not lt("c", 10)(ROW)
-        assert not ge("c", 0)(ROW)
-
-    def test_between(self):
-        assert between("a", 1, 5)(ROW)
-        assert not between("a", 6, 9)(ROW)
-        assert not between("c", 0, 10)(ROW)
-
-    def test_in(self):
-        assert in_("b", ["x", "y"])(ROW)
-        assert not in_("b", ["z"])(ROW)
-
-    def test_is_null(self):
-        assert is_null("c")(ROW)
-        assert not is_null("a")(ROW)
-
     def test_missing_column_behaves_as_null(self):
         assert not eq("zz", 1)(ROW)
-        assert is_null("zz")(ROW)
+        assert eq("zz", None)(ROW)
 
 
 class TestCombinators:
@@ -52,20 +24,12 @@ class TestCombinators:
         assert not and_(eq("a", 5), eq("b", "z"))(ROW)
 
     def test_and_propagates_first_index_hint(self):
-        combined = and_(gt("a", 0), eq("b", "x"))
+        positive = Predicate("a > 0", lambda row: row["a"] > 0)
+        combined = and_(positive, eq("b", "x"))
         assert combined.index_hint == ("b", "x")
 
-    def test_or(self):
-        assert or_(eq("a", 99), eq("b", "x"))(ROW)
-        assert not or_(eq("a", 99), eq("b", "z"))(ROW)
-
-    def test_or_is_never_indexed(self):
-        assert or_(eq("a", 1), eq("b", 2)).index_hint is None
-
-    def test_not(self):
-        assert not_(eq("a", 99))(ROW)
-        assert not not_(eq("a", 5))(ROW)
-
     def test_nested_composition(self):
-        predicate = and_(not_(is_null("a")), or_(lt("a", 3), ge("a", 5)))
+        predicate = and_(and_(eq("a", 5), eq("c", None)), eq("b", "x"))
         assert predicate(ROW)
+        assert predicate.index_hint == ("a", 5)
+        assert not and_(eq("b", "x"), and_(eq("a", 5), eq("c", 0)))(ROW)

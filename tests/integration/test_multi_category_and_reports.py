@@ -66,7 +66,7 @@ class TestExplanations:
         emma = next(p for p in customer_profiles() if p.name == "Emma")
         report = dual_system.server.ranker.rank("coffee_shop", emma)
         names = {pid: d.place.name for pid, d in dual_system.places.items()}
-        text = explain_report(report, place_names=names)
+        text = explain_report(emma.name, report, place_names=names)
         assert "Ranking for Emma" in text
         assert "Individual rankings" in text
         assert "Why each place landed where it did" in text
@@ -76,7 +76,7 @@ class TestExplanations:
     def test_explanation_mentions_pulls(self, dual_system):
         alice = next(p for p in hiker_profiles() if p.name == "Alice")
         report = dual_system.server.ranker.rank("hiking_trail", alice)
-        text = explain_report(report)
+        text = explain_report(alice.name, report)
         # Alice's features are unanimous, so every place agrees.
         assert "every feature agrees" in text
 

@@ -290,6 +290,22 @@ def test_unencodable_values_are_codec_errors(value):
         reference.encode_value(value)
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["\ud800", "x" * 60 + "\udfff", Name("\ud800"), {"\ud800": 1}, ["ok", "\udc80"]],
+    ids=["short", "long", "subclass", "key", "nested"],
+)
+def test_lone_surrogates_are_codec_errors(value):
+    """A string with a lone surrogate has no UTF-8 form: both codecs refuse
+    it with ``CodecError``, as a value and inside a body."""
+    for encode in (codec.encode_value, reference.encode_value):
+        with pytest.raises(CodecError):
+            encode(value)
+    for encode_body in (codec.encode_body, reference.encode_body):
+        with pytest.raises(CodecError):
+            encode_body({"payload": value})
+
+
 def test_nan_bits_survive():
     nan = struct.unpack(">d", bytes.fromhex("7ff8000000000001"))[0]
     data = codec.encode_value(nan)

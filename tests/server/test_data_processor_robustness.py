@@ -1,12 +1,21 @@
 """Data Processor robustness: malformed uploads must not poison the
-pipeline."""
+pipeline, and a crash mid-blob must not duplicate readings."""
 
+import math
+import threading
+
+import numpy as np
 import pytest
 
+from repro.common.clock import ManualClock
+from repro.common.errors import SimulatedCrashError
 from repro.common.geo import LatLon
 from repro.core.features import FeaturePipeline, FeatureSpec, MeanExtractor
-from repro.db import Database, eq
+from repro.db import Database, DurabilityConfig, eq
 from repro.net import Envelope, MessageType
+from repro.net.transport import Network
+from repro.obs import MetricsRegistry
+from repro.server import SensingServer
 from repro.server.app_manager import Application, ApplicationManager
 from repro.server.data_processor import DataProcessor
 from repro.server.participation import ParticipationManager
@@ -16,6 +25,23 @@ from repro.server.user_manager import UserInfoManager
 PLACE = LatLon(43.05, -76.15)
 
 
+def application():
+    return Application(
+        app_id="app-1",
+        creator="o",
+        place_id="place-1",
+        place_name="P",
+        category="c",
+        location=PLACE,
+        script="return get_temperature_readings(1, 0)",
+        pipeline=FeaturePipeline(
+            [FeatureSpec("temperature", "temperature", MeanExtractor())]
+        ),
+        period_start=0.0,
+        period_end=10_800.0,
+    )
+
+
 @pytest.fixture
 def world(clock):
     database = Database()
@@ -23,22 +49,7 @@ def world(clock):
     users = UserInfoManager(database, clock)
     users.register("alice", "Alice", "tok-a")
     apps = ApplicationManager(database)
-    apps.create(
-        Application(
-            app_id="app-1",
-            creator="o",
-            place_id="place-1",
-            place_name="P",
-            category="c",
-            location=PLACE,
-            script="return get_temperature_readings(1, 0)",
-            pipeline=FeaturePipeline(
-                [FeatureSpec("temperature", "temperature", MeanExtractor())]
-            ),
-            period_start=0.0,
-            period_end=10_800.0,
-        )
-    )
+    apps.create(application())
     participation = ParticipationManager(database, users, apps, clock)
     clock.advance(10.0)
     task_id = participation.create_task(
@@ -145,3 +156,104 @@ class TestRobustness:
         assert processor.process_pending() == 1
         assert processor.process_pending() == 0
         assert database.table("readings").count() == 1
+
+
+def temperature(t, value=70.0):
+    return {"sensor": "temperature", "t": t, "dt": 0.0, "values": [value]}
+
+
+class TestRejectedBlobRollsBackWhole:
+    def test_rejected_blob_leaves_no_reading_and_no_quarantine_row(
+        self, world, clock
+    ):
+        database, processor, task_id = world
+        registry = MetricsRegistry()
+        processor = DataProcessor(database, processor.apps, clock, metrics=registry)
+        store_blob(
+            database,
+            good_envelope(
+                task_id,
+                [temperature(1.0, math.nan), temperature(2.0), "junk"],
+            ),
+        )
+        assert processor.process_pending() == 0
+        assert processor.blobs_rejected == 1
+        assert database.table("readings").count() == 0
+        assert database.table("quarantine").count() == 0
+        assert processor.readings_quarantined == 0
+        counter = registry.counter(
+            "sor_server_quarantined_readings_total", labels=("sensor", "reason")
+        )
+        assert list(counter.series()) == []
+        assert database.table("raw_data").count(eq("processed", False)) == 0
+
+
+def durable_server(directory):
+    """A durable server on a network of its own (fsync off)."""
+    return SensingServer(
+        "server",
+        Network(rng=np.random.default_rng(0)),
+        ManualClock(start=10.0),
+        metrics=MetricsRegistry(),
+        durability=DurabilityConfig(directory=directory, fsync=False),
+    )
+
+
+def server_with_blob(directory, bursts=3):
+    """A durable server holding one unprocessed blob of ``bursts`` bursts."""
+    server = durable_server(directory)
+    server.register_user("alice", "Alice", "tok-a")
+    server.create_application(application())
+    task_id = server.participation.create_task(
+        app_id="app-1", user_id="alice", token="tok-a",
+        phone_host="phone-1", location=PLACE, budget=3,
+    )
+    store_blob(
+        server.database,
+        good_envelope(task_id, [temperature(float(t)) for t in range(bursts)]),
+        task_id,
+    )
+    return server
+
+
+class TestOneTransactionPerBlob:
+    def test_a_crash_mid_blob_does_not_duplicate_readings(
+        self, tmp_path, monkeypatch
+    ):
+        server = server_with_blob(tmp_path)
+        durability = server.database.durability
+        readings = server.database.table("readings")
+        insert = readings.insert
+        inserted = []
+
+        def insert_then_arm(row):
+            inserted.append(insert(row))
+            if len(inserted) == 2:  # the crash comes after the second reading
+                durability.arm("commit.pre_append")
+            return inserted[-1]
+
+        monkeypatch.setattr(readings, "insert", insert_then_arm)
+        with pytest.raises(SimulatedCrashError):
+            server.process_data()
+        durability.close()  # the process is dead
+        recovered = durable_server(tmp_path)
+        assert recovered.database.table("readings").count() == 0
+        assert recovered.process_data() == 1
+        assert recovered.database.table("readings").count() == 3
+        assert recovered.process_data() == 0
+        recovered.database.durability.close()
+
+    def test_a_pass_holds_the_request_lock(self, tmp_path):
+        """A pass takes the exclusive side of the request lock, so its
+        transactions never meet a request's open one."""
+        server = server_with_blob(tmp_path)
+        readings = server.database.table("readings")
+        with server._rwlock.read():  # a request in flight
+            worker = threading.Thread(target=server.process_data)
+            worker.start()
+            worker.join(timeout=0.2)
+            assert worker.is_alive()
+            assert readings.count() == 0
+        worker.join()
+        assert readings.count() == 3
+        server.database.durability.close()

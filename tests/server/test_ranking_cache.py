@@ -30,6 +30,7 @@ from repro.server.ranker_service import (
     profile_from_dict,
     profile_to_dict,
 )
+from repro.server.reports import explain_report
 from repro.server.schemas import create_all_tables
 
 FEATURES = {
@@ -84,7 +85,6 @@ def make_ranker(database=None, capacity=8):
 
 def assert_reports_equal(left, right):
     """Bitwise equality of two ranking reports."""
-    assert left.profile_name == right.profile_name
     assert left.category == right.category
     assert left.ranking.items == right.ranking.items
     assert left.feature_names == right.feature_names
@@ -247,6 +247,16 @@ class TestBatchRanking:
         )
         assert cache.hits == 1
         assert cache.misses == 2
+
+    def test_equal_profiles_share_a_report_but_keep_their_names(self):
+        """The cache serves one report to profiles with equal preferences;
+        each explanation names the profile it was asked for."""
+        ranker, cache, _ = make_ranker()
+        batch = ranker.rank_many("coffee_shop", [profile("u"), profile("v")])
+        assert cache.hits == 1 and batch["u"] is batch["v"]
+        for name in ("u", "v"):
+            text = explain_report(name, batch[name])
+            assert text.startswith(f"Ranking for {name} (coffee_shop)")
 
     def test_rank_many_rejects_duplicate_names(self):
         ranker, cache, _ = make_ranker()

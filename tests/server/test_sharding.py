@@ -748,6 +748,74 @@ class TestRebalance:
         finally:
             cluster.close()
 
+    def test_upload_for_a_moved_application_is_refused(self, tmp_path):
+        """A task issued before its application moved routes to the old
+        shard by its id; that shard answers the upload with ERROR rather
+        than acking a blob that could never become readings."""
+        cluster, network = make_cluster(tmp_path, num_shards=1, replicas=0)
+        try:
+            cluster.register_user("user-1", "User One", "token-1")
+            categories = [f"cat-{index}" for index in range(8)]
+            tasks = {}
+            for index, category in enumerate(categories):
+                application = make_app(index, category)
+                cluster.create_application(application)
+                participate = Envelope(
+                    message_type=MessageType.PARTICIPATE,
+                    sender="user-1",
+                    recipient="",
+                    payload={
+                        "app_id": application.app_id,
+                        "user_id": "user-1",
+                        "token": "token-1",
+                        "budget": 2,
+                        "latitude": application.location.latitude,
+                        "longitude": application.location.longitude,
+                    },
+                ).with_idempotency_key()
+                reply = Envelope.from_bytes(
+                    post(network, cluster.router_host, participate).body
+                )
+                assert reply.message_type is MessageType.SCHEDULE
+                tasks[category] = reply.payload["task_id"]
+            cluster.add_shard()
+            assert cluster.table.category_owner("cat-0") == "shard-1"
+            assert tasks["cat-0"] == "shard-0:task-1"
+            stayed = next(
+                category
+                for category in categories
+                if cluster.table.category_owner(category) == "shard-0"
+            )
+
+            def upload(category):
+                envelope = Envelope(
+                    message_type=MessageType.SENSED_DATA,
+                    sender="user-1",
+                    recipient="",
+                    payload={
+                        "task_id": tasks[category],
+                        "token": "token-1",
+                        "bursts": [
+                            {"sensor": "microphone", "t": 1.0, "dt": 0.0,
+                             "values": [40.0]}
+                        ],
+                    },
+                ).with_idempotency_key()
+                return Envelope.from_bytes(
+                    post(network, cluster.router_host, envelope).body
+                )
+
+            refused = upload("cat-0")
+            assert refused.message_type is MessageType.ERROR
+            assert refused.payload["reason"] == "unknown application"
+            for shard in cluster.shards.values():
+                raw = shard.primary.database.table("raw_data")
+                assert raw.count(eq("task_id", tasks["cat-0"])) == 0
+            assert upload(stayed).message_type is MessageType.ACK
+            assert cluster.shards["shard-0"].primary.process_data() == 1
+        finally:
+            cluster.close()
+
     def test_pinned_categories_never_rebalance(self, tmp_path):
         cluster, _ = make_cluster(tmp_path, num_shards=2, replicas=0)
         try:
