@@ -119,6 +119,66 @@ def kernel_band(period: SchedulingPeriod, kernel: CoverageKernel) -> KernelBand:
 # ----------------------------------------------------------------------
 # vectorized objective
 # ----------------------------------------------------------------------
+#: Largest gains-recompute scratch buffer that may hold a whole band:
+#: 1 MiB of float64.
+_BAND_SCRATCH_FLOATS = (1 << 20) // 8
+
+
+class _UndoEntry(NamedTuple):
+    """What one add overwrote: its pick and the prior band contents."""
+
+    instant: int
+    survival_lo: int
+    survival: np.ndarray
+    log_survival: np.ndarray
+    gains_lo: int
+    gains: np.ndarray | None
+
+
+class UndoLog:
+    """Records a :class:`CoverageObjective`'s adds so they can be undone.
+
+    ``with UndoLog(objective) as undo:`` — adds made inside the block
+    record the survival,
+    log-survival and maintained-gains bands they overwrite, O(window)
+    per add. :meth:`restore` writes those bands back newest first,
+    which returns the objective to its state before the block, bitwise.
+    It must run before any later add to the objective. A block that
+    raises restores at once.
+    """
+
+    def __init__(self, objective: CoverageObjective) -> None:
+        self._objective = objective
+        self._entries: list[_UndoEntry] = []
+
+    def __enter__(self) -> UndoLog:
+        self._objective._undo_entries = self._entries
+        return self
+
+    def __exit__(self, exc_type: object, *exc: object) -> None:
+        self._objective._undo_entries = None
+        if exc_type is not None:
+            self.restore()
+
+    def restore(self) -> None:
+        """Undo every recorded add (a second call does nothing)."""
+        objective = self._objective
+        for entry in reversed(self._entries):
+            hi = entry.survival_lo + len(entry.survival)
+            objective.survival[entry.survival_lo : hi] = entry.survival
+            objective._log_survival[entry.survival_lo : hi] = entry.log_survival
+            if entry.gains is not None:
+                objective._gains[
+                    entry.gains_lo : entry.gains_lo + len(entry.gains)
+                ] = entry.gains
+            objective._chosen.discard(entry.instant)
+            objective._chosen_mask[entry.instant] = False
+        if self._entries and not objective.maintains_gains:
+            # A full-sweep read may have refreshed the gains in between.
+            objective._gains_fresh = False
+        self._entries.clear()
+
+
 class CoverageObjective:
     """Incremental pooled-coverage objective (vectorized).
 
@@ -197,20 +257,32 @@ class CoverageObjective:
             np.abs(np.arange(-self.window, self.window + 1))
         ]
         self._gains = np.empty(num_instants)
-        # The recompute walks the band in column blocks so its scratch
-        # rows stay cache-resident across the add/multiply/fold passes
-        # (one (window × band) buffer streamed ~5× per pick is memory
-        # traffic, not compute). Columns are independent in every pass —
-        # the fold tree runs over rows — so blocking never changes a
-        # single float operation. Block width targets ~128 KiB of
-        # scratch; the buffer is allocated once, so the hot path
-        # allocates nothing.
+        # The recompute walks the band in column blocks through one
+        # (window × block) scratch buffer, allocated once, so the hot
+        # path allocates nothing. Columns are independent in every pass
+        # — the fold tree runs over rows — so blocking never changes a
+        # single float operation. Blocks target ~128 KiB of scratch, so
+        # the rows stay cache-resident across the add/multiply/fold
+        # passes. When an add's 4w+1-column band does not fit that
+        # block but its scratch fits in 1 MiB (64 ≤ w ≤ 180), the block
+        # is exactly one band wide instead: each add's recompute is then
+        # one contiguous block, a handful of long numpy calls that
+        # release the GIL, instead of several short ones. The width is
+        # exact because a wider buffer makes the band a strided view,
+        # which is slower than the ~128 KiB blocks.
         if self.window:
-            self._block_columns = max(64, 16384 // self.window)
-            self._terms_buffer = np.empty((self.window, self._block_columns))
+            block = max(64, 16384 // self.window)
+            band = 4 * self.window + 1
+            if band > block and self.window * band <= _BAND_SCRATCH_FLOATS:
+                block = band
+            self._block_columns = block
+            self._terms_buffer = np.empty((self.window, block))
         else:
             self._block_columns = num_instants
             self._terms_buffer = None
+        # Set while an UndoLog's ``with`` block is open: each add then
+        # records what it is about to overwrite.
+        self._undo_entries: list[_UndoEntry] | None = None
         # When gains are maintained, ``_gains`` is always fresh; when
         # not, it is refreshed lazily on the next full-sweep read.
         self._gains_fresh = False
@@ -393,6 +465,20 @@ class CoverageObjective:
         # band index (j - i) + window for j in [lo, hi): the slice
         # [lo + shift, hi + shift) with shift = window - i.
         shift = self.window - instant_index
+        if self._undo_entries is not None:
+            gains_lo, gains_hi = self.affected_range(instant_index)
+            self._undo_entries.append(
+                _UndoEntry(
+                    instant_index,
+                    lo,
+                    self.survival[lo:hi].copy(),
+                    self._log_survival[lo:hi].copy(),
+                    gains_lo,
+                    self._gains[gains_lo:gains_hi].copy()
+                    if self.maintains_gains
+                    else None,
+                )
+            )
         self.survival[lo:hi] *= self._complement_band[lo + shift : hi + shift]
         self._log_survival[lo:hi] += self._log_complement_band[
             lo + shift : hi + shift
@@ -436,6 +522,7 @@ def coverage_of_instants(
 __all__ = [
     "CoverageObjective",
     "KernelBand",
+    "UndoLog",
     "coverage_of_instants",
     "kernel_band",
 ]

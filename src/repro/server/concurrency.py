@@ -7,9 +7,9 @@ pieces the concurrent request path is built from:
 * :class:`ConcurrencyConfig` — how many requests may run at once and
   how many more may wait for a slot;
 * :class:`ReadWriteLock` — a writer-preferring readers–writer lock.
-  Rank queries (pure reads) share it; every mutating handler takes the
-  exclusive side, which keeps the commit path single-writer so
-  write-ahead-log append order always matches in-memory apply order;
+  Rank queries (pure reads) share it; every mutating handler commits
+  under the exclusive side, which keeps the commit path single-writer
+  so write-ahead-log append order always matches in-memory apply order;
 * :class:`RequestExecutor` — an admission gate. Each admitted request
   runs on the thread that submitted it, so a handler's spans nest under
   its caller's. When the gate is full ``submit`` returns ``None`` at
@@ -20,10 +20,15 @@ pieces the concurrent request path is built from:
   cannot absorb is pushed back to the phones instead of growing an
   unbounded queue.
 
-CPython's GIL means concurrent requests do not parallelise pure
-computation; they overlap the *waiting* — request/response I/O, WAL
-fsyncs — which is where a network server's wall-clock time actually
-goes. See ``docs/CONCURRENCY.md`` for the full threading model.
+Under CPython's GIL, pure-Python computation in concurrent requests
+does not run in parallel; they overlap the *waiting* — request/response
+I/O, WAL fsyncs. Long numpy calls release the GIL, though, and a
+PARTICIPATE makes its greedy picks (a few long numpy calls per pick)
+under its application's lock only, outside this module's readers–writer
+lock: it validates under the shared side and commits under the
+exclusive side. So picks for two applications run on two cores. The
+lock order is the application's lock, then the readers–writer lock.
+See ``docs/CONCURRENCY.md`` for the full threading model.
 """
 
 from __future__ import annotations

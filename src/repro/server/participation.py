@@ -80,6 +80,40 @@ class ParticipationManager:
         distance = haversine_m(location, application.location)
         return distance <= application.location_tolerance_m
 
+    def validate(
+        self,
+        application: Application | None,
+        *,
+        app_id: str,
+        user_id: str,
+        token: str,
+        location: LatLon,
+        budget: int,
+    ) -> None:
+        """Check a participation request against ``application``, the
+        application ``app_id`` names (``None`` when there is none).
+
+        Raises :class:`ParticipationError` with a reason when the request
+        must be rejected (unknown user/app, bad token, wrong location,
+        silly budget, outside the scheduling period); writes nothing.
+        """
+        if budget <= 0:
+            raise ParticipationError("sensing budget must be positive")
+        if not self.users.verify(user_id, token):
+            raise ParticipationError(f"unknown or mismatched user {user_id!r}")
+        if application is None:
+            raise ParticipationError(f"unknown application {app_id!r}")
+        if not self.verify_location(application, location):
+            raise ParticipationError(
+                f"user {user_id!r} is not at {application.place_name!r}; "
+                "participation rejected"
+            )
+        now = self.clock.now()
+        if not application.period_start <= now <= application.period_end:
+            raise ParticipationError(
+                "participation outside the application's scheduling period"
+            )
+
     def create_task(
         self,
         *,
@@ -93,26 +127,17 @@ class ParticipationManager:
         """Validate a participation request and create its task record.
 
         Raises :class:`ParticipationError` with a reason when the request
-        must be rejected (unknown user/app, bad token, wrong location,
-        silly budget).
+        must be rejected (see :meth:`validate`).
         """
-        if budget <= 0:
-            raise ParticipationError("sensing budget must be positive")
-        if not self.users.verify(user_id, token):
-            raise ParticipationError(f"unknown or mismatched user {user_id!r}")
-        application = self.apps.get(app_id)
-        if application is None:
-            raise ParticipationError(f"unknown application {app_id!r}")
-        if not self.verify_location(application, location):
-            raise ParticipationError(
-                f"user {user_id!r} is not at {application.place_name!r}; "
-                "participation rejected"
-            )
+        self.validate(
+            self.apps.get(app_id),
+            app_id=app_id,
+            user_id=user_id,
+            token=token,
+            location=location,
+            budget=budget,
+        )
         now = self.clock.now()
-        if not application.period_start <= now <= application.period_end:
-            raise ParticipationError(
-                "participation outside the application's scheduling period"
-            )
         task_id = f"{self.id_prefix}task-{next(self._task_counter)}"
         self.database.table("tasks").insert(
             {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from typing import NamedTuple
 
 from repro.common.clock import Clock
 from repro.common.errors import (
@@ -47,8 +48,41 @@ from repro.server.ranker_service import (
     rank_query_reply,
 )
 from repro.server.schemas import create_all_tables
-from repro.server.scheduler_service import SensingSchedulerService
+from repro.server.scheduler_service import SensingSchedulerService, TaskSchedule
 from repro.server.user_manager import UserInfoManager
+
+
+class _Participation(NamedTuple):
+    """A well-formed PARTICIPATE payload."""
+
+    app_id: str
+    user_id: str
+    token: str
+    budget: int
+    location: LatLon
+    #: None means "until the period ends"; inf says the same.
+    departure_time: float | None
+
+
+def _parse_participation(payload: dict) -> _Participation | None:
+    """The parsed PARTICIPATE payload, or None when it is malformed."""
+    try:
+        app_id = str(payload["app_id"])
+        user_id = str(payload["user_id"])
+        token = str(payload["token"])
+        budget = int(payload["budget"])
+        location = LatLon(
+            latitude=float(payload["latitude"]),
+            longitude=float(payload["longitude"]),
+        )
+        departure_time = payload.get("departure_time")
+        if departure_time is not None:
+            departure_time = float(departure_time)
+            if math.isnan(departure_time):
+                raise ValueError("departure_time is NaN")
+    except (KeyError, TypeError, ValueError):
+        return None
+    return _Participation(app_id, user_id, token, budget, location, departure_time)
 
 
 class SensingServer:
@@ -246,14 +280,17 @@ class SensingServer:
     def _dispatch(self, request: HttpRequest) -> tuple[HttpResponse, str]:
         """Decode and route one envelope; returns (response, type label).
 
-        Two paths through the readers–writer lock:
+        Three paths through the readers–writer lock:
 
         * RANK_QUERY without an idempotency key is a pure read — it runs
           under the shared side, with no transaction, so any number of
           rank queries proceed together (and concurrently with nothing
           else).
-        * Everything that can mutate runs under the exclusive side, one
-          writer at a time, so in-memory apply order and WAL append
+        * PARTICIPATE validates under the shared side, makes its picks
+          under only its application's lock and commits under the
+          exclusive side (:meth:`_participate`).
+        * Everything else that can mutate runs under the exclusive side,
+          one writer at a time, so in-memory apply order and WAL append
           order always agree. The idempotency-dedupe check happens
           *inside* the write lock: two concurrent replays of the same
           envelope serialize there, the first runs the handler, the
@@ -280,8 +317,9 @@ class SensingServer:
             with self._rwlock.read():
                 reply = self._on_rank_query(envelope)
             return HttpResponse(status=200, body=reply.to_bytes()), message_type
+        if envelope.message_type is MessageType.PARTICIPATE:
+            return self._participate(envelope), message_type
         handlers = {
-            MessageType.PARTICIPATE: self._on_participate,
             MessageType.SENSED_DATA: lambda env: self._on_sensed_data(
                 env, request.body
             ),
@@ -294,17 +332,85 @@ class SensingServer:
         if handler is None:
             return HttpResponse(status=404), message_type
         with self._rwlock.write():
-            if key is not None:
-                cached = self._stored_response(key)
-                if cached is not None:
-                    self._m_duplicates.inc(type=message_type)
-                    return cached, message_type
+            cached = self._replay(key, message_type)
+            if cached is not None:
+                return cached, message_type
             with self.database.transaction():
                 reply = handler(envelope)
                 response = HttpResponse(status=200, body=reply.to_bytes())
                 if key is not None:
                     self._store_response(key, response)
         return response, message_type
+
+    def _participate(self, envelope: Envelope) -> HttpResponse:
+        """Serve one PARTICIPATE, making its picks outside the write lock.
+
+        Lock order is the application's lock, then the readers–writer
+        lock; no other path takes an application lock.
+
+        1. Hold the application's lock (one per application this server
+           holds; an unknown application id takes none).
+        2. Under the shared side, replay the reply stored under the
+           envelope's key, or validate the request. A refusal makes no
+           picks; its ERROR reply is stored in step 4.
+        3. Holding no server-wide lock, make the picks, so requests of
+           other applications run meanwhile.
+        4. Under the exclusive side and one transaction, re-check the
+           key, create the task, record the schedule and store the
+           reply: the same WAL records, in the same order, as when the
+           whole request ran under that side.
+        5. If the transaction does not commit a SCHEDULE reply (a
+           refusal found only now, an exception, a WAL failure), the
+           picks are restored before the application's lock is released.
+
+        Replays of one keyed envelope name one application, so they
+        serialize on its lock, and each application's picks are made in
+        the order its tasks commit.
+        """
+        key = envelope.idempotency_key
+        request = _parse_participation(envelope.payload)
+        application = self.apps.get(request.app_id) if request is not None else None
+        with self.scheduler.lock_for(application):
+            with self._rwlock.read():
+                cached = self._replay(key, MessageType.PARTICIPATE.value)
+                if cached is not None:
+                    return cached
+                reply = self._participation_refusal(envelope, request, application)
+            schedule = None
+            if reply is None:
+                schedule = self.scheduler.schedule_task(
+                    application,
+                    budget=request.budget,
+                    departure_time=request.departure_time,
+                )
+            scheduled = False
+            try:
+                with self._rwlock.write():
+                    cached = self._replay(key, MessageType.PARTICIPATE.value)
+                    if cached is not None:
+                        return cached
+                    with self.database.transaction():
+                        if reply is None:
+                            reply = self._commit_participation(
+                                envelope, request, application, schedule
+                            )
+                        response = HttpResponse(status=200, body=reply.to_bytes())
+                        if key is not None:
+                            self._store_response(key, response)
+                    scheduled = reply.message_type is MessageType.SCHEDULE
+            finally:
+                if schedule is not None and not scheduled:
+                    schedule.undo.restore()
+            if scheduled:
+                self.scheduler.count(schedule)
+        return response
+
+    def _replay(self, key: str | None, message_type: str) -> HttpResponse | None:
+        """The reply stored under ``key``, counted as a duplicate, or None."""
+        cached = self._stored_response(key) if key is not None else None
+        if cached is not None:
+            self._m_duplicates.inc(type=message_type)
+        return cached
 
     def _stored_response(self, key: str) -> HttpResponse | None:
         row = self.database.table("idempotency").get(key)
@@ -332,59 +438,64 @@ class SensingServer:
     # ------------------------------------------------------------------
     # message handlers
     # ------------------------------------------------------------------
-    def _on_participate(self, envelope: Envelope) -> Envelope:
-        payload = envelope.payload
-        try:
-            app_id = str(payload["app_id"])
-            user_id = str(payload["user_id"])
-            token = str(payload["token"])
-            budget = int(payload["budget"])
-            location = LatLon(
-                latitude=float(payload["latitude"]),
-                longitude=float(payload["longitude"]),
-            )
-            # Absent means "until the period ends"; inf says the same.
-            departure_time = payload.get("departure_time")
-            if departure_time is not None:
-                departure_time = float(departure_time)
-                if math.isnan(departure_time):
-                    raise ValueError("departure_time is NaN")
-        except (KeyError, TypeError, ValueError):
+    def _participation_refusal(
+        self,
+        envelope: Envelope,
+        request: _Participation | None,
+        application: Application | None,
+    ) -> Envelope | None:
+        """The ERROR reply a PARTICIPATE gets before any pick, or None."""
+        if request is None:
             return envelope.reply(
                 MessageType.ERROR, {"reason": "malformed participation request"}
             )
-        # Checked before create_task so a refusal leaves no task row.
+        departure_time = request.departure_time
         if departure_time is not None and departure_time < self.clock.now():
             return envelope.reply(
                 MessageType.ERROR, {"reason": "departure before now"}
             )
         try:
-            task_id = self.participation.create_task(
-                app_id=app_id,
-                user_id=user_id,
-                token=token,
-                phone_host=envelope.sender,
-                location=location,
-                budget=budget,
+            self.participation.validate(
+                application,
+                app_id=request.app_id,
+                user_id=request.user_id,
+                token=request.token,
+                location=request.location,
+                budget=request.budget,
             )
         except ParticipationError as exc:
             return envelope.reply(MessageType.ERROR, {"reason": str(exc)})
-        self._phone_hosts[token] = envelope.sender
-        application = self.apps.get(app_id)
-        assert application is not None  # create_task verified it
-        times = self.scheduler.schedule_task(
-            application,
-            task_id,
-            budget=budget,
-            departure_time=departure_time,
-        )
+        return None
+
+    def _commit_participation(
+        self,
+        envelope: Envelope,
+        request: _Participation,
+        application: Application,
+        schedule: TaskSchedule,
+    ) -> Envelope:
+        """Create the task and record its schedule (inside the commit's
+        transaction); an ERROR reply when the task is refused now."""
+        try:
+            task_id = self.participation.create_task(
+                app_id=request.app_id,
+                user_id=request.user_id,
+                token=request.token,
+                phone_host=envelope.sender,
+                location=request.location,
+                budget=request.budget,
+            )
+        except ParticipationError as exc:
+            return envelope.reply(MessageType.ERROR, {"reason": str(exc)})
+        self._phone_hosts[request.token] = envelope.sender
+        self.participation.record_schedule(task_id, schedule.times)
         return envelope.reply(
             MessageType.SCHEDULE,
             {
                 "task_id": task_id,
-                "app_id": app_id,
+                "app_id": request.app_id,
                 "script": application.script,
-                "times": times,
+                "times": schedule.times,
             },
         )
 

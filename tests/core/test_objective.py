@@ -15,7 +15,7 @@ from repro.core.scheduling import (
     SchedulingProblem,
     per_user_sum_value,
 )
-from repro.core.scheduling.objective import coverage_of_instants
+from repro.core.scheduling.objective import UndoLog, coverage_of_instants
 
 
 def make_objective(num_instants=20, sigma=15.0, duration=200.0):
@@ -185,3 +185,91 @@ class TestHelpers:
             objective.kernel.support() / objective.period.spacing
         )
         assert objective.window == support_instants
+
+
+class TestRecomputeBlocks:
+    """An add's 4w+1-column gain band is one block exactly when it does
+    not fit the ~128 KiB block but its w × (4w+1) scratch fits 1 MiB."""
+
+    @pytest.mark.parametrize(
+        ("sigma", "window", "block"),
+        [
+            (9.708, 63, 260),  # the band (253) fits the 128 KiB block
+            (9.863, 64, 257),  # first one-block window: 4w+1
+            (27.882, 180, 721),  # last: 180 × 721 floats fit 1 MiB
+            (28.037, 181, 90),  # 181 × 725 do not: the band splits
+        ],
+    )
+    def test_block_width(self, sigma, window, block):
+        objective = make_objective(num_instants=1200, sigma=sigma, duration=1199.0)
+        assert objective.window == window
+        assert objective._block_columns == block
+        assert objective._terms_buffer.shape == (window, block)
+
+
+def objective_state(objective):
+    return (
+        np.asarray(objective.survival).copy(),
+        objective._log_survival.copy(),
+        objective.gains_all(),
+        objective.chosen,
+    )
+
+
+def assert_same_state(first, second):
+    for left, right in zip(first[:3], second[:3]):
+        assert np.array_equal(left, right)
+    assert first[3] == second[3]
+
+
+class TestUndoLog:
+    """Restoring a log's adds is bitwise the objective before them."""
+
+    @pytest.mark.parametrize("maintain_gains", [True, False])
+    @pytest.mark.parametrize("sigma", [15.0, 80.0])
+    def test_restore_returns_the_state_before_the_block(
+        self, maintain_gains, sigma
+    ):
+        period = SchedulingPeriod(0.0, 600.0, 300)
+        kernel = GaussianKernel(sigma=sigma)
+        objective = CoverageObjective(period, kernel, maintain_gains=maintain_gains)
+        untouched = CoverageObjective(period, kernel, maintain_gains=maintain_gains)
+        for instant in (5, 150, 299):
+            objective.add(instant)
+            untouched.add(instant)
+        before = objective_state(objective)
+        with UndoLog(objective) as undo:
+            for instant in (0, 151, 150, 160, 298, 77):  # 150 is already in
+                objective.add(instant)
+            objective.gains_all()  # a full-sweep read in between
+        assert objective.chosen == {0, 5, 77, 150, 151, 160, 298, 299}
+        undo.restore()
+        assert_same_state(objective_state(objective), before)
+        undo.restore()  # a second restore does nothing
+        assert_same_state(objective_state(objective), before)
+        # Later adds see exactly the state of an objective that never
+        # saw the undone ones.
+        for instant in (151, 40):
+            gain = objective.add(instant)
+            untouched_gain = untouched.add(instant)
+            if maintain_gains:  # else one may be a BLAS dot (gains_at)
+                assert gain == untouched_gain
+        assert_same_state(objective_state(objective), objective_state(untouched))
+
+    def test_adds_outside_the_block_are_not_recorded(self):
+        objective = make_objective()
+        with UndoLog(objective) as undo:
+            objective.add(3)
+        objective.add(12)
+        undo.restore()
+        assert objective.chosen == {12}
+
+    def test_a_block_that_raises_restores_at_once(self):
+        objective = make_objective()
+        before = objective_state(objective)
+        with pytest.raises(RuntimeError):
+            with UndoLog(objective):
+                objective.add(4)
+                objective.add(9)
+                raise RuntimeError("picks abandoned")
+        assert_same_state(objective_state(objective), before)

@@ -180,7 +180,8 @@ class TestServerInitiated:
             phone_host=phone.host, location=PLACE, budget=3,
         )
         application = server.apps.get("app-1")
-        server.scheduler.schedule_task(application, task_id, budget=3)
+        schedule = server.scheduler.schedule_task(application, budget=3)
+        server.participation.record_schedule(task_id, schedule.times)
         assert phone.task_manager.get(task_id) is None
         assert server.push_schedule(task_id)
         task = phone.task_manager.get(task_id)

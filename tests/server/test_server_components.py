@@ -241,6 +241,16 @@ class TestParticipationManager:
         assert participation.handle_location_report("tok-a", PLACE) == []
 
 
+def schedule(scheduler, participation, application, task_id, **kwargs):
+    """Make a task's picks and record them on it; returns the stored times."""
+    picked = scheduler.schedule_task(application, **kwargs)
+    participation.record_schedule(task_id, picked.times)
+    scheduler.count(picked)
+    times = participation.get_task(task_id)["schedule_times"]
+    assert times == picked.times
+    return times
+
+
 class TestSchedulerService:
     def test_online_scheduling_respects_budget_and_window(self, backend):
         _, users, apps, participation, scheduler, clock = backend
@@ -252,7 +262,7 @@ class TestSchedulerService:
             app_id="app-1", user_id="alice", token="tok-a",
             phone_host="phone-1", location=PLACE, budget=7,
         )
-        times = scheduler.schedule_task(application, task_id, budget=7)
+        times = schedule(scheduler, participation, application, task_id, budget=7)
         assert len(times) == 7
         assert all(1000.0 <= t <= 10_800.0 for t in times)
 
@@ -267,12 +277,16 @@ class TestSchedulerService:
             app_id="app-1", user_id="a", token="tok-a",
             phone_host="p1", location=PLACE, budget=5,
         )
-        first_times = scheduler.schedule_task(application, first_task, budget=5)
+        first_times = schedule(
+            scheduler, participation, application, first_task, budget=5
+        )
         second_task = participation.create_task(
             app_id="app-1", user_id="b", token="tok-b",
             phone_host="p2", location=PLACE, budget=5,
         )
-        second_times = scheduler.schedule_task(application, second_task, budget=5)
+        second_times = schedule(
+            scheduler, participation, application, second_task, budget=5
+        )
         assert not set(first_times) & set(second_times)
 
     def test_departure_time_clips_schedule(self, backend):
@@ -285,8 +299,9 @@ class TestSchedulerService:
             app_id="app-1", user_id="a", token="tok-a",
             phone_host="p1", location=PLACE, budget=20,
         )
-        times = scheduler.schedule_task(
-            application, task, budget=20, departure_time=2_000.0
+        times = schedule(
+            scheduler, participation, application, task,
+            budget=20, departure_time=2_000.0,
         )
         assert all(t <= 2_000.0 for t in times)
 
@@ -301,5 +316,5 @@ class TestSchedulerService:
             app_id="app-1", user_id="a", token="tok-a",
             phone_host="p1", location=PLACE, budget=10,
         )
-        scheduler.schedule_task(application, task, budget=10)
+        schedule(scheduler, participation, application, task, budget=10)
         assert scheduler.coverage_for(application) > 0.0
