@@ -16,7 +16,7 @@ message type              routing key → destination
 ========================  ==============================================
 PARTICIPATE               app's category → that shard's primary
 SENSED_DATA               task id prefix ``{host}:`` → issuing primary
-RANK_QUERY (keyless)      category → a replica (round-robin), failing
+RANK_QUERY                category → a replica (round-robin), failing
                           over to siblings and finally the primary
 PREFERENCES / PONG /      user-scoped state is replicated on every
 LOCATION_REPORT           shard → fan out to all primaries
@@ -187,6 +187,10 @@ class RoutingTable:
 class ShardRouter:
     """The fleet's envelope-speaking front door (an HTTP endpoint).
 
+    Every RANK_QUERY, keyed or not, takes the read route (a replica
+    first, the primary last): no server stores a rank query's reply.
+    Every other message goes to primaries, as the module's table says.
+
     Without a ``client`` the router forwards through a
     :class:`~repro.net.resilience.ResilientClient` built on its own
     ``metrics`` and ``tracer``, so the forwarding hop's series and spans
@@ -250,7 +254,7 @@ class ShardRouter:
     def _route(self, request: HttpRequest, envelope: Envelope) -> HttpResponse:
         kind = envelope.message_type
         payload = envelope.payload
-        if kind is MessageType.RANK_QUERY and envelope.idempotency_key is None:
+        if kind is MessageType.RANK_QUERY:
             category = str(payload.get("category", ""))
             return self._route_read(request, category)
         if kind is MessageType.PARTICIPATE:
@@ -277,12 +281,6 @@ class ShardRouter:
             MessageType.LOCATION_REPORT,
         ):
             return self._route_fanout(request)
-        if kind is MessageType.RANK_QUERY:
-            # Keyed rank query: the deduped write path on the primary.
-            category = str(payload.get("category", ""))
-            return self._route_write(
-                request, self.table.shard_for_category(category)
-            )
         # Anything else keys on the sender so the reply stays stable.
         return self._route_write(request, self.table.shard_for_key(envelope.sender))
 

@@ -289,9 +289,7 @@ class DataProcessor:
                 match = and_(
                     eq("place_id", application.place_id), eq("feature", feature)
                 )
-                if table.select(match):
-                    table.update(match, {"value": value, "computed_at": now})
-                else:
+                if not table.update(match, {"value": value, "computed_at": now}):
                     table.insert(
                         {
                             "place_id": application.place_id,

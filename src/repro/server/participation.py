@@ -23,8 +23,8 @@ from repro.server.user_manager import UserInfoManager
 
 
 class ParticipationStatus(enum.Enum):
-    """Task states the Participation Manager tracks (paper Section II-B)."""
-    WAITING_FOR_SCHEDULE = "waiting_for_schedule"
+    """Task states the Participation Manager tracks (paper Section II-B);
+    a task row is inserted RUNNING, with its schedule."""
     RUNNING = "running"
     FINISHED = "finished"
     ERROR = "error"
@@ -108,6 +108,22 @@ class ParticipationManager:
                 f"user {user_id!r} is not at {application.place_name!r}; "
                 "participation rejected"
             )
+        self._check_period(application)
+
+    def recheck(self, app_id: str) -> None:
+        """Re-check, as its task is inserted, what can change after
+        :meth:`validate` accepted a request: rebalancing removes
+        applications without the server's request lock, and the clock
+        moves on. Nothing else can: the request's fields are fixed, an
+        application never changes, and no API removes a user or changes
+        a token (PREFERENCES changes only ``denied_sensors``). Raises
+        :class:`ParticipationError` with :meth:`validate`'s reason."""
+        application = self.apps.get(app_id)
+        if application is None:
+            raise ParticipationError(f"unknown application {app_id!r}")
+        self._check_period(application)
+
+    def _check_period(self, application: Application) -> None:
         now = self.clock.now()
         if not application.period_start <= now <= application.period_end:
             raise ParticipationError(
@@ -121,23 +137,11 @@ class ParticipationManager:
         user_id: str,
         token: str,
         phone_host: str,
-        location: LatLon,
         budget: int,
+        times: list[float],
     ) -> str:
-        """Validate a participation request and create its task record.
-
-        Raises :class:`ParticipationError` with a reason when the request
-        must be rejected (see :meth:`validate`).
-        """
-        self.validate(
-            self.apps.get(app_id),
-            app_id=app_id,
-            user_id=user_id,
-            token=token,
-            location=location,
-            budget=budget,
-        )
-        now = self.clock.now()
+        """Insert the task of a request :meth:`validate` accepted, RUNNING
+        with its sensing ``times``; returns its id. Validates nothing."""
         task_id = f"{self.id_prefix}task-{next(self._task_counter)}"
         self.database.table("tasks").insert(
             {
@@ -147,9 +151,9 @@ class ParticipationManager:
                 "token": token,
                 "phone_host": phone_host,
                 "budget": budget,
-                "status": ParticipationStatus.WAITING_FOR_SCHEDULE.value,
-                "created_at": now,
-                "schedule_times": [],
+                "status": ParticipationStatus.RUNNING.value,
+                "created_at": self.clock.now(),
+                "schedule_times": times,
             }
         )
         return task_id
@@ -164,18 +168,6 @@ class ParticipationManager:
     def tasks_for_app(self, app_id: str) -> list[dict]:
         """Every task of ``app_id``."""
         return self.database.table("tasks").select(eq("app_id", app_id))
-
-    def record_schedule(self, task_id: str, times: list[float]) -> None:
-        """Store a task's sensing times and mark it RUNNING."""
-        updated = self.database.table("tasks").update(
-            eq("task_id", task_id),
-            {
-                "schedule_times": list(times),
-                "status": ParticipationStatus.RUNNING.value,
-            },
-        )
-        if updated == 0:
-            raise ParticipationError(f"unknown task {task_id!r}")
 
     def mark_status(
         self, task_id: str, status: ParticipationStatus, *, error: str = ""

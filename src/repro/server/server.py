@@ -282,10 +282,12 @@ class SensingServer:
 
         Three paths through the readers–writer lock:
 
-        * RANK_QUERY without an idempotency key is a pure read — it runs
-          under the shared side, with no transaction, so any number of
-          rank queries proceed together (and concurrently with nothing
-          else).
+        * RANK_QUERY, with or without an idempotency key, is a pure read
+          — it runs under the shared side, with no transaction and no
+          stored reply, so any number of rank queries proceed together
+          (and concurrently with nothing else). A retried one runs
+          again; its reply carries the ``data_version`` it was computed
+          at.
         * PARTICIPATE validates under the shared side, makes its picks
           under only its application's lock and commits under the
           exclusive side (:meth:`_participate`).
@@ -296,7 +298,7 @@ class SensingServer:
           envelope serialize there, the first runs the handler, the
           second replays its stored reply.
 
-        Envelopes carrying an already-seen idempotency key replay the
+        Writes carrying an already-seen idempotency key replay the
         response served the first time without re-running the handler:
         a retried PARTICIPATE cannot register a second task and a
         retried SENSED_DATA upload cannot double-ingest readings, even
@@ -312,8 +314,7 @@ class SensingServer:
         except CodecError:
             return HttpResponse(status=400), "undecodable"
         message_type = envelope.message_type.value
-        key = envelope.idempotency_key
-        if envelope.message_type is MessageType.RANK_QUERY and key is None:
+        if envelope.message_type is MessageType.RANK_QUERY:
             with self._rwlock.read():
                 reply = self._on_rank_query(envelope)
             return HttpResponse(status=200, body=reply.to_bytes()), message_type
@@ -326,11 +327,11 @@ class SensingServer:
             MessageType.PREFERENCES: self._on_preferences,
             MessageType.PONG: self._on_pong,
             MessageType.LOCATION_REPORT: self._on_location_report,
-            MessageType.RANK_QUERY: self._on_rank_query,
         }
         handler = handlers.get(envelope.message_type)
         if handler is None:
             return HttpResponse(status=404), message_type
+        key = envelope.idempotency_key
         with self._rwlock.write():
             cached = self._replay(key, message_type)
             if cached is not None:
@@ -351,14 +352,15 @@ class SensingServer:
         1. Hold the application's lock (one per application this server
            holds; an unknown application id takes none).
         2. Under the shared side, replay the reply stored under the
-           envelope's key, or validate the request. A refusal makes no
-           picks; its ERROR reply is stored in step 4.
+           envelope's key, or validate the request, once. A refusal
+           makes no picks; its ERROR reply is stored in step 4.
         3. Holding no server-wide lock, make the picks, so requests of
            other applications run meanwhile.
         4. Under the exclusive side and one transaction, re-check the
-           key, create the task, record the schedule and store the
-           reply: the same WAL records, in the same order, as when the
-           whole request ran under that side.
+           key and what can change after step 2 (the application and
+           the period; see :meth:`ParticipationManager.recheck`), insert
+           the task already RUNNING with its times, and store the reply:
+           one ``tasks`` and one ``idempotency`` record.
         5. If the transaction does not commit a SCHEDULE reply (a
            refusal found only now, an exception, a WAL failure), the
            picks are restored before the application's lock is released.
@@ -474,21 +476,21 @@ class SensingServer:
         application: Application,
         schedule: TaskSchedule,
     ) -> Envelope:
-        """Create the task and record its schedule (inside the commit's
-        transaction); an ERROR reply when the task is refused now."""
+        """Insert the task with its schedule (inside the commit's
+        transaction); an ERROR reply when the re-check refuses it now."""
         try:
-            task_id = self.participation.create_task(
-                app_id=request.app_id,
-                user_id=request.user_id,
-                token=request.token,
-                phone_host=envelope.sender,
-                location=request.location,
-                budget=request.budget,
-            )
+            self.participation.recheck(request.app_id)
         except ParticipationError as exc:
             return envelope.reply(MessageType.ERROR, {"reason": str(exc)})
+        task_id = self.participation.create_task(
+            app_id=request.app_id,
+            user_id=request.user_id,
+            token=request.token,
+            phone_host=envelope.sender,
+            budget=request.budget,
+            times=schedule.times,
+        )
         self._phone_hosts[request.token] = envelope.sender
-        self.participation.record_schedule(task_id, schedule.times)
         return envelope.reply(
             MessageType.SCHEDULE,
             {
@@ -523,23 +525,22 @@ class SensingServer:
             }
         )
         self._m_sensed.inc()
+        # One update of the task row, with whatever the upload reports.
+        changes: dict = {}
         status = payload.get("status")
         if status == "error":
-            self.participation.mark_status(
-                task_id,
-                ParticipationStatus.ERROR,
-                error=str(payload.get("error", "")),
-            )
+            changes["status"] = ParticipationStatus.ERROR.value
+            changes["error"] = str(payload.get("error", ""))
         elif status == "finished":
-            self.participation.mark_status(task_id, ParticipationStatus.FINISHED)
+            changes["status"] = ParticipationStatus.FINISHED.value
+            changes["error"] = ""
         # The paper: the sensing budget "is updated at runtime" — record
         # how much of it the phone actually consumed.
         executed = payload.get("executed")
         if isinstance(executed, int) and executed >= 0:
-            remaining = max(0, task["budget"] - executed)
-            self.database.table("tasks").update(
-                eq("task_id", task_id), {"budget": remaining}
-            )
+            changes["budget"] = max(0, task["budget"] - executed)
+        if changes:
+            self.database.table("tasks").update(eq("task_id", task_id), changes)
         return envelope.reply(MessageType.ACK, {"task_id": task_id})
 
     def _on_preferences(self, envelope: Envelope) -> Envelope:

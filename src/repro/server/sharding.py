@@ -11,9 +11,8 @@ makes *multiple* real. A :class:`ShardCluster` runs N shards, each one:
   what the primary's directory ships. Every replica joins the same way,
   shipping from the join cursor: it installs the newest checkpoint, or
   replays the log from segment 1 when there is none (the log starts
-  with the ``create_table`` DDL). Replicas serve keyless ``RANK_QUERY``
-  traffic from their own
-  :class:`~repro.server.ranker_service.RankingCache`.
+  with the ``create_table`` DDL). Replicas serve ``RANK_QUERY`` traffic
+  from their own :class:`~repro.server.ranker_service.RankingCache`.
 
 Reads are **bounded-stale**: a replica lags its primary by whatever is
 not yet shipped, but the per-category ``data_version`` rides the same
@@ -63,7 +62,7 @@ from repro.common.errors import (
 from repro.db import Database, DurabilityConfig, eq, load_database
 from repro.db.replication import ReplicationCursor, WalShipper, apply_records
 from repro.db.wal import attach_durability
-from repro.net.http import HttpRequest, HttpResponse, busy_response
+from repro.net.http import HttpRequest, HttpResponse, busy_response, metrics_response
 from repro.net.messages import Envelope, MessageType
 from repro.net.resilience import ResilientClient
 from repro.net.router import RoutingTable, ShardInfo, ShardRouter
@@ -222,7 +221,13 @@ class ShardReplica:
 
     # -- endpoint ------------------------------------------------------
     def handle_request(self, request: HttpRequest) -> HttpResponse:
-        """Serve one request (RANK_QUERY only; replicas are read-only)."""
+        """Serve one request (RANK_QUERY only; replicas are read-only).
+
+        ``GET /metrics`` bypasses the admission gate and is not counted
+        as a request, as on the server and the router.
+        """
+        if request.method == "GET" and request.path == "/metrics":
+            return metrics_response(self.metrics)
         if self._executor is None:
             return self._handle_one(request)
         outcome = self._executor.submit(lambda: self._handle_one(request))

@@ -63,6 +63,8 @@ from repro.sim.arrivals import fixed_count_arrivals
 SERVER_HOST = "loadgen-server"
 CATEGORY = "loadgen"
 FEATURES = ("noise_db", "wifi_mbps", "occupancy")
+PERIOD_S = 10800.0  # the paper's 3-hour sensing period
+PULL_EVERY = 4  # every Nth phone replays its participate
 
 #: Rank-query profiles phones rotate through (payload-dict form).
 PROFILES: tuple[dict[str, Any], ...] = (
@@ -102,11 +104,9 @@ class LoadgenSpec:
     workers: int = 8  # requests the server runs at once (concurrent mode)
     queue_capacity: int = 64
     io_delay_s: float = 0.0  # simulated per-request socket/disk seconds
-    period_s: float = 10800.0  # the paper's 3-hour sensing period
     budget: int = 5
     places: int = 8
     num_instants: int = 120
-    pull_every: int = 4  # every Nth phone replays its participate
     rank_every: int = 16  # every Nth phone sends a rank query
     # Sharded deployment: with shards > 1 the drivers talk to a
     # ShardCluster's consistent-hash router instead of one server.
@@ -127,8 +127,8 @@ class LoadgenSpec:
             raise ValidationError("io_delay_s must be non-negative")
         if self.places < 1:
             raise ValidationError("places must be at least 1")
-        if self.pull_every < 1 or self.rank_every < 1:
-            raise ValidationError("pull_every/rank_every must be >= 1")
+        if self.rank_every < 1:
+            raise ValidationError("rank_every must be >= 1")
         if self.shards < 1:
             raise ValidationError("shards must be at least 1")
         if self.replicas < 0:
@@ -210,7 +210,7 @@ def build_workload(spec: LoadgenSpec) -> list[_PhoneScript]:
     """The full phone population, in arrival order, from the seed alone."""
     rng = np.random.default_rng(spec.seed)
     users = fixed_count_arrivals(
-        spec.phones, spec.period_s, spec.budget, rng, id_prefix="lg"
+        spec.phones, PERIOD_S, spec.budget, rng, id_prefix="lg"
     )
     executed = rng.integers(0, spec.budget + 1, size=spec.phones)
     scripts = []
@@ -225,7 +225,7 @@ def build_workload(spec: LoadgenSpec) -> list[_PhoneScript]:
                 location=_place_location(place_index),
                 departure_time=user.departure,
                 executed=int(executed[index]),
-                pull=index % spec.pull_every == 0,
+                pull=index % PULL_EVERY == 0,
                 rank_profile=(
                     (index // spec.rank_every) % len(PROFILES)
                     if index % spec.rank_every == 0
@@ -281,7 +281,7 @@ def _loadgen_application(spec: LoadgenSpec, place_index: int) -> Application:
             ]
         ),
         period_start=0.0,
-        period_end=spec.period_s,
+        period_end=PERIOD_S,
         num_instants=spec.num_instants,
     )
 
@@ -326,7 +326,7 @@ def _build_server(spec: LoadgenSpec, metrics: MetricsRegistry) -> SensingServer:
     server = SensingServer(
         SERVER_HOST,
         network,
-        ManualClock(0.0),  # simulated time: the period is [0, period_s]
+        ManualClock(0.0),  # simulated time: the period is [0, PERIOD_S]
         metrics=metrics,
         tracer=NullTracer(),
         # Generous: every keyed envelope of the run fits, so the

@@ -224,6 +224,23 @@ class TestShardRouter:
             assert served_by(response) == "shard-0-r0"
         assert backends["shard-0"].requests == []
 
+    def test_keyed_rank_query_reads_from_a_replica_too(self):
+        """A rank query is a read whatever its key: no server stores its
+        reply, so a keyed one need not reach the primary."""
+        router, table, backends, _ = build_router()
+        table.pin_category("museums", "shard-0")
+        response = post(
+            router,
+            Envelope(
+                message_type=MessageType.RANK_QUERY,
+                sender="phone-1",
+                recipient="router",
+                payload={"category": "museums", "profiles": []},
+            ).with_idempotency_key(),
+        )
+        assert served_by(response) == "shard-0-r0"
+        assert backends["shard-0"].requests == []
+
     def test_rank_query_fails_over_replica_to_primary(self):
         router, table, backends, network = build_router()
         table.pin_category("museums", "shard-0")

@@ -174,14 +174,13 @@ class TestServerInitiated:
         PARTICIPATE reply still receives its schedule via server push."""
         clock, _, _, server, phone, _ = world
         server._phone_hosts["tok-a"] = phone.host
-        # Server creates and schedules a task without the phone knowing.
-        task_id = server.participation.create_task(
-            app_id="app-1", user_id="alice", token="tok-a",
-            phone_host=phone.host, location=PLACE, budget=3,
-        )
+        # Server schedules and creates a task without the phone knowing.
         application = server.apps.get("app-1")
         schedule = server.scheduler.schedule_task(application, budget=3)
-        server.participation.record_schedule(task_id, schedule.times)
+        task_id = server.participation.create_task(
+            app_id="app-1", user_id="alice", token="tok-a",
+            phone_host=phone.host, budget=3, times=schedule.times,
+        )
         assert phone.task_manager.get(task_id) is None
         assert server.push_schedule(task_id)
         task = phone.task_manager.get(task_id)

@@ -85,7 +85,7 @@ class TestFaultPresets:
         assert main(["crash"]) == 0
         out = capsys.readouterr().out
         assert "verdict             : INTACT" in out
-        assert "WAL records replayed: 78" in out
+        assert "WAL records replayed: 67" in out
 
     def test_crash_preset_json(self, capsys):
         import json

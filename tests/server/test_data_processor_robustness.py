@@ -54,7 +54,7 @@ def world(clock):
     clock.advance(10.0)
     task_id = participation.create_task(
         app_id="app-1", user_id="alice", token="tok-a",
-        phone_host="phone-1", location=PLACE, budget=3,
+        phone_host="phone-1", budget=3, times=[20.0, 30.0, 40.0],
     )
     processor = DataProcessor(database, apps, clock)
     return database, processor, task_id
@@ -206,7 +206,7 @@ def server_with_blob(directory, bursts=3):
     server.create_application(application())
     task_id = server.participation.create_task(
         app_id="app-1", user_id="alice", token="tok-a",
-        phone_host="phone-1", location=PLACE, budget=3,
+        phone_host="phone-1", budget=3, times=[20.0, 30.0, 40.0],
     )
     store_blob(
         server.database,
@@ -256,4 +256,29 @@ class TestOneTransactionPerBlob:
             assert readings.count() == 0
         worker.join()
         assert readings.count() == 3
+        server.database.durability.close()
+
+
+class TestFeatureRows:
+    def test_a_recompute_updates_each_row_in_place_without_a_select(
+        self, tmp_path
+    ):
+        """The update finds the row; no select looks for it first."""
+        server = server_with_blob(tmp_path)
+        assert server.process_data() == 1
+        features = server.database.table("feature_data")
+        server.compute_all_features()
+        first = features.select()
+        assert len(first) == 1
+        operations = server.metrics.get("sor_db_operations_total")
+        selects = operations.value(db="server", table="feature_data", op="select")
+        server.clock.advance(5.0)
+        server.compute_all_features()
+        assert (
+            operations.value(db="server", table="feature_data", op="select")
+            == selects
+        )
+        again = features.select()
+        assert [row["feature_id"] for row in again] == [first[0]["feature_id"]]
+        assert again[0]["computed_at"] == first[0]["computed_at"] + 5.0
         server.database.durability.close()

@@ -7,8 +7,8 @@ server-wide write lock, and restored when the request does not commit.
   application's lock: one pick set, one task row, identical replies;
 * every refusal leaves the objective bitwise unchanged and appends no
   WAL record;
-* an application removed between validation and commit gets an ERROR
-  reply and a restored objective;
+* an application removed, or a period that ends, between validation
+  and commit gets an ERROR reply and a restored objective;
 * unknown application ids create no lock entries;
 * under a short switch interval, six applications driven by six
   threads get the schedules and objective states a sequential server
@@ -309,7 +309,10 @@ def test_refusal_leaves_objective_and_wal_untouched(tmp_path, case) -> None:
         server.database.durability.close()
 
 
-def test_application_removed_before_commit_is_refused_and_restored() -> None:
+def assert_refused_at_commit(disturb, reason: str) -> None:
+    """``disturb(server)`` runs inside the picks of a participate that
+    validation accepted: the commit refuses it with ``reason``, stores
+    that reply and leaves the objective as it was."""
     server = make_server()
     try:
         assert post(server, participate(1)).message_type is MessageType.SCHEDULE
@@ -317,22 +320,35 @@ def test_application_removed_before_commit_is_refused_and_restored() -> None:
         before = state(objective)
         original = objective.add
 
-        def add_then_lose_the_application(instant_index: int) -> float:
-            # Rebalancing removes applications without the server's lock.
-            server.apps.remove("app-a")
+        def disturb_then_add(instant_index: int) -> float:
+            disturb(server)
             return original(instant_index)
 
-        objective.add = add_then_lose_the_application
+        objective.add = disturb_then_add
         envelope = participate(2)
         reply = post(server, envelope)
         assert reply.message_type is MessageType.ERROR
-        assert reply.payload["reason"] == "unknown application 'app-a'"
+        assert reply.payload["reason"] == reason
         objective.add = original
         assert_same_state(state(objective), before)
         assert server.database.table("tasks").count() == 1
         assert post(server, envelope).payload == reply.payload  # stored
     finally:
         server.close()
+
+
+def test_application_removed_before_commit_is_refused_and_restored() -> None:
+    # Rebalancing removes applications without the server's lock.
+    assert_refused_at_commit(
+        lambda server: server.apps.remove("app-a"), "unknown application 'app-a'"
+    )
+
+
+def test_period_ending_before_commit_is_refused_and_restored() -> None:
+    assert_refused_at_commit(
+        lambda server: server.clock.set(10_801.0),  # past period_end
+        "participation outside the application's scheduling period",
+    )
 
 
 def test_unknown_application_ids_create_no_lock_entries() -> None:

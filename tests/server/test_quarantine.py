@@ -51,7 +51,7 @@ def world(clock):
     clock.advance(10.0)
     task_id = participation.create_task(
         app_id="app-1", user_id="alice", token="tok-a",
-        phone_host="phone-1", location=PLACE, budget=3,
+        phone_host="phone-1", budget=3, times=[20.0, 30.0, 40.0],
     )
     registry = MetricsRegistry()
     processor = DataProcessor(database, apps, clock, metrics=registry)

@@ -142,87 +142,80 @@ class TestParticipationManager:
         clock.advance(100.0)
         return participation, clock
 
+    @staticmethod
+    def validate(participation, **overrides):
+        """Validate alice's request to join app-1, with ``overrides``."""
+        request = dict(
+            app_id="app-1", user_id="alice", token="tok-a",
+            location=PLACE, budget=5,
+        )
+        request.update(overrides)
+        application = participation.apps.get(request["app_id"])
+        participation.validate(application, **request)
+
+    @staticmethod
+    def create_task(participation, times):
+        return participation.create_task(
+            app_id="app-1", user_id="alice", token="tok-a",
+            phone_host="phone-1", budget=5, times=times,
+        )
+
     def test_create_task_happy_path(self, backend):
         participation, _ = self.setup_participant(backend)
-        task_id = participation.create_task(
-            app_id="app-1", user_id="alice", token="tok-a",
-            phone_host="phone-1", location=PLACE, budget=5,
-        )
+        self.validate(participation)
+        task_id = self.create_task(participation, [100.0, 200.0])
         task = participation.get_task(task_id)
-        assert task["status"] == ParticipationStatus.WAITING_FOR_SCHEDULE.value
+        assert task["status"] == ParticipationStatus.RUNNING.value
+        assert task["schedule_times"] == [100.0, 200.0]
         assert task["budget"] == 5
 
     def test_location_verification_rejects_liar(self, backend):
         participation, _ = self.setup_participant(backend)
         far_away = offset_latlon(PLACE, east_m=5000.0, north_m=0.0)
         with pytest.raises(ParticipationError, match="not at"):
-            participation.create_task(
-                app_id="app-1", user_id="alice", token="tok-a",
-                phone_host="phone-1", location=far_away, budget=5,
-            )
+            self.validate(participation, location=far_away)
 
     def test_nearby_location_accepted(self, backend):
         participation, _ = self.setup_participant(backend)
         nearby = offset_latlon(PLACE, east_m=200.0, north_m=100.0)
-        participation.create_task(
-            app_id="app-1", user_id="alice", token="tok-a",
-            phone_host="phone-1", location=nearby, budget=5,
-        )
+        self.validate(participation, location=nearby)
 
     def test_unknown_user_rejected(self, backend):
         participation, _ = self.setup_participant(backend)
         with pytest.raises(ParticipationError, match="user"):
-            participation.create_task(
-                app_id="app-1", user_id="mallory", token="tok-a",
-                phone_host="phone-1", location=PLACE, budget=5,
-            )
+            self.validate(participation, user_id="mallory")
 
     def test_wrong_token_rejected(self, backend):
         participation, _ = self.setup_participant(backend)
         with pytest.raises(ParticipationError):
-            participation.create_task(
-                app_id="app-1", user_id="alice", token="stolen",
-                phone_host="phone-1", location=PLACE, budget=5,
-            )
+            self.validate(participation, token="stolen")
 
     def test_unknown_app_rejected(self, backend):
         participation, _ = self.setup_participant(backend)
         with pytest.raises(ParticipationError, match="application"):
-            participation.create_task(
-                app_id="ghost", user_id="alice", token="tok-a",
-                phone_host="phone-1", location=PLACE, budget=5,
-            )
+            self.validate(participation, app_id="ghost")
 
     def test_outside_period_rejected(self, backend):
         participation, clock = self.setup_participant(backend)
         clock.set(20_000.0)
         with pytest.raises(ParticipationError, match="period"):
-            participation.create_task(
-                app_id="app-1", user_id="alice", token="tok-a",
-                phone_host="phone-1", location=PLACE, budget=5,
-            )
+            self.validate(participation)
 
     def test_status_transitions(self, backend):
         participation, _ = self.setup_participant(backend)
-        task_id = participation.create_task(
-            app_id="app-1", user_id="alice", token="tok-a",
-            phone_host="phone-1", location=PLACE, budget=5,
+        task_id = self.create_task(participation, [100.0, 200.0])
+        assert participation.get_task(task_id)["status"] == (
+            ParticipationStatus.RUNNING.value
         )
-        participation.record_schedule(task_id, [100.0, 200.0])
-        task = participation.get_task(task_id)
-        assert task["status"] == ParticipationStatus.RUNNING.value
-        assert task["schedule_times"] == [100.0, 200.0]
         participation.mark_status(task_id, ParticipationStatus.ERROR, error="boom")
-        assert participation.get_task(task_id)["error"] == "boom"
+        task = participation.get_task(task_id)
+        assert task["status"] == ParticipationStatus.ERROR.value
+        assert task["error"] == "boom"
 
     def test_leaving_marks_finished(self, backend):
         """The paper: status becomes 'finished' when the user leaves."""
         participation, _ = self.setup_participant(backend)
-        task_id = participation.create_task(
-            app_id="app-1", user_id="alice", token="tok-a",
-            phone_host="phone-1", location=PLACE, budget=5,
-        )
-        participation.record_schedule(task_id, [100.0])
+        task_id = self.create_task(participation, [100.0])
         far = offset_latlon(PLACE, east_m=10_000.0, north_m=0.0)
         finished = participation.handle_location_report("tok-a", far)
         assert finished == [task_id]
@@ -233,18 +226,18 @@ class TestParticipationManager:
 
     def test_still_present_not_finished(self, backend):
         participation, _ = self.setup_participant(backend)
-        task_id = participation.create_task(
-            app_id="app-1", user_id="alice", token="tok-a",
-            phone_host="phone-1", location=PLACE, budget=5,
-        )
-        participation.record_schedule(task_id, [100.0])
+        self.create_task(participation, [100.0])
         assert participation.handle_location_report("tok-a", PLACE) == []
 
 
-def schedule(scheduler, participation, application, task_id, **kwargs):
-    """Make a task's picks and record them on it; returns the stored times."""
+def schedule(scheduler, participation, application, user, **kwargs):
+    """Make a participant's picks and insert its task with them, as the
+    server's commit step does; returns the stored times."""
     picked = scheduler.schedule_task(application, **kwargs)
-    participation.record_schedule(task_id, picked.times)
+    task_id = participation.create_task(
+        app_id=application.app_id, user_id=user, token=f"tok-{user}",
+        phone_host=f"phone-{user}", budget=kwargs["budget"], times=picked.times,
+    )
     scheduler.count(picked)
     times = participation.get_task(task_id)["schedule_times"]
     assert times == picked.times
@@ -254,15 +247,11 @@ def schedule(scheduler, participation, application, task_id, **kwargs):
 class TestSchedulerService:
     def test_online_scheduling_respects_budget_and_window(self, backend):
         _, users, apps, participation, scheduler, clock = backend
-        users.register("alice", "Alice", "tok-a")
+        users.register("a", "A", "tok-a")
         application = make_application()
         apps.create(application)
         clock.advance(1000.0)
-        task_id = participation.create_task(
-            app_id="app-1", user_id="alice", token="tok-a",
-            phone_host="phone-1", location=PLACE, budget=7,
-        )
-        times = schedule(scheduler, participation, application, task_id, budget=7)
+        times = schedule(scheduler, participation, application, "a", budget=7)
         assert len(times) == 7
         assert all(1000.0 <= t <= 10_800.0 for t in times)
 
@@ -273,20 +262,8 @@ class TestSchedulerService:
         application = make_application(coverage_sigma_s=300.0)
         apps.create(application)
         clock.advance(10.0)
-        first_task = participation.create_task(
-            app_id="app-1", user_id="a", token="tok-a",
-            phone_host="p1", location=PLACE, budget=5,
-        )
-        first_times = schedule(
-            scheduler, participation, application, first_task, budget=5
-        )
-        second_task = participation.create_task(
-            app_id="app-1", user_id="b", token="tok-b",
-            phone_host="p2", location=PLACE, budget=5,
-        )
-        second_times = schedule(
-            scheduler, participation, application, second_task, budget=5
-        )
+        first_times = schedule(scheduler, participation, application, "a", budget=5)
+        second_times = schedule(scheduler, participation, application, "b", budget=5)
         assert not set(first_times) & set(second_times)
 
     def test_departure_time_clips_schedule(self, backend):
@@ -295,12 +272,8 @@ class TestSchedulerService:
         application = make_application()
         apps.create(application)
         clock.advance(10.0)
-        task = participation.create_task(
-            app_id="app-1", user_id="a", token="tok-a",
-            phone_host="p1", location=PLACE, budget=20,
-        )
         times = schedule(
-            scheduler, participation, application, task,
+            scheduler, participation, application, "a",
             budget=20, departure_time=2_000.0,
         )
         assert all(t <= 2_000.0 for t in times)
@@ -312,9 +285,5 @@ class TestSchedulerService:
         apps.create(application)
         clock.advance(10.0)
         assert scheduler.coverage_for(application) == 0.0
-        task = participation.create_task(
-            app_id="app-1", user_id="a", token="tok-a",
-            phone_host="p1", location=PLACE, budget=10,
-        )
-        schedule(scheduler, participation, application, task, budget=10)
+        schedule(scheduler, participation, application, "a", budget=10)
         assert scheduler.coverage_for(application) > 0.0

@@ -132,6 +132,21 @@ class TestReplica:
         finally:
             cluster.close()
 
+    def test_replica_serves_metrics_without_counting_the_scrape(self, tmp_path):
+        cluster, network = make_cluster(tmp_path, num_shards=1)
+        try:
+            place_category(cluster, (0, 1), "museums")
+            cluster.sync_replicas()
+            assert post(network, "shard-0-r0", rank_query("museums")).status == 200
+            response = network.send(HttpRequest("GET", "shard-0-r0", "/metrics"))
+            assert response.status == 200
+            assert "sor_shard_replica_requests_total" in response.body.decode()
+            requests = cluster.metrics.get("sor_shard_replica_requests_total")
+            assert requests.value(replica="shard-0-r0", status="200") == 1
+            assert requests.value(replica="shard-0-r0", status="400") == 0
+        finally:
+            cluster.close()
+
     def test_replica_matches_primary_ranking_exactly(self, tmp_path):
         cluster, network = make_cluster(tmp_path)
         try:
