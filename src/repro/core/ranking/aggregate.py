@@ -16,6 +16,7 @@ of any starting ranking.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -23,6 +24,8 @@ from scipy.optimize import linear_sum_assignment
 
 from repro.common.errors import RankingError
 from repro.core.ranking.distances import (
+    positions_in_order,
+    rank_tables,
     require_valid_weights,
     weighted_kemeny_distance,
 )
@@ -37,25 +40,34 @@ _FOOTRULE_COST_BUCKETS = (
 )
 
 
-def _check_inputs(collection: Sequence[Ranking], weights: Sequence[float]) -> None:
+def _check_inputs(collection: Sequence[Ranking], weights: Sequence[float]) -> np.ndarray:
+    """Raise RankingError unless the collection can be aggregated.
+
+    Returns ``P[j, i] = π(item_i, R_j)`` over the first ranking's order,
+    which the same-items check computes anyway.
+    """
     if not collection:
         raise RankingError("need at least one individual ranking")
     require_valid_weights(collection, weights)
-    first = collection[0]
-    for other in collection[1:]:
-        first.require_same_items(other)
+    return positions_in_order(collection[0], collection)
 
 
-def _position_matrix(
-    collection: Sequence[Ranking],
-) -> tuple[np.ndarray, tuple[Hashable, ...]]:
-    """``P[j, i] = π(item_i, R_j)`` and the shared item order."""
-    items = collection[0].items
-    positions = np.array(
-        [[ranking.position(item) for item in items] for ranking in collection],
-        dtype=float,
+def _cost_terms(
+    positions: np.ndarray, weights: Sequence[float], columns: slice | np.ndarray
+) -> np.ndarray:
+    """``Σ_j w_j · |P[j, i] − (c + 1)|`` for every rank column ``c``.
+
+    ``columns=slice(None)`` gives the whole cost matrix; one column per
+    item gives the costs of that assignment, item by item. Either way
+    :func:`np.add.reduce` adds the rankings' terms in collection order,
+    as the scalar reference's ``total += …`` loop does, so the costs of
+    an assignment are bitwise the matrix entries it selects.
+    """
+    terms = rank_tables(positions.shape[1])[0][positions - 1, columns]
+    weight_vector = np.asarray(weights, dtype=float).reshape(
+        (-1,) + (1,) * (terms.ndim - 1)
     )
-    return positions, items
+    return np.add.reduce(weight_vector * terms, axis=0)
 
 
 def footrule_cost_matrix(
@@ -63,23 +75,29 @@ def footrule_cost_matrix(
 ) -> tuple[np.ndarray, tuple[Hashable, ...]]:
     """Cost[i][r] = Σ_j w_j · |π(item_i, R_j) − (r+1)| and the item order.
 
-    One broadcasted ``w_j · |P[j, i] − r|`` tensor reduced over the
-    ranking axis with :func:`np.add.reduce`, whose slice-by-slice
-    accumulation order matches the scalar reference's ``total += …``
-    loop (``footrule_cost_matrix_reference``) — the two are bitwise
-    identical (pinned by the differential suite), like the scheduling
-    objective and its oracle.
+    Rows follow the first ranking's item order. One broadcasted
+    ``w_j · |P[j, i] − r|`` tensor is reduced over the ranking axis
+    (:func:`_cost_terms`), bitwise identical to the scalar reference
+    ``footrule_cost_matrix_reference`` (pinned by the differential
+    suite), like the scheduling objective and its oracle.
     """
-    _check_inputs(collection, weights)
-    positions, items = _position_matrix(collection)
-    count = len(items)
-    ranks = np.arange(1, count + 1, dtype=float)
-    weight_vector = np.asarray(weights, dtype=float)
-    # terms[j, i, r] = w_j · |π(item_i, R_j) − r|
-    terms = weight_vector[:, None, None] * np.abs(
-        positions[:, :, None] - ranks[None, None, :]
-    )
-    return np.add.reduce(terms, axis=0), items
+    positions = _check_inputs(collection, weights)
+    return _cost_terms(positions, weights, slice(None)), collection[0].items
+
+
+def dominant_index(weights: Sequence[float]) -> int | None:
+    """The index k with ``w_k > Σ_{j≠k} w_j``, or ``None`` if none has it.
+
+    Compared exactly over the float weights the cost matrix uses:
+    ``math.fsum`` rounds the exact sum of the others correctly, and a
+    float exceeds a correctly rounded sum only if it exceeds the sum.
+    Only the largest weight can qualify, and a tie for it never does.
+    """
+    values = [float(weight) for weight in weights]
+    top = max(values)
+    index = values.index(top)
+    rest = math.fsum(values[:index] + values[index + 1 :])
+    return index if top > rest else None
 
 
 def aggregate_footrule(
@@ -90,17 +108,43 @@ def aggregate_footrule(
 ) -> Ranking:
     """The footrule-optimal aggregated ranking via min-cost assignment.
 
-    Rows of the cost matrix follow the first ranking's item order and
-    ``linear_sum_assignment`` is a pure function of the matrix, so the
-    same input always yields the same order. Among tied optima the order
-    is the one scipy's shortest-augmenting-path solver settles on when
-    it augments the rows in that item order. It may differ from the flow
-    oracle's pick; the tests pin its footrule cost and its determinism.
+    When one weight exceeds the sum of the others, that ranking R_k is
+    the unique optimum and comes back with no solve: by the triangle
+    inequality ``d_f(R, R_j) ≥ d_f(R_k, R_j) − d_f(R, R_k)``, so
+    ``κ_f(R) ≥ κ_f(R_k) + (w_k − Σ_{j≠k} w_j) · d_f(R, R_k)``, and
+    ``d_f(R, R_k) > 0`` for every other ``R``.
+
+    Otherwise rows of the cost matrix follow the first ranking's item
+    order and ``linear_sum_assignment`` is a pure function of the
+    matrix, so the same input always yields the same order. Among tied
+    optima the order is the one scipy's shortest-augmenting-path solver
+    settles on when it augments the rows in that item order. It may
+    differ from the flow oracle's pick; the tests pin its footrule cost
+    and its determinism.
+
+    The answer is kept over the first ranking's basis
+    (:meth:`Ranking.over`), so its weighted distances to the collection
+    are array work too.
     """
+    positions = _check_inputs(collection, weights)
     registry = metrics if metrics is not None else get_metrics()
-    cost, items = footrule_cost_matrix(collection, weights)
-    rows, ranks = linear_sum_assignment(cost)
-    footrule_cost = float(cost[rows, ranks].sum())
+    first = collection[0]
+    dominant = dominant_index(weights)
+    if dominant is not None:
+        ranking = collection[dominant]
+        # Each item's column is the dominant ranking's rank for it.
+        item_costs = _cost_terms(positions, weights, positions[dominant] - 1)
+        registry.counter(
+            "sor_ranking_dominant_answers_total",
+            "footrule aggregations answered by a dominant weight's ranking, "
+            "with no assignment solve",
+        ).inc()
+    else:
+        cost = _cost_terms(positions, weights, slice(None))
+        rows, columns = linear_sum_assignment(cost)
+        item_costs = cost[rows, columns]
+        # rows is 0..N-1, so argsort(columns) lists the item at each rank.
+        ranking = Ranking.over(first, np.argsort(columns))
     registry.counter(
         "sor_ranking_aggregations_total",
         "footrule aggregations solved as a min-cost assignment",
@@ -108,14 +152,13 @@ def aggregate_footrule(
     registry.gauge(
         "sor_ranking_matching_size",
         "items matched to ranks in the most recent aggregation",
-    ).set(len(items))
+    ).set(len(first))
     registry.histogram(
         "sor_ranking_footrule_cost",
         "total weighted footrule cost of each aggregation",
         buckets=_FOOTRULE_COST_BUCKETS,
-    ).observe(footrule_cost)
-    # rows is 0..N-1, so argsort(ranks) lists the item at each rank.
-    return Ranking(items[index] for index in np.argsort(ranks))
+    ).observe(float(item_costs.sum()))
+    return ranking
 
 
 def borda_count(collection: Sequence[Ranking], weights: Sequence[float]) -> Ranking:

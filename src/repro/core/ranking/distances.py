@@ -5,13 +5,20 @@ pairwise order violations between two rankings (Definition 2); the
 footrule distance sums absolute rank displacements (equation (9)) and
 satisfies ``d_K ≤ d_f ≤ 2·d_K`` (Diaconis–Graham, equation (10)).
 Weighted variants against a collection of individual rankings implement
-equations (7) and (11). The two pairwise distances are the scalar spec;
-the weighted variants compute every ranking's distance at once with
-numpy and are pinned to ``Σ w · distance`` over the spec bitwise.
+equations (7) and (11). The two pairwise distances are the scalar spec.
+
+The weighted variants and the aggregation in
+:mod:`repro.core.ranking.aggregate` share one array kernel:
+:func:`positions_in_order` lists every individual ranking's positions in
+a target ranking's order, and :func:`footrule_counts` and
+:func:`kemeny_counts` reduce those arrays to each ranking's integer
+distance. The weighted values are pinned to ``Σ w · distance`` over the
+spec bitwise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -61,27 +68,73 @@ def require_valid_weights(
         raise RankingError(
             f"{len(collection)} rankings but {len(weights)} weights"
         )
-    if not all(math.isfinite(weight) for weight in weights):
+    if not all(map(math.isfinite, weights)):
         raise RankingError("weights must be finite")
-    if any(weight < 0 for weight in weights):
+    if weights and min(weights) < 0:
         raise RankingError("weights must be non-negative")
 
 
-def _check_collection(
-    ranking: Ranking, collection: Sequence[Ranking], weights: Sequence[float]
-) -> None:
-    require_valid_weights(collection, weights)
+# ----------------------------------------------------------------------
+# the array kernel
+# ----------------------------------------------------------------------
+def positions_in_order(target: Ranking, collection: Sequence[Ranking]) -> np.ndarray:
+    """``Q[j, k] = π(target[k], R_j)`` as an int64 array, one row per R_j.
+
+    When the target and every R_j are kept over one basis
+    (:meth:`Ranking.over`), the rows are the stored position arrays
+    reindexed by the target's order: no per-item lookups, and no
+    item-set check, since each is a permutation of that basis. Any
+    other collection is checked to share the target's item set and
+    looked up item by item.
+    """
+    basis = target._basis
+    if (
+        basis is not None
+        and collection
+        and all(ranking._basis is basis for ranking in collection)
+    ):
+        stacked = np.array([ranking._basis_positions for ranking in collection])
+        # take() keeps the result C-ordered; stacked[:, order] would not,
+        # and the kernels run several times slower on that layout.
+        return stacked.take(target._order, axis=1)
     for individual in collection:
-        ranking.require_same_items(individual)
-
-
-def _positions(ranking: Ranking, collection: Sequence[Ranking]) -> np.ndarray:
-    """``P[j, k] = π(ranking[k], R_j)``: every R_j's positions in R's order."""
-    items = ranking.items
+        target.require_same_items(individual)
+    items = target.items
     return np.array(
         [[individual.position(item) for item in items] for individual in collection],
         dtype=np.int64,
     ).reshape(len(collection), len(items))
+
+
+@functools.lru_cache(maxsize=4)
+def rank_tables(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables for N items: ``|a − b|`` over ranks 1..N as
+    floats (row a − 1, column b − 1) and the ``a < b`` pair mask.
+
+    9·N² bytes a size; only the four most recent sizes are kept, and a
+    category's size comes from its data, not from what clients send.
+    """
+    ranks = np.arange(count)
+    distances = np.abs(ranks[:, None] - ranks).astype(float)
+    before = ranks[:, None] < ranks
+    distances.flags.writeable = False
+    before.flags.writeable = False
+    return distances, before
+
+
+def footrule_counts(positions: np.ndarray) -> np.ndarray:
+    """``d_f(R, R_j)`` per row of :func:`positions_in_order`'s array."""
+    ranks = np.arange(1, positions.shape[1] + 1)
+    return np.abs(positions - ranks).sum(axis=1)
+
+
+def kemeny_counts(positions: np.ndarray) -> np.ndarray:
+    """``d_K(R, R_j)`` per row: the inversions in R_j's positions in R's order."""
+    rankings, items = positions.shape
+    # inversions[j, a, b]: R ranks a above b but R_j ranks b above a.
+    inversions = positions[:, :, None] > positions[:, None, :]
+    inversions &= rank_tables(items)[1]
+    return inversions.reshape(rankings, items * items).sum(axis=1)
 
 
 def _weighted_sum(distances: list[int], weights: Sequence[float]) -> float:
@@ -93,26 +146,16 @@ def _weighted_sum(distances: list[int], weights: Sequence[float]) -> float:
 def weighted_kemeny_distance(
     ranking: Ranking, collection: Sequence[Ranking], weights: Sequence[float]
 ) -> float:
-    """κ_K(R, Ω) = Σ_j w_j · d_K(R, R_j) (equation (7)).
-
-    d_K(R, R_j) is the number of inversions in R_j's positions listed in
-    R's order; all item pairs of all rankings are compared in one step.
-    """
-    _check_collection(ranking, collection, weights)
-    positions = _positions(ranking, collection)
-    order = np.arange(len(ranking))
-    # inversions[j, a, b]: R ranks a above b but R_j ranks b above a.
-    inversions = (positions[:, :, None] > positions[:, None, :]) & (
-        order[:, None] < order
-    )
-    return _weighted_sum(inversions.sum(axis=(1, 2)).tolist(), weights)
+    """κ_K(R, Ω) = Σ_j w_j · d_K(R, R_j) (equation (7))."""
+    require_valid_weights(collection, weights)
+    counts = kemeny_counts(positions_in_order(ranking, collection))
+    return _weighted_sum(counts.tolist(), weights)
 
 
 def weighted_footrule_distance(
     ranking: Ranking, collection: Sequence[Ranking], weights: Sequence[float]
 ) -> float:
     """κ_f(R, Ω) = Σ_j w_j · d_f(R, R_j) (equation (11))."""
-    _check_collection(ranking, collection, weights)
-    positions = _positions(ranking, collection)
-    ranks = np.arange(1, len(ranking) + 1)
-    return _weighted_sum(np.abs(positions - ranks).sum(axis=1).tolist(), weights)
+    require_valid_weights(collection, weights)
+    counts = footrule_counts(positions_in_order(ranking, collection))
+    return _weighted_sum(counts.tolist(), weights)

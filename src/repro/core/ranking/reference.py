@@ -28,7 +28,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.common.errors import RankingError
-from repro.core.ranking.aggregate import _check_inputs, _position_matrix
+from repro.core.ranking.aggregate import _check_inputs
 from repro.core.ranking.distances import weighted_kemeny_distance
 from repro.core.ranking.types import Ranking
 
@@ -173,16 +173,16 @@ def footrule_cost_matrix_reference(
     must reproduce it bitwise.
     """
     _check_inputs(collection, weights)
-    positions, items = _position_matrix(collection)
+    items = collection[0].items
     count = len(items)
     weight_vector = [float(weight) for weight in weights]
     cost = np.zeros((count, count))
-    for item_index in range(count):
+    for item_index, item in enumerate(items):
         for rank_index in range(count):
             total = 0.0
-            for ranking_index, weight in enumerate(weight_vector):
+            for ranking, weight in zip(collection, weight_vector):
                 total += weight * abs(
-                    positions[ranking_index, item_index] - float(rank_index + 1)
+                    float(ranking.position(item)) - float(rank_index + 1)
                 )
             cost[item_index, rank_index] = total
     return cost, items

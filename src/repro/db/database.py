@@ -164,16 +164,24 @@ class Database:
         from repro.db import persistence
 
         op = event["op"]
-        if op in ("insert", "update"):
+        if op == "insert":
             schema = self._tables[event["table"]].schema
-            record = {
+            return {
                 "op": op,
                 "table": event["table"],
                 "row": persistence.encode_row(schema, event["row"]),
             }
-            if op == "update":
-                record["pk"] = record["row"][schema.primary_key]
-            return record
+        if op == "update":
+            # The primary key and the cells the update set, not the row.
+            schema = self._tables[event["table"]].schema
+            return {
+                "op": op,
+                "table": event["table"],
+                "pk": persistence.encode_cell(
+                    schema.column(schema.primary_key), event["pk"]
+                ),
+                "row": persistence.encode_cells(schema, event["cells"]),
+            }
         if op == "delete":
             schema = self._tables[event["table"]].schema
             pk_column = schema.column(schema.primary_key)

@@ -72,6 +72,20 @@ def decode_row(schema: Schema, row: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+def encode_cells(schema: Schema, cells: dict[str, Any]) -> dict[str, Any]:
+    """Some of a row's cells in wire form, as :func:`encode_row` writes them."""
+    return {
+        name: encode_cell(schema.column(name), value) for name, value in cells.items()
+    }
+
+
+def decode_cells(schema: Schema, cells: dict[str, Any]) -> dict[str, Any]:
+    """Invert :func:`encode_cells`: only the cells given, none filled in."""
+    return {
+        name: decode_cell(schema.column(name), value) for name, value in cells.items()
+    }
+
+
 def schema_to_dict(schema: Schema) -> dict[str, Any]:
     """A schema in JSON-compatible form (for dumps and WAL records)."""
     return {

@@ -203,8 +203,15 @@ class Table:
                 # is safe: nothing will mutate it.
                 self._undo_journal.append((self, "update", (pk, old)))
             if self.mutation_listener is not None:
+                # Only the cells this call set: a replay applies them to
+                # the row it already holds.
                 self.mutation_listener(
-                    {"op": "update", "table": self.name, "pk": pk, "row": stored}
+                    {
+                        "op": "update",
+                        "table": self.name,
+                        "pk": pk,
+                        "cells": {column: stored[column] for column in changes},
+                    }
                 )
             updated += 1
         return updated

@@ -69,6 +69,7 @@ from repro.common.errors import DatabaseError, RecoveryError, SimulatedCrashErro
 from repro.db.database import Database
 from repro.db.persistence import (
     decode_cell,
+    decode_cells,
     decode_row,
     dump_database,
     load_database,
@@ -279,11 +280,15 @@ def apply_records(
                 table = database.table(record["table"])
                 table.insert(decode_row(table.schema, record["row"]))
             elif op == "update":
+                # The cells the update set; a directory written before
+                # updates were logged that way holds whole rows, whose
+                # primary-key cell is dropped like any unchanged one.
                 table = database.table(record["table"])
-                row = decode_row(table.schema, record["row"])
                 pk_name = table.schema.primary_key
-                pk = row.pop(pk_name)
-                table.update(eq(pk_name, pk), row)
+                pk = decode_cell(table.schema.column(pk_name), record["pk"])
+                cells = decode_cells(table.schema, record["row"])
+                cells.pop(pk_name, None)
+                table.update(eq(pk_name, pk), cells)
             elif op == "delete":
                 table = database.table(record["table"])
                 pk_name = table.schema.primary_key

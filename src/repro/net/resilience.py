@@ -33,7 +33,7 @@ import enum
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Protocol, TypeVar, runtime_checkable
+from typing import Any, Callable, Protocol, TypeVar, runtime_checkable
 
 import numpy as np
 
@@ -261,6 +261,7 @@ class ResilientClient:
             "logical sends through the resilient client, by outcome",
             labels=("outcome",),
         )
+        self._m_send_children: dict[str, Any] = {}
         self._m_state = self.metrics.gauge(
             "sor_net_circuit_state",
             "per-host circuit state (0=closed, 1=open, 2=half-open)",
@@ -293,6 +294,14 @@ class ResilientClient:
                 breaker = CircuitBreaker(self.breaker_policy, self.clock)
                 self._breakers[host] = breaker
             return breaker
+
+    def _count_send(self, outcome: str) -> None:
+        """Count one logical send on its labeled child, bound on first use."""
+        child = self._m_send_children.get(outcome)
+        if child is None:
+            child = self._m_sends.labels(outcome=outcome)
+            self._m_send_children[outcome] = child
+        child.inc()
 
     def _next_backoff(self, previous: float) -> float:
         """Decorrelated jitter: ``min(cap, uniform(base, 3·prev))``."""
@@ -348,7 +357,7 @@ class ResilientClient:
                 while True:
                     if not breaker.allow():
                         state_gauge.set(breaker.state.value)
-                        self._m_sends.inc(outcome="circuit_open")
+                        self._count_send("circuit_open")
                         span.set_attribute("outcome", "circuit_open")
                         raise CircuitOpenError(
                             f"circuit for host {host!r} is open; send rejected"
@@ -357,7 +366,7 @@ class ResilientClient:
                     if self.clock.now() - started > self.policy.deadline_s:
                         # The admitted probe will never report an outcome.
                         breaker.abort_probe()
-                        self._m_sends.inc(outcome="deadline")
+                        self._count_send("deadline")
                         span.set_attribute("outcome", "deadline")
                         raise DeadlineExceededError(
                             f"deadline of {self.policy.deadline_s}s exceeded "
@@ -377,7 +386,7 @@ class ResilientClient:
                         breaker.record_failure()
                         state_gauge.set(breaker.state.value)
                         if attempts >= self.policy.max_attempts:
-                            self._m_sends.inc(outcome="exhausted")
+                            self._count_send("exhausted")
                             span.set_attribute("outcome", "exhausted")
                             raise TransportError(
                                 f"send to {host!r} failed after {attempts} "
@@ -388,7 +397,7 @@ class ResilientClient:
                             self.clock.now() + backoff - started
                             > self.policy.deadline_s
                         ):
-                            self._m_sends.inc(outcome="deadline")
+                            self._count_send("deadline")
                             span.set_attribute("outcome", "deadline")
                             raise DeadlineExceededError(
                                 f"deadline of {self.policy.deadline_s}s would be "
@@ -404,7 +413,7 @@ class ResilientClient:
                         raise
                     breaker.record_success()
                     state_gauge.set(breaker.state.value)
-                    self._m_sends.inc(outcome="ok")
+                    self._count_send("ok")
                     span.set_attribute("outcome", "ok")
                     return result
             finally:

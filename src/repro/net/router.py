@@ -38,6 +38,7 @@ import hashlib
 import itertools
 import threading
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.common.errors import CodecError, TransportError, ValidationError
 from repro.net.http import HttpRequest, HttpResponse, busy_response, metrics_response
@@ -223,6 +224,7 @@ class ShardRouter:
             "requests forwarded by the shard router, by shard and role",
             labels=("shard", "role"),
         )
+        self._m_request_children: dict[tuple[str, str], Any] = {}
         self._m_misroutes = self.metrics.counter(
             "sor_shard_router_misroutes_total",
             "requests whose routing key was unknown (hash fallback used)",
@@ -296,8 +298,17 @@ class ShardRouter:
             )
         )
 
+    def _count_request(self, shard: str, role: str) -> None:
+        """Count one forward on its labeled child, bound on first use."""
+        key = (shard, role)
+        child = self._m_request_children.get(key)
+        if child is None:
+            child = self._m_requests.labels(shard=shard, role=role)
+            self._m_request_children[key] = child
+        child.inc()
+
     def _route_write(self, request: HttpRequest, info: ShardInfo) -> HttpResponse:
-        self._m_requests.inc(shard=info.shard_id, role="primary")
+        self._count_request(info.shard_id, "primary")
         try:
             return self._forward(request, info.primary)
         except TransportError:
@@ -317,7 +328,7 @@ class ShardRouter:
         candidates.append(info.primary)
         for index, host in enumerate(candidates):
             role = "primary" if host == info.primary else "replica"
-            self._m_requests.inc(shard=info.shard_id, role=role)
+            self._count_request(info.shard_id, role)
             try:
                 return self._forward(request, host)
             except TransportError:
@@ -337,7 +348,7 @@ class ShardRouter:
         first: HttpResponse | None = None
         for shard_id in self.table.shard_ids():
             info = self.table.shards[shard_id]
-            self._m_requests.inc(shard=info.shard_id, role="primary")
+            self._count_request(info.shard_id, "primary")
             try:
                 response = self._forward(request, info.primary)
             except TransportError:

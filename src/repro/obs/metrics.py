@@ -10,7 +10,9 @@ Design rules, in rough order of importance:
 
 * **Cheap on the hot path.** ``Counter.labels(...)`` returns a child
   series whose ``inc`` is one float addition; callers on tight loops
-  cache the child (or accumulate locally and report once per call).
+  cache the child (or accumulate locally and report once per call). An
+  unlabeled metric caches its one child on first use, and asking the
+  registry for a metric that exists takes no lock.
 * **Thread-safe.** The concurrent server increments counters and
   observes histograms from many request threads at once; every child
   series guards its state with a lock (`x += y` on a Python float is a
@@ -81,6 +83,9 @@ class Metric:
         self.label_names = _validate_labels(labels)
         self._series: dict[tuple[str, ...], object] = {}
         self._lock = threading.Lock()
+        # The unlabeled series, cached by _unlabeled() on first use (so
+        # it still appears in exports only once something updated it).
+        self._default: object | None = None
 
     def _key(self, labels: dict[str, object]) -> tuple[str, ...]:
         if set(labels) != set(self.label_names):
@@ -96,6 +101,16 @@ class Metric:
         if child is None:
             with self._lock:
                 child = self._series.setdefault(key, self._new_child())
+        return child
+
+    def _unlabeled(self) -> object:
+        """The series of a metric with no labels, created on first use.
+
+        Raises like :meth:`_child` if the metric takes labels.
+        """
+        child = self._default
+        if child is None:
+            child = self._default = self._child({})
         return child
 
     def _new_child(self) -> object:  # pragma: no cover - subclass hook
@@ -115,6 +130,7 @@ class Metric:
         """Drop every series (used by registry reset)."""
         with self._lock:
             self._series.clear()
+            self._default = None
 
 
 class _CounterChild:
@@ -147,7 +163,8 @@ class Counter(Metric):
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """Increment the series for ``labels`` by ``amount`` (default 1)."""
-        self.labels(**labels).inc(amount)
+        child = self._child(labels) if labels else self._unlabeled()
+        child.inc(amount)  # type: ignore[attr-defined]
 
     def value(self, **labels: object) -> float:
         """Current value of the series for ``labels`` (0 if never touched)."""
@@ -189,15 +206,18 @@ class Gauge(Metric):
 
     def set(self, value: float, **labels: object) -> None:
         """Set the series for ``labels`` to ``value``."""
-        self.labels(**labels).set(value)
+        child = self._child(labels) if labels else self._unlabeled()
+        child.set(value)  # type: ignore[attr-defined]
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """Increase the series for ``labels`` by ``amount``."""
-        self.labels(**labels).inc(amount)
+        child = self._child(labels) if labels else self._unlabeled()
+        child.inc(amount)  # type: ignore[attr-defined]
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         """Decrease the series for ``labels`` by ``amount``."""
-        self.labels(**labels).dec(amount)
+        child = self._child(labels) if labels else self._unlabeled()
+        child.dec(amount)  # type: ignore[attr-defined]
 
     def value(self, **labels: object) -> float:
         """Current value of the series for ``labels`` (0 if never set)."""
@@ -297,7 +317,8 @@ class Histogram(Metric):
 
     def observe(self, value: float, **labels: object) -> None:
         """Record one observation in the series for ``labels``."""
-        self.labels(**labels).observe(value)
+        child = self._child(labels) if labels else self._unlabeled()
+        child.observe(value)  # type: ignore[attr-defined]
 
     def count(self, **labels: object) -> int:
         """Number of observations recorded for ``labels``."""
@@ -364,22 +385,27 @@ class MetricsRegistry:
     def _get_or_create(
         self, cls: type[Metric], name: str, help: str, labels: Sequence[str], **kwargs: object
     ) -> Metric:
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls) or type(existing) is not cls:
-                    raise ObservabilityError(
-                        f"metric {name!r} already registered as {existing.kind}"
-                    )
-                if existing.label_names != _validate_labels(labels):
-                    raise ObservabilityError(
-                        f"metric {name!r} already registered with labels "
-                        f"{existing.label_names!r}"
-                    )
-                return existing
-            metric = cls(name, help, labels, **kwargs)  # type: ignore[arg-type]
-            self._metrics[name] = metric
-            return metric
+        # An existing metric is returned without the lock: metrics are
+        # only ever added, under the lock, so a plain read is safe.
+        existing = self._metrics.get(name)
+        if existing is None:
+            with self._lock:
+                existing = self._metrics.get(name)
+                if existing is None:
+                    metric = cls(name, help, labels, **kwargs)  # type: ignore[arg-type]
+                    self._metrics[name] = metric
+                    return metric
+        if type(existing) is not cls:
+            raise ObservabilityError(
+                f"metric {name!r} already registered as {existing.kind}"
+            )
+        if tuple(labels) != existing.label_names:
+            _validate_labels(labels)
+            raise ObservabilityError(
+                f"metric {name!r} already registered with labels "
+                f"{existing.label_names!r}"
+            )
+        return existing
 
     def counter(
         self, name: str, help: str = "", labels: Sequence[str] = ()

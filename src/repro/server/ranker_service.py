@@ -280,13 +280,16 @@ class _CategoryScan:
     """One ``feature_data`` scan of a category plus what derives from it.
 
     Built once per ``(category, data_version)`` and shared by every
-    request at that version, so it holds nothing a request may change:
-    the H matrix over all common features is read-only, a profile's
-    feature subset selects its columns (a read-only copy, unless the
-    subset is every common feature), and only the individual rankings of
-    MAX and MIN preferences are memoized — at most two per feature. A
-    numeric preferred value is a client's float, so its ranking is
-    computed per call.
+    request at that version, so it holds nothing a request may change.
+    At N places and F common features it keeps the read-only N × F H
+    matrix, whether every cell is finite, each column's minimum and
+    maximum (what MAX and MIN resolve to), the place order as a
+    :class:`Ranking` (the basis) and the individual rankings of MAX and
+    MIN preferences, at most two per feature, each holding two int
+    arrays of N over the basis. A profile's feature subset selects its
+    columns (a read-only copy, unless the subset is every common
+    feature). A numeric preferred value is a client's float, so its
+    ranking is computed per call, over the same basis.
     """
 
     def __init__(
@@ -308,6 +311,13 @@ class _CategoryScan:
             for column, feature in enumerate(self.common):
                 self.matrix_all[row, column] = float(place[feature])
         self.matrix_all.flags.writeable = False
+        self._finite = bool(np.isfinite(self.matrix_all).all())
+        self.basis: Ranking | None = None
+        self._extremes: list[tuple[float, float]] = []
+        if self.place_ids:
+            self.basis = Ranking(self.place_ids)
+            low, high = self.matrix_all.min(axis=0), self.matrix_all.max(axis=0)
+            self._extremes = list(zip(low.tolist(), high.tolist()))
         self._rankings: dict[tuple[str, float], Ranking] = {}
 
     def matrix(self, feature_names: tuple[str, ...]) -> np.ndarray:
@@ -317,20 +327,19 @@ class _CategoryScan:
         else:
             matrix = self.matrix_all[:, [self._columns[f] for f in feature_names]]
             matrix.flags.writeable = False
-        require_finite_features(matrix, feature_names, self.place_ids)
+        if not self._finite:
+            require_finite_features(matrix, feature_names, self.place_ids)
         return matrix
 
-    def individual(
-        self, feature: str, column: np.ndarray, preference: FeaturePreference
-    ) -> Ranking:
-        """Step 1+2 for one feature column, keyed on (feature, uⱼ)."""
-        preferred = preference.resolve(float(column.min()), float(column.max()))
+    def individual(self, feature: str, preference: FeaturePreference) -> Ranking:
+        """Step 1+2 for one finite feature column, keyed on (feature, uⱼ)."""
+        column = self._columns[feature]
+        preferred = preference.resolve(*self._extremes[column])
         key = (feature, preferred)
         ranking = self._rankings.get(key)
         if ranking is None:
-            gamma = np.abs(column - preferred)
-            order = np.argsort(gamma, kind="stable")
-            ranking = Ranking(self.place_ids[index] for index in order)
+            gamma = np.abs(self.matrix_all[:, column] - preferred)
+            ranking = Ranking.over(self.basis, np.argsort(gamma, kind="stable"))
             if preference.preferred is MAX or preference.preferred is MIN:
                 self._rankings[key] = ranking
         return ranking
@@ -470,8 +479,8 @@ class PersonalizableRanker:
             )
         matrix = scan.matrix(feature_names)
         individual = [
-            scan.individual(feature, matrix[:, column], profile.preference(feature))
-            for column, feature in enumerate(feature_names)
+            scan.individual(feature, profile.preference(feature))
+            for feature in feature_names
         ]
         weights = [profile.weight(feature) for feature in feature_names]
         ranking = aggregate_footrule(individual, weights, metrics=self.metrics)

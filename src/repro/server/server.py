@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from repro.common.clock import Clock
 from repro.common.errors import (
@@ -180,6 +180,7 @@ class SensingServer:
             "HTTP requests handled, by message type and response status",
             labels=("type", "status"),
         )
+        self._m_request_children: dict[tuple[str, str], Any] = {}
         self._m_request_timer = self.metrics.timer(
             "sor_server_request_seconds",
             "handle_request latency in clock seconds",
@@ -251,7 +252,7 @@ class SensingServer:
         outcome = self._executor.submit(lambda: self._handle_one(request))
         if outcome is None:
             self._m_busy.inc()
-            self._m_requests.inc(type="busy", status="503")
+            self._count_request("busy", "503")
             return busy_response(self.host)
         return outcome.result()
 
@@ -268,8 +269,17 @@ class SensingServer:
                 response, message_type = self._dispatch(request)
             span.set_attribute("type", message_type)
             span.set_attribute("status", response.status)
-        self._m_requests.inc(type=message_type, status=str(response.status))
+        self._count_request(message_type, str(response.status))
         return response
+
+    def _count_request(self, message_type: str, status: str) -> None:
+        """Count one request on its labeled child, bound on first use."""
+        key = (message_type, status)
+        child = self._m_request_children.get(key)
+        if child is None:
+            child = self._m_requests.labels(type=message_type, status=status)
+            self._m_request_children[key] = child
+        child.inc()
 
     def close(self) -> None:
         """Close the admission gate and wait for the requests it admitted

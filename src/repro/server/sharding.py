@@ -52,6 +52,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from repro.common.clock import Clock
 from repro.common.errors import (
@@ -139,6 +140,7 @@ class ShardReplica:
             "requests served by read-replicas, by replica and status",
             labels=("replica", "status"),
         )
+        self._m_request_children: dict[str, Any] = {}
         self._m_applied = self.metrics.counter(
             "sor_shard_replica_applied_records_total",
             "WAL records applied by replicas",
@@ -232,7 +234,7 @@ class ShardReplica:
             return self._handle_one(request)
         outcome = self._executor.submit(lambda: self._handle_one(request))
         if outcome is None:
-            self._m_requests.inc(replica=self.host, status="503")
+            self._count_request("503")
             return busy_response(self.host)
         return outcome.result()
 
@@ -241,10 +243,10 @@ class ShardReplica:
         try:
             envelope = Envelope.from_bytes(request.body)
         except CodecError:
-            self._m_requests.inc(replica=self.host, status="400")
+            self._count_request("400")
             return HttpResponse(status=400)
         if envelope.message_type is not MessageType.RANK_QUERY:
-            self._m_requests.inc(replica=self.host, status="405")
+            self._count_request("405")
             return HttpResponse(status=405)
         try:
             with self._rwlock.read():
@@ -252,10 +254,18 @@ class ShardReplica:
         except DatabaseError:
             # Not caught up enough to serve (e.g. the category's tables
             # have not been shipped yet): let the router fail over.
-            self._m_requests.inc(replica=self.host, status="503")
+            self._count_request("503")
             return busy_response(self.host)
-        self._m_requests.inc(replica=self.host, status="200")
+        self._count_request("200")
         return HttpResponse(status=200, body=reply.to_bytes())
+
+    def _count_request(self, status: str) -> None:
+        """Count one request on its labeled child, bound on first use."""
+        child = self._m_request_children.get(status)
+        if child is None:
+            child = self._m_requests.labels(replica=self.host, status=status)
+            self._m_request_children[status] = child
+        child.inc()
 
     def close(self) -> None:
         """Unhook from the network and close the admission gate, waiting

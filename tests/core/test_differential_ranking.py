@@ -19,12 +19,20 @@ which makes the two ideal cross-implementation oracles for each other:
   scalar per-pair spec ``Σ w · d(R, R_j)`` bitwise, type included,
 * the footrule aggregate's weighted Kemeny distance stays within the
   theoretical 2× of the exact (brute-force) Kemeny optimum on ≤6
-  places.
+  places,
+* when one weight exceeds the sum of the others, that ranking is the
+  unique footrule optimum (exact rational brute force, integer and
+  float weights; the flow oracle too on integer weights, where its
+  costs are exact), and the aggregate returns it without a solve.
 
 Run with ``--hypothesis-seed=0`` in CI for reproducibility.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,11 +46,13 @@ from repro.core.ranking import (
     footrule_cost_matrix,
     weighted_kemeny_distance,
 )
+from repro.core.ranking.aggregate import dominant_index
 from repro.core.ranking.distances import (
     footrule_distance,
     kemeny_distance,
     weighted_footrule_distance,
 )
+from repro.obs import MetricsRegistry
 from repro.core.ranking.reference import (
     assignment_via_flow,
     brute_force_kemeny,
@@ -237,3 +247,128 @@ class TestKemenyGuarantee:
         aggregate = aggregate_footrule(collection, weights)
         achieved = weighted_kemeny_distance(aggregate, collection, weights)
         assert achieved <= 2.0 * optimum_value + 1e-9
+
+
+def dominant_collections(max_items: int = 6, max_rankings: int = 4, *, floats: bool):
+    """A collection whose ranking ``k`` outweighs all the others together:
+    ``(collection, weights, k)``. Float weights include a top weight
+    one float step above the others' exact sum."""
+
+    @st.composite
+    def build(draw):
+        collection, _ = draw(ranking_collections(max_items, max_rankings))
+        count = len(collection)
+        dominant = draw(st.integers(min_value=0, max_value=count - 1))
+        if floats:
+            others = draw(
+                st.lists(
+                    st.floats(min_value=0.0, max_value=10.0),
+                    min_size=count - 1,
+                    max_size=count - 1,
+                )
+            )
+            rest = math.fsum(others)
+            margin = draw(st.sampled_from([0.0, 1e-9, 0.5, 3.0]))
+            top = max(rest + margin, math.nextafter(rest, math.inf))
+        else:
+            others = draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=5),
+                    min_size=count - 1,
+                    max_size=count - 1,
+                )
+            )
+            top = sum(others) + draw(st.integers(min_value=1, max_value=3))
+        weights = others[:dominant] + [top] + others[dominant:]
+        return collection, weights, dominant
+
+    return build()
+
+
+def exact_footrule(ranking, collection, weights) -> Fraction:
+    """κ_f in exact rational arithmetic over the scalar spec."""
+    return sum(
+        (Fraction(weight) * footrule_distance(ranking, individual)
+         for individual, weight in zip(collection, weights)),
+        Fraction(0),
+    )
+
+
+class TestDominantWeight:
+    """``w_k > Σ_{j≠k} w_j`` makes R_k the unique footrule optimum."""
+
+    @given(
+        case=st.one_of(
+            dominant_collections(floats=False), dominant_collections(floats=True)
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_dominant_ranking_is_the_unique_optimum(self, case):
+        collection, weights, dominant = case
+        assert dominant_index(weights) == dominant
+        expected = collection[dominant]
+        values = {
+            permutation: exact_footrule(Ranking(permutation), collection, weights)
+            for permutation in itertools.permutations(expected.items)
+        }
+        best = min(values.values())
+        assert [p for p, value in values.items() if value == best] == [
+            expected.items
+        ]
+        registry = MetricsRegistry()
+        assert aggregate_footrule(collection, weights, metrics=registry) == expected
+        assert registry.get("sor_ranking_dominant_answers_total").value() == 1
+        if all(isinstance(weight, int) for weight in weights):
+            cost, items = footrule_cost_matrix(collection, weights)
+            total, matching = assignment_via_flow(cost)
+            assert total == exact_footrule(expected, collection, weights)
+            by_rank = sorted(matching, key=matching.__getitem__)
+            assert tuple(items[row] for row in by_rank) == expected.items
+
+    @given(
+        case=st.one_of(
+            dominant_collections(floats=False), dominant_collections(floats=True)
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shortcut_observes_the_cost_a_solve_would(self, case):
+        collection, weights, dominant = case
+        cost, items = footrule_cost_matrix(collection, weights)
+        rows, columns = linear_sum_assignment(cost)
+        solved = tuple(items[row] for row in np.argsort(columns))
+        if all(isinstance(weight, int) for weight in weights):
+            # Exact integer costs: the solver finds the unique optimum.
+            assert solved == collection[dominant].items
+        if solved == collection[dominant].items:
+            registry = MetricsRegistry()
+            aggregate_footrule(collection, weights, metrics=registry)
+            observed = registry.get("sor_ranking_footrule_cost").total()
+            assert observed == float(cost[rows, columns].sum())
+
+    @given(
+        weights=st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=5),
+                st.floats(min_value=0.0, max_value=1e6),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dominance_is_decided_exactly(self, weights):
+        exact = [Fraction(float(weight)) for weight in weights]
+        expected = [
+            k for k, value in enumerate(exact) if value > sum(exact) - value
+        ]
+        found = dominant_index(weights)
+        assert ([] if found is None else [found]) == expected
+
+    def test_ties_and_balanced_weights_solve(self):
+        collection = [Ranking("abc"), Ranking("cba"), Ranking("bca")]
+        for weights in ([2, 2, 0], [3, 1, 2], [0, 0, 0], [1.5, 0.75, 0.75]):
+            assert dominant_index(weights) is None
+        registry = MetricsRegistry()
+        aggregate_footrule(collection, [3, 1, 2], metrics=registry)
+        assert registry.get("sor_ranking_dominant_answers_total") is None
+        assert registry.get("sor_ranking_aggregations_total").value() == 1

@@ -1,11 +1,13 @@
 """Tests for ranking distances (Kemeny, footrule, weighted variants)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import RankingError
 from repro.core.ranking import (
     Ranking,
+    aggregate_footrule,
     footrule_distance,
     kemeny_distance,
     weighted_footrule_distance,
@@ -122,3 +124,73 @@ class TestRankingType:
         assert Ranking("AB") == Ranking(["A", "B"])
         assert hash(Ranking("AB")) == hash(Ranking("AB"))
         assert Ranking("AB") != Ranking("BA")
+
+
+class TestKeptOverABasis:
+    """``Ranking.over`` keeps positions over a basis; the kernel stacks
+    them, and answers exactly as it does for rankings looked up item by
+    item."""
+
+    def test_items_and_positions(self):
+        basis = Ranking("ABCD")
+        order = np.array([2, 0, 3, 1])
+        ranking = Ranking.over(basis, order)
+        order[0] = 0  # the caller's array stays the caller's
+        assert ranking.items == tuple("CADB")
+        assert [ranking.position(item) for item in "ABCD"] == [2, 4, 1, 3]
+        assert ranking._basis_positions.tolist() == [2, 4, 1, 3]
+        assert ranking == Ranking("CADB")
+        with pytest.raises(ValueError, match="read-only"):
+            ranking._order[0] = 1
+
+    def test_a_basis_kept_over_another_resolves_to_it(self):
+        basis = Ranking("ABCD")
+        middle = Ranking.over(basis, np.array([3, 2, 1, 0]))
+        ranking = Ranking.over(middle, np.array([1, 0, 2, 3]))
+        assert ranking.items == tuple("CDBA")
+        assert ranking._basis is basis
+        assert ranking._basis_positions.tolist() == [
+            ranking.position(item) for item in basis.items
+        ]
+        assert ranking.same_items(middle)
+
+    @pytest.mark.parametrize(
+        "order", [[0, 0, 1], [0, 1], [0, 1, 3], [-1, 0, 1], [[0, 1, 2]]]
+    )
+    def test_an_order_that_is_not_a_permutation_is_rejected(self, order):
+        with pytest.raises(RankingError, match="not a permutation"):
+            Ranking.over(Ranking("ABC"), np.array(order))
+
+    def test_another_basis_is_looked_up_and_checked(self):
+        first = Ranking.over(Ranking("ABC"), np.array([2, 1, 0]))
+        other = Ranking.over(Ranking("ABD"), np.array([0, 1, 2]))
+        with pytest.raises(RankingError, match="different item sets"):
+            weighted_footrule_distance(first, [other], [1])
+        assert weighted_footrule_distance(first, [Ranking("ABC")], [1]) == 4
+
+    @pytest.mark.parametrize(
+        "distance", [weighted_kemeny_distance, weighted_footrule_distance]
+    )
+    def test_no_rankings_is_distance_zero(self, distance):
+        plain = Ranking("ABC")
+        kept = Ranking.over(plain, np.array([1, 0, 2]))
+        assert distance(plain, [], []) == 0
+        assert distance(kept, [], []) == 0
+
+    @given(
+        orders=st.lists(st.permutations(range(6)), min_size=1, max_size=4),
+        target=st.permutations(range(6)),
+        weights=st.lists(st.integers(0, 5), min_size=4, max_size=4),
+    )
+    def test_kept_and_looked_up_rankings_agree(self, orders, target, weights):
+        basis = Ranking(f"place-{index}" for index in range(6))
+        kept = [Ranking.over(basis, np.array(order)) for order in orders]
+        plain = [Ranking(ranking.items) for ranking in kept]
+        weights = weights[: len(kept)]
+        kept_target = Ranking.over(basis, np.array(target))
+        plain_target = Ranking(kept_target.items)
+        for distance in (weighted_kemeny_distance, weighted_footrule_distance):
+            expected = distance(plain_target, plain, weights)
+            value = distance(kept_target, kept, weights)
+            assert value == expected and type(value) is type(expected)
+        assert aggregate_footrule(kept, weights) == aggregate_footrule(plain, weights)

@@ -1,5 +1,8 @@
 """Tests for the write-ahead log, checkpoints and crash recovery."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro.common.errors import (
@@ -17,6 +20,7 @@ from repro.db import (
     eq,
     open_durable_database,
 )
+from repro.db.persistence import schema_to_dict
 from repro.db.replication import ReplicationCursor, WalShipper, apply_records
 from repro.db.wal import WalWriter, read_wal_file
 from repro.obs import MetricsRegistry
@@ -377,6 +381,61 @@ def _replay_into_replica(tmp_path):
     batch = WalShipper(tmp_path).ship(ReplicationCursor())
     apply_records(replica, batch.records)
     return replica
+
+
+class TestPartialUpdates:
+    """An update record holds the primary key and the cells the update
+    set; a directory whose update records hold whole rows still replays."""
+
+    def test_update_frame_holds_the_key_and_the_cells_it_set(self, tmp_path):
+        db, _ = boot(tmp_path)
+        table = db.table("events")
+        pk = table.insert({"label": "a", "blob": b"\x00\x01"})
+        segment = sorted(tmp_path.glob("wal-*.log"))[-1]
+        start = segment.stat().st_size
+        table.update(eq("id", pk), {"blob": b"\xff"})
+        payload = b'{"op":"update","pk":1,"row":{"blob":"/w=="},"table":"events"}'
+        frame = struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        assert segment.read_bytes()[start:] == frame
+        shutdown(db)
+        recovered, _ = boot(tmp_path)
+        # The replay set the blob and left the label alone.
+        assert recovered.table("events").get(pk) == {
+            "id": 1,
+            "label": "a",
+            "blob": b"\xff",
+        }
+        shutdown(recovered)
+
+    def test_full_row_updates_recover_and_ship(self, tmp_path):
+        # The log as it was written while update records held whole rows.
+        writer = WalWriter(tmp_path / "wal-00000001.log")
+        for record in (
+            {"op": "create_table", "schema": schema_to_dict(SCHEMA)},
+            {"op": "insert", "table": "events",
+             "row": {"id": 1, "label": "a", "blob": None}},
+            {"op": "insert", "table": "events",
+             "row": {"id": 2, "label": "b", "blob": "AAE="}},
+            {"op": "update", "table": "events", "pk": 1,
+             "row": {"id": 1, "label": "a2", "blob": "/w=="}},
+        ):
+            writer.append(record)
+        writer.close()
+        expected = [
+            {"id": 1, "label": "a2", "blob": b"\xff"},
+            {"id": 2, "label": "b", "blob": b"\x00\x01"},
+        ]
+        replica = _replay_into_replica(tmp_path)
+        assert replica.table("events").select() == expected
+        db, report = boot(tmp_path)
+        assert report.records_replayed == 4
+        assert db.table("events").select() == expected
+        # Updates after the boot log only their cells, and a replica
+        # replays the old records and the new one in order.
+        db.table("events").update(eq("id", 2), {"label": "b2"})
+        shutdown(db)
+        expected[1]["label"] = "b2"
+        assert _replay_into_replica(tmp_path).table("events").select() == expected
 
 
 class TestReattach:

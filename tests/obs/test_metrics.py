@@ -5,6 +5,7 @@ import pytest
 from repro.common.clock import ManualClock
 from repro.common.errors import ObservabilityError
 from repro.obs import MetricsRegistry, NullRegistry
+from repro.obs.export import to_prometheus_text
 
 
 @pytest.fixture
@@ -140,6 +141,99 @@ class TestRegistry:
         registry.counter("sor_b_total")
         registry.counter("sor_a_total")
         assert [m.name for m in registry.collect()] == ["sor_a_total", "sor_b_total"]
+
+    def test_existing_metric_still_checks_kind_and_labels(self, registry):
+        registry.histogram("sor_h", labels=("kind",))
+        assert registry.histogram("sor_h", labels=["kind"]) is registry.get("sor_h")
+        with pytest.raises(ObservabilityError, match="registered as histogram"):
+            registry.counter("sor_h", labels=("kind",))
+        with pytest.raises(ObservabilityError, match="already registered with labels"):
+            registry.histogram("sor_h")
+        with pytest.raises(ObservabilityError, match="invalid label name"):
+            registry.histogram("sor_h", labels=("bad-label",))
+
+
+def _exercise(registry, *, direct):
+    """One update sequence, through the shortcuts or through labels()."""
+    counter = registry.counter("sor_c_total", "c")
+    gauge = registry.gauge("sor_g", "g")
+    histogram = registry.histogram("sor_h", "h", buckets=(1.0, 5.0))
+    labeled = registry.counter("sor_l_total", "l", labels=("type", "status"))
+    registry.gauge("sor_untouched", "never updated")
+    registry.histogram("sor_untouched_h", "never observed", labels=("kind",))
+    for step in range(3):
+        if direct:
+            counter.inc(step)
+            gauge.set(step * 1.5)
+            gauge.inc()
+            gauge.dec(0.25)
+            histogram.observe(step * 2.0)
+            labeled.inc(type="rank", status="200")
+        else:
+            counter.labels().inc(step)
+            gauge.labels().set(step * 1.5)
+            gauge.labels().inc()
+            gauge.labels().dec(0.25)
+            histogram.labels().observe(step * 2.0)
+            labeled.labels(status="200", type="rank").inc()
+        registry.counter("sor_c_total", "c")  # a lookup of an existing metric
+
+
+class TestExpositionUnchanged:
+    """Unlabeled metrics cache their child and existing metrics are
+    returned without the lock; the exposition text is what updating
+    through ``labels()`` gives, and a series appears at its first update."""
+
+    def test_shortcuts_export_what_labels_would(self):
+        direct, explicit = MetricsRegistry(), MetricsRegistry()
+        _exercise(direct, direct=True)
+        _exercise(explicit, direct=False)
+        assert to_prometheus_text(direct) == to_prometheus_text(explicit)
+
+    def test_series_appear_at_their_first_update(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("sor_c_total", "c")
+        registry.histogram("sor_h", "h", buckets=(1.0,))
+        assert to_prometheus_text(registry) == (
+            "# HELP sor_c_total c\n"
+            "# TYPE sor_c_total counter\n"
+            "# HELP sor_h h\n"
+            "# TYPE sor_h histogram\n"
+        )
+        counter.inc()
+        registry.histogram("sor_h", "h", buckets=(1.0,)).observe(0.5)
+        assert to_prometheus_text(registry) == (
+            "# HELP sor_c_total c\n"
+            "# TYPE sor_c_total counter\n"
+            "sor_c_total 1\n"
+            "# HELP sor_h h\n"
+            "# TYPE sor_h histogram\n"
+            'sor_h_bucket{le="1"} 1\n'
+            'sor_h_bucket{le="+Inf"} 1\n'
+            "sor_h_sum 0.5\n"
+            "sor_h_count 1\n"
+        )
+
+    def test_reset_drops_the_cached_child(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("sor_c_total", "c")
+        counter.inc(5)
+        registry.reset()
+        assert to_prometheus_text(registry) == (
+            "# HELP sor_c_total c\n# TYPE sor_c_total counter\n"
+        )
+        counter.inc()
+        assert counter.value() == 1.0
+        assert "sor_c_total 1\n" in to_prometheus_text(registry)
+
+    def test_a_labeled_metric_still_needs_its_labels(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("sor_l_total", labels=("type",))
+        with pytest.raises(ObservabilityError, match="takes labels"):
+            counter.inc()
+        with pytest.raises(ObservabilityError, match="takes labels"):
+            counter.inc()
+        assert to_prometheus_text(registry).count("sor_l_total{") == 0
 
 
 class TestNullRegistry:

@@ -270,6 +270,20 @@ class TestSharedScan:
                 array[0, 0] = -1.0
         assert subset.feature_matrix.shape == (3, 2)
 
+    def test_a_non_finite_cell_raises_only_for_profiles_that_use_it(self):
+        database = new_database()
+        rows = {place: dict(values) for place, values in ROWS.items()}
+        rows["p2"]["wifi"] = float("nan")
+        write_rows(database, rows)
+        ranker = PersonalizableRanker(database, metrics=MetricsRegistry())
+        with pytest.raises(RankingError, match="'p2', feature 'wifi'"):
+            ranker.rank(CATEGORY, EMMA)
+        # The scan checked every cell once; a profile that leaves the
+        # column out ranks as before.
+        assert ranker._scans[CATEGORY]._finite is False
+        report = ranker.rank(CATEGORY, DAVID)
+        assert report.feature_names == ["noise", "temperature"]
+
     def test_memos_stay_bounded_by_the_data(self):
         features = [f"f{index}" for index in range(10)]
         rng = np.random.default_rng(3)
@@ -295,6 +309,13 @@ class TestSharedScan:
         scan = ranker._scans[CATEGORY]
         # At most a MAX and a MIN ranking per feature; no per-subset memo.
         assert len(scan._rankings) <= 2 * len(features)
+        # Each memoized ranking holds two arrays of one int per place,
+        # over the scan's one basis; the extremes are one pair a feature.
+        for ranking in scan._rankings.values():
+            assert ranking._basis is scan.basis
+            assert ranking._order.shape == ranking._basis_positions.shape == (6,)
+        assert len(scan._extremes) == len(features)
+        assert scan.basis.items == tuple(scan.place_ids)
         assert set(vars(scan)) == {
             "category",
             "data_version",
@@ -302,6 +323,9 @@ class TestSharedScan:
             "_columns",
             "place_ids",
             "matrix_all",
+            "_finite",
+            "basis",
+            "_extremes",
             "_rankings",
         }
 

@@ -5,7 +5,7 @@ nothing: the WAL frames one request appends on a durable server.
   ``running``, with the reply's times), one ``idempotency`` insert and
   commit;
 * a keyed upload that reports ``status`` and ``executed`` updates its
-  task row once, with both;
+  task row once, and the record carries only the cells it set;
 * a keyed RANK_QUERY appends nothing, stores no reply, and a repeat is
   not counted as a duplicate.
 """
@@ -105,10 +105,12 @@ def test_keyed_upload_updates_its_task_once(server) -> None:
         ("insert", "idempotency"),
         ("commit", None),
     ]
-    task = records[2]["row"]
-    assert task["status"] == "finished"
-    assert task["budget"] == 2
-    assert task["schedule_times"] == scheduled.payload["times"]
+    update = records[2]
+    assert update["pk"] == scheduled.payload["task_id"]
+    # The cells the upload set, not the task's schedule, token or ids.
+    assert update["row"] == {"status": "finished", "error": "", "budget": 2}
+    stored = server.database.table("tasks").get(update["pk"])
+    assert stored["schedule_times"] == scheduled.payload["times"]
 
 
 def test_keyed_rank_query_writes_nothing(server) -> None:
